@@ -7,6 +7,7 @@ import numpy as np
 
 from .embeddings import gamma, moebius_distance
 from .errors import ValidationError
+from .tasks import get_task
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -144,37 +145,65 @@ class MetricReport:
                 "summaries": self.summaries, "extra": self.extra}
 
 
-_S_PARAM_NAMES = ("x_c", "y_c", "flux", "sigma", "eps")
+#: Error functions of the task table's metrics: (pred, truth, interval) ->
+#: per-sample errors, on one parameter column or on whole rows.
+_ERRORS = {"raw": lambda p, t, iv: np.abs(p - t),
+           "circular": lambda p, t, iv: circular_error(p, t),
+           "norm": lambda p, t, iv: normalized_abs_error(p, t, iv),
+           "moebius": lambda p, t, iv: moebius_error(p, t),
+           "moebius_scaled": lambda p, t, iv: moebius_error_scaled(p, t)}
+
+
+def _free_columns(spec, arr):
+    """The columns of the task's free parameters: the last ones of arr."""
+    return arr[:, arr.shape[1] - len(spec.free):]
 
 
 def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     """Error report for matched truth/prediction parameter arrays.
 
-    circle: circular error of the angle. simple: strip distance plus raw
-    alpha error. complete: normalized absolute errors of the five scale
-    parameters plus the eccentricity-scaled strip distance.
+    The last columns of both hold the task's free parameters; the metrics
+    are those of the task's entry in ``tasks.TASKS``.
     """
+    spec = get_task(task)
     truth = np.asarray(truth, dtype=float)
     pred = np.asarray(pred, dtype=float)
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])
-
-    if task == "circle":
-        report.per_param["theta_circular"] = circular_error(pred[:, 0], truth[:, 0])
-        report.per_param["theta_raw"] = np.abs(pred[:, 0] - truth[:, 0])
-    elif task == "simple":
-        report.per_param["moebius"] = moebius_error(pred[:, -2:], truth[:, -2:])
-        report.per_param["alpha_raw"] = np.abs(pred[:, -2] - truth[:, -2])
-        report.per_param["c_raw"] = np.abs(pred[:, -1] - truth[:, -1])
-    else:
-        for j, name in enumerate(_S_PARAM_NAMES):
-            report.per_param[f"{name}_norm"] = normalized_abs_error(
-                pred[:, j], truth[:, j], intervals[name])
-        report.per_param["moebius_scaled"] = moebius_error_scaled(pred, truth)
+    truth, pred = _free_columns(spec, truth), _free_columns(spec, pred)
+    for m in spec.metrics:
+        p, t = pred, truth
+        if m.param is not None:
+            j = spec.free.index(m.param)
+            p, t = pred[:, j], truth[:, j]
+        report.per_param[m.name] = _ERRORS[m.error](p, t, intervals.get(m.param))
     for name, arr in report.per_param.items():
         report.summaries[name] = quantile_summary(arr)
     return report
+
+
+def evaluation_scatter(task, truth, pred, inputs, report):
+    """Header and (S, W) rows of the per-sample evaluation scatter.
+
+    Columns: the true free parameters, the inputs when the task's data are
+    not visibilities, the predicted free parameters, then one column per
+    metric of ``report``. Columns named ``*_deg`` hold degrees.
+    """
+    spec = get_task(task)
+
+    def params(tag, arr):
+        return [(f"{n}_{tag}_deg" if n in spec.angles else f"{n}_{tag}", col)
+                for n, col in zip(spec.free, _free_columns(spec, arr).T)]
+
+    columns = params("true", np.asarray(truth, dtype=float))
+    if not spec.visibilities:
+        columns += zip(spec.data_header, np.asarray(inputs, dtype=float).T)
+    columns += params("pred", np.asarray(pred, dtype=float))
+    columns += [(m.header, report.per_param[m.name]) for m in spec.metrics]
+    header = [h for h, _ in columns]
+    rows = np.column_stack([np.degrees(c) if h.endswith("_deg") else c for h, c in columns])
+    return header, rows
 
 
 def export_scatter(rows, header, path, comment=None):

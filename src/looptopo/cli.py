@@ -17,22 +17,18 @@ from .embeddings import LoopParams
 from .errors import LoopTopoError, ParseError, ValidationError
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, GridSpec, LoopBuildConfig,
                       default_frequencies, eval_image, load_frequencies,
-                      save_image_csv, vis_to_reals,
-                      visibilities_closed_form, visibilities_quadrature_oracle)
+                      save_image_csv, visibilities_closed_form,
+                      visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
 from .serialization import config_hash, read_json, write_json
+from .tasks import LOOP_PARAMS, TASKS
 
 
 def _read_config(path):
     if path is None:
         return {}
-    try:
-        cfg = read_json(path)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in config: {exc}", path=path) from None
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must contain a JSON object")
     return cfg
@@ -116,16 +112,13 @@ def cmd_gen_dataset(args):
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
     sampling = _sampling_config(args, cfg, seed)
-    freqs = _frequencies(cfg) if sampling.scenario != "circle" else None
-    build = _build_config(cfg) if sampling.scenario != "circle" else None
+    visibilities = TASKS[sampling.scenario].visibilities
+    freqs = _frequencies(cfg) if visibilities else None
+    build = _build_config(cfg) if visibilities else None
     ds = generate_dataset(sampling, freqs=freqs, build=build, jobs=args.jobs)
     save_dataset(ds, args.out, text=args.text)
     print(f"wrote {ds.n_samples} samples to {args.out}", file=sys.stderr)
     return 0
-
-
-def _checkpoint_run_hash(cfg_dict):
-    return config_hash(cfg_dict)
 
 
 def cmd_train(args):
@@ -139,7 +132,7 @@ def cmd_train(args):
     run_cfg = {"command": "train", "kind": args.kind, "nn": nn_cfg.to_dict(),
                "train": train_cfg.to_dict(),
                "dataset_config": ds.config.to_dict()}
-    run_hash = _checkpoint_run_hash(run_cfg)
+    run_hash = config_hash(run_cfg)
 
     diag = Diagnostics()
     if args.resume:
@@ -190,51 +183,17 @@ def cmd_evaluate(args):
 
     diag = Diagnostics()
     mask = ds.mask(TEST)
-    x = ds.inputs(TEST)
-    pred = regularizer.predict(model, x, diag=diag)
-    intervals = internal_intervals(ds.config)
-
-    if task == "circle":
-        truth = ds.params[mask]
-        report = analysis.evaluate_predictions(task, kind, truth, pred, intervals)
-        header = ["theta_true_deg", "x", "y", "theta_pred_deg",
-                  "circular_error_rad", "raw_error_rad"]
-        rows = [[math.degrees(t[0]), v[0], v[1], math.degrees(p[0]),
-                 float(analysis.circular_error(p[0], t[0])), abs(float(p[0] - t[0]))]
-                for t, v, p in zip(truth, ds.clean[mask], pred)]
-    elif task == "simple":
-        truth = ds.params[mask][:, 5:7]
-        report = analysis.evaluate_predictions(task, kind, truth, pred, intervals)
-        header = ["alpha_true_deg", "c_true", "alpha_pred_deg", "c_pred",
-                  "moebius_error", "alpha_err_deg", "c_err"]
-        moe = analysis.moebius_error(pred, truth)
-        rows = [[math.degrees(t[0]), t[1], math.degrees(p[0]), p[1], float(m),
-                 abs(math.degrees(p[0] - t[0])), abs(float(p[1] - t[1]))]
-                for t, p, m in zip(truth, pred, np.atleast_1d(moe))]
-    else:
-        truth = ds.params[mask]
-        report = analysis.evaluate_predictions(task, kind, truth, pred, intervals)
-        header = (["%s_true" % n for n in ("x_c", "y_c", "flux", "sigma", "eps")]
-                  + ["alpha_true_deg", "c_true"]
-                  + ["%s_pred" % n for n in ("x_c", "y_c", "flux", "sigma", "eps")]
-                  + ["alpha_pred_deg", "c_pred"]
-                  + ["%s_norm_err" % n for n in ("x_c", "y_c", "flux", "sigma", "eps")]
-                  + ["moebius_error"])  # eps-scaled strip distance
-        rows = []
-        moe = report.per_param["moebius_scaled"]
-        for i in range(truth.shape[0]):
-            t, p = truth[i], pred[i]
-            rows.append([*t[:5], math.degrees(t[5]), t[6],
-                         *p[:5], math.degrees(p[5]), p[6],
-                         *(report.per_param[f"{n}_norm"][i]
-                           for n in ("x_c", "y_c", "flux", "sigma", "eps")),
-                         moe[i]])
-        boxplot = {f"{n}_norm": analysis.boxplot_stats(report.per_param[f"{n}_norm"])
-                   for n in ("x_c", "y_c", "flux", "sigma", "eps")}
+    pred = regularizer.predict(model, ds.inputs(TEST), diag=diag)
+    spec = TASKS[task]
+    truth = ds.params[mask][:, spec.free_columns]
+    report = analysis.evaluate_predictions(task, kind, truth, pred,
+                                           internal_intervals(ds.config))
+    header, rows = analysis.evaluation_scatter(task, truth, pred, ds.clean[mask], report)
+    analysis.export_scatter(rows.tolist(), header, os.path.join(args.out, "scatter.csv"))
+    boxplot = {m.name: analysis.boxplot_stats(report.per_param[m.name])
+               for m in spec.metrics if m.error == "norm"}
+    if boxplot:
         write_json(boxplot, os.path.join(args.out, "boxplot.json"))
-
-    rows = [[float(v) for v in row] for row in rows]
-    analysis.export_scatter(rows, header, os.path.join(args.out, "scatter.csv"))
     payload = report.to_json_dict()
     payload["config_hash"] = config_hash({"dataset": ds.config.to_dict(),
                                           "model_metadata": model.metadata})
@@ -248,9 +207,6 @@ def cmd_demo_circle(args):
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
     section = dict(cfg.get("dataset", {}))
-    section.setdefault("n_train", 5000)
-    section.setdefault("n_val", 1000)
-    section.setdefault("n_test", 1000)
     sampling = SamplingConfig.default("circle", seed, **section)
     ds = generate_dataset(sampling)
     os.makedirs(args.out, exist_ok=True)
@@ -314,7 +270,7 @@ def cmd_demo_circle(args):
 def cmd_pca(args):
     cfg = _read_config(args.config)
     ds = load_dataset(args.dataset)
-    if ds.config.scenario == "circle":
+    if not TASKS[ds.config.scenario].visibilities:
         raise ValidationError("PCA export expects a visibility dataset")
     k = args.components if args.components is not None else cfg.get("pca", {}).get("components", 3)
     model = analysis.pca_fit(ds.inputs(), k=k)
@@ -345,9 +301,12 @@ def _read_vis_csv(path, expect_dim):
                 raise ParseError(f"expected {expect_dim} values, got {len(row)}",
                                  path=path, line=lineno)
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError("non-finite value", path=path, line=lineno)
+            rows.append(values)
     if not rows:
         raise ParseError("no data rows", path=path)
     return np.array(rows)
@@ -361,47 +320,40 @@ def _is_number(s):
         return False
 
 
-def _full_loop_params(task, pred, intervals):
-    """Expand simple-task (alpha, c) predictions with the pinned scale values."""
-    if task == "complete":
-        return pred
-    pinned = [0.5 * (intervals[n][0] + intervals[n][1])
-              for n in ("x_c", "y_c", "flux", "sigma", "eps")]
-    return np.concatenate([np.tile(pinned, (pred.shape[0], 1)), pred], axis=1)
+def _full_params(spec, pred, intervals):
+    """Full parameter rows: the predicted free parameters, and the pinned ones
+    at the middle of their (degenerate) intervals."""
+    full = np.tile([0.5 * (intervals[n][0] + intervals[n][1]) for n in spec.params],
+                   (pred.shape[0], 1))
+    full[:, spec.free_columns] = pred
+    return full
 
 
 def cmd_predict(args):
     model = load_checkpoint(args.model)
     kind, task = regularizer.check_model_consistency(model)
+    spec = TASKS[task]
     x = _read_vis_csv(args.input, model.config.input_dim)
     diag = Diagnostics()
-    pred = regularizer.predict(model, x, diag=diag)
+    pred = _full_params(spec, regularizer.predict(model, x, diag=diag),
+                        model.metadata["intervals"])
 
-    if task == "circle":
-        names, units = ["theta"], ["deg"]
-        printable = np.degrees(pred)
-    else:
-        names = ["x_c", "y_c", "flux", "sigma", "eps", "alpha", "c"]
-        units = ["arcsec", "arcsec", "counts", "arcsec", "", "deg", ""]
-        printable = _full_loop_params(task, pred, model.metadata["intervals"])
-        printable[:, 5] = np.degrees(printable[:, 5])
+    printable = pred.copy()
+    printable[:, spec.angle_columns] = np.degrees(printable[:, spec.angle_columns])
     for i, row in enumerate(printable):
         fields = ", ".join(f"{n}={v:.6g}{(' ' + u) if u else ''}"
-                           for n, v, u in zip(names, row, units))
+                           for n, v, u in zip(spec.params, row, spec.units))
         print(f"sample {i}: {fields}")
     if args.out:
         run_hash = config_hash({"command": "predict",
                                 "model": model.metadata.get("run_config_hash"),
                                 "model_kind": kind, "model_task": task})
-        analysis.export_scatter([[float(v) for v in row] for row in printable],
-                                [f"{n}{'_deg' if u == 'deg' else ''}"
-                                 for n, u in zip(names, units)], args.out,
+        analysis.export_scatter(printable.tolist(), spec.header, args.out,
                                 comment=f"config_hash: {run_hash}")
     if args.render:
-        if task == "circle":
+        if spec.params != LOOP_PARAMS:
             raise ValidationError("--render needs a loop-parameter model")
-        theta = LoopParams.from_array(
-            _full_loop_params(task, pred[:1], model.metadata["intervals"])[0])
+        theta = LoopParams.from_array(pred[0])
         half = abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma
         grid = GridSpec.centered(half, args.render_n)
         img = eval_image(theta, grid)
@@ -413,8 +365,9 @@ def cmd_predict(args):
 def cmd_vis_forward(args):
     cfg = _read_config(args.config)
     values = [v.strip() for v in args.theta.split(",")]
-    if len(values) != 7:
-        raise ValidationError(f"--theta needs 7 comma-separated values, got {len(values)}")
+    if len(values) != len(LOOP_PARAMS):
+        raise ValidationError(f"--theta needs {len(LOOP_PARAMS)} comma-separated values, "
+                              f"got {len(values)}")
     try:
         ext = [float(v) for v in values]
     except ValueError as exc:
@@ -458,11 +411,11 @@ def build_parser():
         p.add_argument("--seed", type=int, help="master seed (required here or in config)")
         if out_required:
             p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
 
     p = sub.add_parser("gen-dataset", help="generate and write a dataset directory")
     common(p)
-    p.add_argument("--scenario", choices=["circle", "simple", "complete"])
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the draw")
+    p.add_argument("--scenario", choices=list(TASKS))
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-val", type=int, dest="n_val")
     p.add_argument("--n-test", type=int, dest="n_test")
@@ -513,7 +466,7 @@ def build_parser():
     p = sub.add_parser("vis-forward", help="visibilities of a given parameter vector")
     common(p, out_required=False)
     p.add_argument("--theta", required=True,
-                   help="x_c,y_c,flux,sigma,eps,alpha_deg,c")
+                   help=",".join(TASKS["complete"].header))
     p.add_argument("--out", help="output CSV (stdout when omitted)")
     p.add_argument("--oracle", action="store_true",
                    help="use the quadrature oracle instead of the closed form")

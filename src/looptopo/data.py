@@ -1,11 +1,9 @@
 """Example-pair datasets: sampling, generation, splits, standardization, disk format.
 
-Three scenarios share one pipeline:
-
-  circle    angle theta on the unit circle, data (cos theta, sin theta)
-  simple    only (alpha, c) free, remaining loop parameters pinned, no noise
-  complete  all seven loop parameters free, visibilities perturbed with
-            white Gaussian noise of std 2 sqrt(flux)
+The scenarios are the entries of the task table (``tasks.TASKS``): each gives
+its parameters, draw intervals, default sizes and noise, and whether its data
+are visibilities. Noisy visibilities carry white Gaussian noise of std
+2 sqrt(flux).
 
 Sampling happens in external units (angles in degrees, matching config files
 and disk), which are converted to internal radians exactly once. A dataset
@@ -20,45 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .errors import FormatVersionError, ValidationError
+from .errors import FormatVersionError, ParseError, ValidationError
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
 from .serialization import (config_hash, read_array_bin, read_json,
                             read_matrix_csv, write_array_bin, write_json,
                             write_matrix_csv)
+from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
 
-SCENARIOS = ("circle", "simple", "complete")
+PARAM_ORDER = LOOP_PARAMS
 TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
-
-#: External-unit parameter intervals (alpha in degrees). Values with a
-#: degenerate interval are pinned. Complete-scenario draw ranges double as
-#: the normalization intervals of the error metrics.
-SIMPLE_INTERVALS = {"x_c": (0.0, 0.0), "y_c": (0.0, 0.0), "flux": (1000.0, 1000.0),
-                    "sigma": (8.0, 8.0), "eps": (5.0, 5.0),
-                    "alpha": (0.0, 180.0), "c": (-0.05, 0.05)}
-COMPLETE_INTERVALS = {"x_c": (-50.0, 50.0), "y_c": (-50.0, 50.0),
-                      "flux": (500.0, 5000.0), "sigma": (4.0, 20.0),
-                      "eps": (0.0, 5.0), "alpha": (0.0, 180.0),
-                      "c": (-0.05, 0.05)}
-CIRCLE_INTERVAL = (0.0, 360.0)  # degrees
-
-PARAM_ORDER = ("x_c", "y_c", "flux", "sigma", "eps", "alpha", "c")
-ANGLE_COLUMNS = {"circle": [0], "simple": [5], "complete": [5]}
-
-LOOP_PARAM_HEADER = ["x_c", "y_c", "flux", "sigma_fwhm", "eps", "alpha_deg", "c"]
-CIRCLE_PARAM_HEADER = ["theta_deg"]
-
-
-def default_split_sizes(scenario):
-    if scenario == "simple":
-        return 30000, 10000, 10000
-    if scenario == "complete":
-        return 60000, 20000, 20000
-    return 5000, 1000, 1000
 
 
 @dataclass(frozen=True)
@@ -76,21 +48,18 @@ class SamplingConfig:
 
     @classmethod
     def default(cls, scenario, seed, **overrides):
-        if scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {scenario!r}")
-        n_train, n_val, n_test = default_split_sizes(scenario)
+        task = get_task(scenario)
+        n_train, n_val, n_test = task.split_sizes
         base = dict(scenario=scenario, n_train=n_train, n_val=n_val, n_test=n_test,
-                    seed=seed, noise=(scenario == "complete"),
-                    circular_fraction=0.05 if scenario == "complete" else 0.0,
-                    intervals=None)
+                    seed=seed, noise=task.noise,
+                    circular_fraction=task.circular_fraction, intervals=None)
         base.update(overrides)
         cfg = cls(**base)
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {self.scenario!r}")
+        task = get_task(self.scenario)
         for name in ("n_train", "n_val", "n_test"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -99,8 +68,8 @@ class SamplingConfig:
         if not (0.0 <= self.circular_fraction < 1.0):
             raise ValidationError(
                 f"circular_fraction must be in [0, 1), got {self.circular_fraction}")
-        if self.scenario == "circle" and self.noise:
-            raise ValidationError("the circle scenario is noise-free")
+        if self.noise and not task.visibilities:
+            raise ValidationError(f"the {self.scenario} scenario is noise-free")
         for name, (lo, hi) in self.resolved_intervals().items():
             if lo > hi:
                 raise ValidationError(f"interval for {name} is reversed: ({lo}, {hi})")
@@ -110,12 +79,7 @@ class SamplingConfig:
         return self.n_train + self.n_val + self.n_test
 
     def resolved_intervals(self):
-        if self.scenario == "circle":
-            base = {"theta": CIRCLE_INTERVAL}
-        elif self.scenario == "simple":
-            base = dict(SIMPLE_INTERVALS)
-        else:
-            base = dict(COMPLETE_INTERVALS)
+        base = dict(get_task(self.scenario).intervals)
         if self.intervals:
             unknown = set(self.intervals) - set(base)
             if unknown:
@@ -141,13 +105,9 @@ class SamplingConfig:
 
 def internal_intervals(cfg: SamplingConfig) -> dict:
     """Intervals in internal units (radians for angles)."""
-    out = {}
-    for name, (lo, hi) in cfg.resolved_intervals().items():
-        if name in ("alpha", "theta"):
-            out[name] = (math.radians(lo), math.radians(hi))
-        else:
-            out[name] = (lo, hi)
-    return out
+    angles = get_task(cfg.scenario).angles
+    return {name: (math.radians(lo), math.radians(hi)) if name in angles else (lo, hi)
+            for name, (lo, hi) in cfg.resolved_intervals().items()}
 
 
 def _sample_rng(seed, index, stream):
@@ -159,13 +119,11 @@ def _sample_rng(seed, index, stream):
 
 def sample_params_external(cfg: SamplingConfig, rng) -> np.ndarray:
     """One parameter draw in external units (degrees for angles)."""
+    task = get_task(cfg.scenario)
     iv = cfg.resolved_intervals()
-    if cfg.scenario == "circle":
-        lo, hi = iv["theta"]
-        return np.array([rng.uniform(lo, hi)])
-    lows = np.array([iv[k][0] for k in PARAM_ORDER])
-    highs = np.array([iv[k][1] for k in PARAM_ORDER])
-    if cfg.scenario == "complete" and rng.random() < cfg.circular_fraction:
+    lows = np.array([iv[k][0] for k in task.params])
+    highs = np.array([iv[k][1] for k in task.params])
+    if task.collapses and rng.random() < cfg.circular_fraction:
         draw = rng.uniform(lows[:4], highs[:4])
         return np.concatenate([draw, [0.0, 0.0, 0.0]])
     return rng.uniform(lows, highs)
@@ -174,15 +132,8 @@ def sample_params_external(cfg: SamplingConfig, rng) -> np.ndarray:
 def to_internal_params(scenario, ext: np.ndarray) -> np.ndarray:
     """Degrees -> radians on the angle columns; other columns unchanged."""
     arr = np.array(ext, dtype=float, copy=True)
-    for col in ANGLE_COLUMNS[scenario]:
+    for col in get_task(scenario).angle_columns:
         arr[..., col] = np.radians(arr[..., col])
-    return arr
-
-
-def to_external_params(scenario, internal: np.ndarray) -> np.ndarray:
-    arr = np.array(internal, dtype=float, copy=True)
-    for col in ANGLE_COLUMNS[scenario]:
-        arr[..., col] = np.degrees(arr[..., col])
     return arr
 
 
@@ -225,7 +176,7 @@ class Dataset:
         d = {"format_version": DATASET_FORMAT_VERSION, "kind": "dataset",
              "config": self.config.to_dict(),
              "angle_unit_on_disk": "degrees",
-             "angle_columns": ANGLE_COLUMNS[self.config.scenario]}
+             "angle_columns": get_task(self.config.scenario).angle_columns}
         d["frequencies"] = None if self.frequencies is None else self.frequencies.uv.tolist()
         d["build"] = None if self.build is None else self.build.to_dict()
         return d
@@ -240,31 +191,26 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     evaluation order or on ``jobs``.
     """
     cfg.validate()
+    task = get_task(cfg.scenario)
     total = cfg.total
+    ext = _draw_external(cfg, 0, total, jobs)
+    params = to_internal_params(cfg.scenario, ext)
 
-    if cfg.scenario == "circle":
-        ext = _draw_external(cfg, 0, total, jobs)
-        params = to_internal_params(cfg.scenario, ext)
-        clean = np.stack([np.cos(params[:, 0]), np.sin(params[:, 0])], axis=1)
-        noisy = clean.copy()
-        freqs = None
-        build = None
-    else:
+    if task.visibilities:
         if freqs is None:
             freqs = default_frequencies(FrequencyConfig())
         if build is None:
             build = DEFAULT_BUILD
-        ext = _draw_external(cfg, 0, total, jobs)
-        params = to_internal_params(cfg.scenario, ext)
         vis = visibilities_closed_form_batch(params, freqs, build)
         clean = vis_to_reals(vis)
-        if cfg.noise:
-            noisy = np.empty_like(clean)
-            for i in range(total):
-                rng = _sample_rng(cfg.seed, i, 1)
-                noisy[i] = vis_to_reals(add_noise(vis[i], params[i, 2], rng))
-        else:
-            noisy = clean.copy()
+    else:
+        freqs = build = None
+        clean = task.embed(params)
+    noisy = clean.copy()
+    if cfg.noise:
+        for i in range(total):
+            rng = _sample_rng(cfg.seed, i, 1)
+            noisy[i] = vis_to_reals(add_noise(vis[i], params[i, 2], rng))
 
     split = np.empty(total, dtype=np.int8)
     split[:cfg.n_train] = TRAIN
@@ -340,11 +286,11 @@ def save_dataset(ds: Dataset, path, text=False):
 
     arrays = {}
     if text:
-        header = CIRCLE_PARAM_HEADER if ds.config.scenario == "circle" else LOOP_PARAM_HEADER
+        task = get_task(ds.config.scenario)
         m = ds.data_dim // 2
         data_header = ([f"re_{i+1}" for i in range(m)] + [f"im_{i+1}" for i in range(m)]
-                       if ds.config.scenario != "circle" else ["x", "y"])
-        arrays["params"] = write_matrix_csv(ds.params_disk, header,
+                       if task.visibilities else task.data_header)
+        arrays["params"] = write_matrix_csv(ds.params_disk, task.disk_header,
                                             os.path.join(path, "params.csv"))
         arrays["clean"] = write_matrix_csv(ds.clean, data_header,
                                            os.path.join(path, "clean.csv"))
@@ -362,27 +308,28 @@ def save_dataset(ds: Dataset, path, text=False):
 
 
 def load_dataset(path) -> Dataset:
-    manifest = read_json(os.path.join(path, "manifest.json"))
-    version = manifest.get("format_version")
+    manifest_path = os.path.join(path, "manifest.json")
+    manifest = read_json(manifest_path)
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != DATASET_FORMAT_VERSION:
         raise FormatVersionError(
             f"dataset format version {version} is not supported "
             f"(this build reads version {DATASET_FORMAT_VERSION})")
-    cfg = SamplingConfig.from_dict(manifest["config"])
-    mode = manifest.get("mode", "binary")
-    read = read_matrix_csv if mode == "text" else read_array_bin
-
-    def load(name):
-        entry = manifest["arrays"][name]
-        return read(os.path.join(path, entry["file"]), entry)
-
-    ext = load("params")
-    split = load("split").astype(np.int8).reshape(-1)
+    read = read_matrix_csv if manifest.get("mode", "binary") == "text" else read_array_bin
+    try:
+        cfg = SamplingConfig.from_dict(manifest["config"])
+        arrays = {name: read(os.path.join(path, entry["file"]), entry)
+                  for name, entry in ((n, manifest["arrays"][n])
+                                      for n in ("params", "clean", "noisy", "split"))}
+    except KeyError as exc:
+        raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None
+    ext = arrays["params"]
     freqs = manifest.get("frequencies")
     build = manifest.get("build")
     return Dataset(config=cfg,
                    params_disk=ext,
                    params=to_internal_params(cfg.scenario, ext),
-                   clean=load("clean"), noisy=load("noisy"), split=split,
+                   clean=arrays["clean"], noisy=arrays["noisy"],
+                   split=arrays["split"].astype(np.int8).reshape(-1),
                    frequencies=None if freqs is None else FrequencySet(np.array(freqs)),
                    build=None if build is None else LoopBuildConfig.from_dict(build))

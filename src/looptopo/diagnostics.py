@@ -27,9 +27,6 @@ class Diagnostics:
             out[code] += n
         return dict(sorted(out.items()))
 
-    def extend(self, other: "Diagnostics"):
-        self.events.extend(other.events)
-
     def __bool__(self) -> bool:
         return bool(self.events)
 

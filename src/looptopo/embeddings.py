@@ -27,9 +27,6 @@ EPS_TOL = 1e-3
 
 TWO_PI = 2.0 * np.pi
 
-PARAM_NAMES = ("x_c", "y_c", "flux", "sigma", "eps", "alpha", "c")
-ALPHA_INDEX = 5
-
 
 @dataclass(frozen=True)
 class MoebiusCoords:
@@ -89,10 +86,6 @@ class LoopParams:
         if a.shape != (7,):
             raise ValidationError(f"expected 7 parameters, got shape {a.shape}")
         return cls(*(float(v) for v in a))
-
-    @property
-    def is_circular(self):
-        return self.eps == 0.0
 
     def validate(self, canonical=False):
         """Physical checks always; canonical adds the sampling-domain rules.
@@ -184,22 +177,6 @@ def gamma_inv(p, diag: Diagnostics | None = None):
     alpha = np.where(degenerate, 0.0, 0.5 * angle)
     r = np.hypot(x, y)
     c = z * np.cos(alpha) + (r - 1.0) * np.sin(alpha)
-    if p.ndim == 1:
-        return float(alpha), float(c)
-    return alpha, c
-
-
-def gamma_inv_cos_form(p):
-    """Textbook inverse c = z / cos(arctan2(y, x) / 2).
-
-    Exact on the strip away from alpha = pi/2 but singular there; kept for
-    cross-checking the robust form. Do not use on network outputs.
-    """
-    p = np.asarray(p, dtype=float)
-    angle = np.arctan2(p[..., 1], p[..., 0])
-    angle = np.where(angle < 0.0, angle + TWO_PI, angle)
-    alpha = 0.5 * angle
-    c = p[..., 2] / np.cos(alpha)
     if p.ndim == 1:
         return float(alpha), float(c)
     return alpha, c

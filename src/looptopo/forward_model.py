@@ -12,9 +12,8 @@ exp(2 pi i (x0 u + y0 v)) * exp(-2 pi^2 s^2 (u^2 + v^2)).
 """
 
 import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,7 +224,6 @@ class LoopGeometry:
     weights: np.ndarray          # (n,), sums to 1
     comp_std: float              # std of each circular Gaussian
     params: LoopParams
-    arc_offsets: np.ndarray = field(default=None)  # signed arc distances, loop frame
 
 
 def _parabola_arc_length(x, c):
@@ -273,8 +271,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
     s = fwhm_to_std(theta.sigma)
     if theta.eps == 0.0 or cfg.n_components == 1:
         return LoopGeometry(centers=np.array([[theta.x_c, theta.y_c]]),
-                            weights=np.array([1.0]), comp_std=s, params=theta,
-                            arc_offsets=np.zeros(1))
+                            weights=np.array([1.0]), comp_std=s, params=theta)
 
     half = (cfg.n_components - 1) // 2
     span = cfg.span_factor * theta.eps * theta.sigma
@@ -293,8 +290,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
     cos_a, sin_a = math.cos(theta.alpha), math.sin(theta.alpha)
     rot = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
     centers = local @ rot.T + np.array([theta.x_c, theta.y_c])
-    return LoopGeometry(centers=centers, weights=w, comp_std=s, params=theta,
-                        arc_offsets=arc)
+    return LoopGeometry(centers=centers, weights=w, comp_std=s, params=theta)
 
 
 def _mode_amp_env(flux, sigma, comp_std, uv2, mode):
@@ -498,15 +494,3 @@ def save_image_csv(img, grid: GridSpec, path):
             for j, x in enumerate(xs):
                 writer.writerow([f"{x:.10g}", f"{y:.10g}", f"{img[i, j]:.10g}"])
 
-
-def save_image_pgm(img, path, levels=255):
-    """Plain-text portable graymap of the image (row 0 at the top)."""
-    top = float(img.max())
-    scale = levels / top if top > 0 else 0.0
-    buf = io.StringIO()
-    buf.write(f"P2\n{img.shape[1]} {img.shape[0]}\n{levels}\n")
-    for row in img[::-1]:
-        buf.write(" ".join(str(int(round(v * scale))) for v in row))
-        buf.write("\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())

@@ -18,6 +18,7 @@ import numpy as np
 from .data import StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, TrainingDivergedError,
                      ValidationError)
+from .serialization import read_bytes
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
@@ -176,14 +177,6 @@ def _forward_cached(model, x, mode="eval", rng=None, masks=None):
     if squeeze:
         return out[0], caches
     return out, caches
-
-
-def mse_loss(pred, target):
-    """Mean over the batch of the squared Euclidean error."""
-    d = pred - target
-    if d.ndim == 1:
-        return float(d @ d)
-    return float(np.sum(d * d) / d.shape[0])
 
 
 def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None):
@@ -428,8 +421,7 @@ def save_checkpoint(model: MlpModel, path):
 
 
 def load_checkpoint(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8 + 32:
         raise ChecksumError(f"{path}: file truncated")
     body, digest = blob[:-32], blob[-32:]

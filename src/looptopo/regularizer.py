@@ -7,8 +7,8 @@ operator trains against the image of the parameters under the task's
 embedding and recovers them with the analytic inverse, which respects the
 identification.
 
-Tasks: circle (angle from a point of S^1), simple (alpha, c from
-visibilities), complete (all seven loop parameters from noisy visibilities).
+The tasks, with their embeddings, inverses and target transforms, are the
+entries of ``tasks.TASKS``.
 """
 
 import numpy as np
@@ -17,73 +17,37 @@ from .data import (TRAIN, VAL, Dataset,
                    apply_standardization, fit_standardization,
                    internal_intervals)
 from .diagnostics import Diagnostics
-from .embeddings import circle_embed, circle_inv, gamma, gamma_g, gamma_g_inv, gamma_inv
 from .errors import ValidationError
 from .mlp import MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
 from .serialization import config_hash
-
-KINDS = ("naive", "embedded")
-TASKS = ("circle", "simple", "complete")
-
-OUTPUT_DIMS = {("naive", "circle"): 1, ("naive", "simple"): 2,
-               ("naive", "complete"): 7,
-               ("embedded", "circle"): 2, ("embedded", "simple"): 3,
-               ("embedded", "complete"): 8}
-
-EMBEDDING_IDS = {("naive", "circle"): "identity", ("naive", "simple"): "identity",
-                 ("naive", "complete"): "identity",
-                 ("embedded", "circle"): "circle",
-                 ("embedded", "simple"): "moebius3",
-                 ("embedded", "complete"): "moebius8"}
-
-_TASK_BY_SCENARIO = {"circle": "circle", "simple": "simple", "complete": "complete"}
+from .tasks import KINDS, TASKS, get_task
 
 
 def output_dim(kind, task):
-    try:
-        return OUTPUT_DIMS[(kind, task)]
-    except KeyError:
-        raise ValidationError(f"unknown regularizer kind/task ({kind}, {task})") from None
+    if kind not in KINDS:
+        raise ValidationError(f"unknown regularizer kind {kind!r}")
+    spec = get_task(task)
+    return len(spec.free) if kind == "naive" else spec.embedded_dim
 
 
 def build_targets(kind, task, params):
     """Training targets in natural units for an (S, P) parameter array."""
     params = np.asarray(params, dtype=float)
+    spec = get_task(task)
     if kind == "naive":
-        if task == "circle":
-            return params[:, :1].copy()
-        if task == "simple":
-            return params[:, 5:7].copy()
-        return params.copy()
-    if task == "circle":
-        return circle_embed(params[:, 0])
-    if task == "simple":
-        return gamma(params[:, 5], params[:, 6])
-    return gamma_g(params)
+        return params[:, spec.free_columns]
+    return spec.embed(params)
 
 
-def _minmax_arrays(intervals):
-    if intervals is None:
-        raise ValidationError("complete-task naive targets need parameter intervals")
-    lo = np.array([intervals[k][0] for k in
-                   ("x_c", "y_c", "flux", "sigma", "eps", "alpha", "c")])
-    hi = np.array([intervals[k][1] for k in
-                   ("x_c", "y_c", "flux", "sigma", "eps", "alpha", "c")])
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return lo, span
-
-
-def _target_transform(kind, task, intervals, y_train):
-    """Affine map applied to targets before training; inverted at prediction.
-
-    Complete-task embedded targets mix scales from ~0.05 (curvature strip
-    coordinates) to ~5000 (flux); standardizing them keeps Adam's bounded
-    per-step movement from starving the small components.
-    """
-    if kind == "naive" and task == "complete":
-        lo, span = _minmax_arrays(intervals)
+def _target_transform(kind, spec, intervals, y_train):
+    """Affine map applied to targets before training; inverted at prediction."""
+    transform = spec.transforms.get(kind)
+    if transform == "minmax":
+        lo = np.array([intervals[k][0] for k in spec.free])
+        hi = np.array([intervals[k][1] for k in spec.free])
+        span = np.where(hi > lo, hi - lo, 1.0)
         return {"type": "minmax", "offset": lo.tolist(), "scale": span.tolist()}
-    if kind == "embedded" and task == "complete":
+    if transform == "zscore":
         mean = y_train.mean(axis=0)
         std = y_train.std(axis=0)
         std = np.where(std > 0, std, 1.0)
@@ -104,7 +68,8 @@ def _invert_transform(tf, y):
 
 
 def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
-    task = _TASK_BY_SCENARIO[dataset.config.scenario]
+    task = dataset.config.scenario
+    spec = get_task(task)
     out_dim = output_dim(kind, task)
     if nn_cfg is None:
         nn_cfg = MlpConfig(input_dim=dataset.data_dim, output_dim=out_dim)
@@ -122,13 +87,13 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
 
     x_all = apply_standardization(stats, dataset.inputs())
     y_raw = build_targets(kind, task, dataset.params)
-    tf = _target_transform(kind, task, intervals, y_raw[dataset.mask(TRAIN)])
+    tf = _target_transform(kind, spec, intervals, y_raw[dataset.mask(TRAIN)])
     y_all = _apply_transform(tf, y_raw)
 
     model = init_mlp(nn_cfg)
     model.stats = stats
     model.metadata = {"kind": kind, "task": task,
-                      "embedding": EMBEDDING_IDS[(kind, task)],
+                      "embedding": spec.embedding if kind == "embedded" else "identity",
                       "target_transform": tf,
                       "intervals": {k: list(v) for k, v in intervals.items()},
                       "dataset_config_hash": config_hash(dataset.config.to_dict()),
@@ -156,9 +121,11 @@ def check_model_consistency(model: MlpModel):
     """Reject checkpoints whose declared kind/task disagrees with the head."""
     kind = model.metadata.get("kind")
     task = model.metadata.get("task")
-    if kind not in KINDS or task not in TASKS:
-        raise ValidationError(f"checkpoint lacks a valid kind/task, got ({kind}, {task})")
-    expected = output_dim(kind, task)
+    try:
+        expected = output_dim(kind, task)
+    except ValidationError:
+        raise ValidationError(
+            f"checkpoint lacks a valid kind/task, got ({kind}, {task})") from None
     if model.config.output_dim != expected:
         raise ValidationError(
             f"{kind}/{task} checkpoint must have output_dim {expected}, "
@@ -175,55 +142,22 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     through the analytic inverse of their embedding.
 
     Accepts (M,) or (B, M); returns (P,) or (B, P) in internal units.
+    Non-finite inputs are rejected.
     """
     kind, task = check_model_consistency(model)
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("input holds non-finite values")
     single = v.ndim == 1
     batch = v[None, :] if single else v
     x = apply_standardization(model.stats, batch)
     out = np.asarray(forward(model, x, mode="eval"), dtype=float)
 
-    tf = model.metadata.get("target_transform")
+    out = _invert_transform(model.metadata.get("target_transform"), out)
     intervals = model.metadata.get("intervals", {})
+    spec = TASKS[task]
     if kind == "naive":
-        out = _invert_transform(tf, out)
-        result = _clamp_naive(task, out, intervals, diag)
+        result = spec.clamp(out, intervals, diag)
     else:
-        out = _invert_transform(tf, out)
-        result = _invert_embedded(task, out, intervals, diag)
+        result = spec.invert(out, intervals, diag)
     return result[0] if single else result
-
-
-def _clamp_naive(task, out, intervals, diag):
-    if task == "circle":
-        names = ["theta"]
-    elif task == "simple":
-        names = ["alpha", "c"]
-    else:
-        names = ["x_c", "y_c", "flux", "sigma", "eps", "alpha", "c"]
-    clamped = out.copy()
-    total = 0
-    for j, name in enumerate(names):
-        lo, hi = intervals.get(name, (-np.inf, np.inf))
-        if name in ("alpha", "theta"):  # half-open interval
-            hi = np.nextafter(hi, lo)
-        col = clamped[:, j]
-        bad = (col < lo) | (col > hi)
-        total += int(bad.sum())
-        np.clip(col, lo, hi, out=col)
-    if total and diag is not None:
-        diag.warn("clamped", "naive outputs outside the parameter intervals", total)
-    return clamped
-
-
-def _invert_embedded(task, out, intervals, diag):
-    if task == "circle":
-        theta = circle_inv(out, diag=diag)
-        return np.atleast_1d(theta)[:, None]
-    if task == "simple":
-        alpha, c = gamma_inv(out, diag=diag)
-        return np.stack([np.atleast_1d(alpha), np.atleast_1d(c)], axis=1)
-    floors = (intervals.get("flux", (1e-9,))[0],
-              intervals.get("sigma", (1e-9,))[0],
-              max(intervals.get("eps", (0.0,))[0], 0.0))
-    return gamma_g_inv(out, floors=floors, diag=diag)

@@ -2,12 +2,13 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 
 import numpy as np
 
-from .errors import ChecksumError, ParseError
+from .errors import ChecksumError, ParseError, ValidationError
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -42,9 +43,16 @@ def write_array_bin(arr: np.ndarray, path) -> dict:
             "shape": list(arr.shape), "sha256": sha256_bytes(data)}
 
 
+def read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_array_bin(path, entry: dict) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_bytes(path)
     if sha256_bytes(data) != entry["sha256"]:
         raise ChecksumError(f"checksum mismatch for {path}")
     dtype = np.dtype(entry["dtype"])
@@ -73,22 +81,22 @@ def write_matrix_csv(arr: np.ndarray, header, path) -> dict:
 
 
 def read_matrix_csv(path, entry: dict) -> np.ndarray:
-    if sha256_file(path) != entry["sha256"]:
+    data = read_bytes(path)
+    if sha256_bytes(data) != entry["sha256"]:
         raise ChecksumError(f"checksum mismatch for {path}")
     dtype = np.dtype(entry["dtype"])
     values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty CSV", path=path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
+    reader = csv.reader(io.StringIO(data.decode(), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty CSV", path=path)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
     arr = np.array(values, dtype=dtype)
     return arr.reshape(entry["shape"])
 
@@ -100,5 +108,7 @@ def write_json(obj, path):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        return json.loads(read_bytes(path))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"bad JSON: {exc}", path=path) from None

@@ -202,6 +202,7 @@ def test_circle_demo():
            started)
 
 
+@pytest.mark.slow
 def test_simple_scenario():
     started = time.time()
     cfg = SamplingConfig.default("simple", 101, n_train=20000, n_val=5000,
@@ -243,6 +244,7 @@ def test_simple_scenario():
            f"{5 * emb_band_q95:.4f} ({band.sum()} band samples)", started)
 
 
+@pytest.mark.slow
 def test_complete_scenario():
     started = time.time()
     cfg = SamplingConfig.default("complete", 202, n_train=40000, n_val=10000,

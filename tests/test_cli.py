@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -197,6 +198,67 @@ class TestPredict:
         assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
                     "--seed", "1", "--render", img_path, "--render-n", 32]) == 0
         assert read_csv_header(img_path) == ["x", "y", "value"]
+
+    def test_non_finite_value_rejected(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(",".join(["1.0"] * 59 + ["nan"]) + "\n")
+        assert run(["predict", "--model", workspace["emb"], "--input", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert f"{bad}:1" in captured.err
+
+    def test_render_complete_model_in_radians(self, tmp_path):
+        from looptopo.data import load_dataset
+        from looptopo.embeddings import LoopParams
+        from looptopo.forward_model import GridSpec, eval_image
+        from looptopo.mlp import load_checkpoint
+        from looptopo.regularizer import predict
+        ds_path, ckpt = tmp_path / "ds", tmp_path / "m.ckpt"
+        assert run(["gen-dataset", "--scenario", "complete", "--seed", "3",
+                    "--n-train", 60, "--n-val", 20, "--n-test", 20, "--out", ds_path]) == 0
+        assert run(["train", "--dataset", ds_path, "--kind", "naive", "--seed", "3",
+                    "--width", 8, "--depth", 1, "--epochs", 1, "--out", ckpt]) == 0
+        row = load_dataset(ds_path).clean[:1]
+        vis_path, img_path = tmp_path / "v.csv", tmp_path / "img.csv"
+        np.savetxt(vis_path, row, delimiter=",")
+        assert run(["predict", "--model", ckpt, "--input", vis_path,
+                    "--render", img_path, "--render-n", 16]) == 0
+        theta = LoopParams.from_array(predict(load_checkpoint(ckpt), row)[0])
+        grid = GridSpec.centered(abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma, 16)
+        written = np.loadtxt(img_path, delimiter=",", skiprows=1)[:, 2]
+        np.testing.assert_allclose(written, eval_image(theta, grid).ravel(),
+                                   rtol=1e-9, atol=1e-12)
+
+
+def _manifest_edited(workspace, tmp_path, edit):
+    ds = tmp_path / "ds"
+    shutil.copytree(workspace["ds"], ds)
+    manifest = ds / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    return ["evaluate", "--dataset", ds, "--model", workspace["emb"], "--out", tmp_path / "e"]
+
+
+UNREADABLE_INPUTS = {
+    "missing_checkpoint": lambda ws, tmp: [
+        "predict", "--model", tmp / "missing.ckpt", "--input", tmp / "v.csv"],
+    "missing_dataset": lambda ws, tmp: [
+        "evaluate", "--dataset", tmp / "missing_dir", "--model", ws["emb"],
+        "--out", tmp / "e"],
+    "truncated_manifest": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: text[:len(text) // 2]),
+    "missing_array_file": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: text.replace("noisy.bin", "gone.bin")),
+    "manifest_without_arrays": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                          if k != "arrays"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
+    assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVisForward:

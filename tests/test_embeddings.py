@@ -7,10 +7,26 @@ from looptopo.diagnostics import Diagnostics
 from looptopo.embeddings import (EPS_TOL, CircleParam, LoopParams,
                                  MoebiusCoords, circle_embed, circle_inv,
                                  gamma, gamma_g, gamma_g_inv, gamma_inv,
-                                 gamma_inv_cos_form, moebius_distance)
+                                 moebius_distance)
 from looptopo.errors import ValidationError
 
 PI = math.pi
+
+
+def gamma_inv_cos_form(p):
+    """Textbook inverse c = z / cos(arctan2(y, x) / 2).
+
+    Exact on the strip away from alpha = pi/2 but singular there; kept for
+    cross-checking the robust form. Do not use on network outputs.
+    """
+    p = np.asarray(p, dtype=float)
+    angle = np.arctan2(p[..., 1], p[..., 0])
+    angle = np.where(angle < 0.0, angle + 2.0 * PI, angle)
+    alpha = 0.5 * angle
+    c = p[..., 2] / np.cos(alpha)
+    if p.ndim == 1:
+        return float(alpha), float(c)
+    return alpha, c
 
 
 class TestGamma:

@@ -154,6 +154,15 @@ class TestPredictTotality:
         batch = predict(model, ds.inputs(TEST)[:1])
         np.testing.assert_array_equal(single, batch[0])
 
+    def test_non_finite_input_rejected(self):
+        ds = tiny_dataset("simple")
+        model, _ = train_embedded(ds, nn_cfg=tiny_nn(ds, "embedded"),
+                                  train_cfg=TINY_TRAIN)
+        row = ds.inputs(TEST)[0].copy()
+        row[3] = np.inf
+        with pytest.raises(ValidationError):
+            predict(model, row)
+
 
 class TestConsistency:
     def test_kind_task_enforced_on_load(self, tmp_path):
