@@ -115,7 +115,7 @@ def cmd_gen_dataset(args):
     visibilities = TASKS[sampling.scenario].visibilities
     freqs = _frequencies(cfg) if visibilities else None
     build = _build_config(cfg) if visibilities else None
-    ds = generate_dataset(sampling, freqs=freqs, build=build, jobs=args.jobs)
+    ds = generate_dataset(sampling, freqs=freqs, build=build)
     save_dataset(ds, args.out, text=args.text)
     print(f"wrote {ds.n_samples} samples to {args.out}", file=sys.stderr)
     return 0
@@ -172,7 +172,6 @@ def _resume_training(model, ds, train_cfg, kind):
 
 
 def cmd_evaluate(args):
-    cfg = _read_config(args.config)
     ds = load_dataset(args.dataset)
     model = load_checkpoint(args.model)
     kind, task = regularizer.check_model_consistency(model)
@@ -406,15 +405,15 @@ def build_parser():
                                      description="Topology-aware parametric inversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, seed=True, out_required=True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed (required here or in config)")
+        if seed:
+            p.add_argument("--seed", type=int, help="master seed (required here or in config)")
         if out_required:
             p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("gen-dataset", help="generate and write a dataset directory")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the draw")
     p.add_argument("--scenario", choices=list(TASKS))
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-val", type=int, dest="n_val")
@@ -438,7 +437,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run a checkpoint over a dataset's test split")
-    common(p)
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_evaluate)
@@ -449,13 +448,12 @@ def build_parser():
     p.set_defaults(func=cmd_demo_circle)
 
     p = sub.add_parser("pca", help="project a visibility dataset on principal axes")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--components", type=int)
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("predict", help="apply a checkpoint to visibilities from a CSV")
-    common(p, out_required=False)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="CSV of real-coded visibility rows")
     p.add_argument("--out", help="optional CSV of predicted parameters")
@@ -464,7 +462,7 @@ def build_parser():
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("vis-forward", help="visibilities of a given parameter vector")
-    common(p, out_required=False)
+    common(p, seed=False, out_required=False)
     p.add_argument("--theta", required=True,
                    help=",".join(TASKS["complete"].header))
     p.add_argument("--out", help="output CSV (stdout when omitted)")

@@ -8,11 +8,13 @@ are visibilities. Noisy visibilities carry white Gaussian noise of std
 Sampling happens in external units (angles in degrees, matching config files
 and disk), which are converted to internal radians exactly once. A dataset
 directory is a manifest.json plus flat little-endian arrays, checksummed.
+
+A seed gives two random streams, one per purpose: stream 0 draws all the
+parameters of a dataset in one call, stream 1 all of its noise in one call.
 """
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,23 +112,26 @@ def internal_intervals(cfg: SamplingConfig) -> dict:
             for name, (lo, hi) in cfg.resolved_intervals().items()}
 
 
-def _sample_rng(seed, index, stream):
-    # stream 0: parameters, stream 1: noise; keyed per sample so generation
-    # is order-independent and parallelizable
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(index, stream)))
+def sample_params_external(cfg: SamplingConfig, rng, size=None) -> np.ndarray:
+    """Parameter draws in external units (degrees for angles).
 
-
-def sample_params_external(cfg: SamplingConfig, rng) -> np.ndarray:
-    """One parameter draw in external units (degrees for angles)."""
+    Follows numpy's ``size`` convention: one (P,) row without ``size``,
+    (size, P) rows with it. Where the task collapses, each row is an eps = 0
+    draw with probability ``circular_fraction``, and then has
+    eps = alpha = c = 0.
+    """
     task = get_task(cfg.scenario)
     iv = cfg.resolved_intervals()
     lows = np.array([iv[k][0] for k in task.params])
     highs = np.array([iv[k][1] for k in task.params])
-    if task.collapses and rng.random() < cfg.circular_fraction:
-        draw = rng.uniform(lows[:4], highs[:4])
-        return np.concatenate([draw, [0.0, 0.0, 0.0]])
-    return rng.uniform(lows, highs)
+    shape = None if size is None else (size, len(lows))
+    if not task.collapses:
+        return rng.uniform(lows, highs, shape)
+    collapsed = rng.random(size) < cfg.circular_fraction
+    draw = rng.uniform(lows, highs, shape)
+    # eps, alpha and c are the last three loop parameters
+    draw[..., 4:] = np.where(np.asarray(collapsed)[..., None], 0.0, draw[..., 4:])
+    return draw
 
 
 def to_internal_params(scenario, ext: np.ndarray) -> np.ndarray:
@@ -186,14 +191,18 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
                      build: LoopBuildConfig = None, jobs: int = 1) -> Dataset:
     """Draw parameters, run the forward model, attach splits.
 
-    Fully determined by cfg (including the seed): every sample derives its
-    own generators from (seed, index), so the result does not depend on
-    evaluation order or on ``jobs``.
+    Fully determined by cfg: the seed keys one generator per purpose, and
+    each draws the whole dataset in one vectorized call (all parameters
+    from stream 0, all noise from stream 1). ``jobs`` has no effect; it is
+    accepted so that existing callers keep working, since one vectorized
+    draw leaves nothing to share among workers.
     """
     cfg.validate()
     task = get_task(cfg.scenario)
     total = cfg.total
-    ext = _draw_external(cfg, 0, total, jobs)
+    params_rng, noise_rng = (np.random.default_rng(s)
+                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    ext = sample_params_external(cfg, params_rng, size=total)
     params = to_internal_params(cfg.scenario, ext)
 
     if task.visibilities:
@@ -206,11 +215,10 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     else:
         freqs = build = None
         clean = task.embed(params)
-    noisy = clean.copy()
     if cfg.noise:
-        for i in range(total):
-            rng = _sample_rng(cfg.seed, i, 1)
-            noisy[i] = vis_to_reals(add_noise(vis[i], params[i, 2], rng))
+        noisy = vis_to_reals(add_noise(vis, params[:, 2:3], noise_rng))
+    else:
+        noisy = clean.copy()
 
     split = np.empty(total, dtype=np.int8)
     split[:cfg.n_train] = TRAIN
@@ -218,21 +226,6 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     split[cfg.n_train + cfg.n_val:] = TEST
     return Dataset(config=cfg, params_disk=ext, params=params, clean=clean,
                    noisy=noisy, split=split, frequencies=freqs, build=build)
-
-
-def _draw_chunk(cfg, lo, hi):
-    rows = [sample_params_external(cfg, _sample_rng(cfg.seed, i, 0))
-            for i in range(lo, hi)]
-    return np.array(rows)
-
-
-def _draw_external(cfg, lo, hi, jobs):
-    if jobs <= 1 or hi - lo < 4 * jobs:
-        return _draw_chunk(cfg, lo, hi)
-    bounds = np.linspace(lo, hi, jobs + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_draw_chunk, [cfg] * jobs, bounds[:-1], bounds[1:]))
-    return np.concatenate(parts, axis=0)
 
 
 @dataclass(frozen=True)

@@ -226,33 +226,6 @@ class LoopGeometry:
     params: LoopParams
 
 
-def _parabola_arc_length(x, c):
-    """Arc length of y = c t^2 from t = 0 to t = x (signed, odd in x)."""
-    if c == 0.0:
-        return np.asarray(x, dtype=float)
-    u = 2.0 * c * np.asarray(x, dtype=float)
-    return 0.5 * (x * np.sqrt(1.0 + u * u) + np.arcsinh(u) / (2.0 * c))
-
-
-def _parabola_x_at_arc(s, c, tol=1e-13, max_iter=60):
-    """Invert the arc length: x >= 0 with arclen(x) = s (s >= 0).
-
-    Newton from x = s converges monotonically (the arc length is increasing
-    and convex for x > 0 and arclen(x) >= x).
-    """
-    s = np.asarray(s, dtype=float)
-    if c == 0.0:
-        return s.copy()
-    x = s.copy()
-    for _ in range(max_iter):
-        f = _parabola_arc_length(x, c) - s
-        step = f / np.sqrt(1.0 + (2.0 * c * x) ** 2)
-        x = x - step
-        if np.max(np.abs(step)) < tol * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x
-
-
 def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGeometry:
     """Place the Gaussian components of one loop.
 
@@ -276,7 +249,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
     half = (cfg.n_components - 1) // 2
     span = cfg.span_factor * theta.eps * theta.sigma
     d_pos = np.arange(1, half + 1) * (span / half)
-    x_pos = _parabola_x_at_arc(d_pos, theta.c)
+    x_pos = _batch_x_at_arc(d_pos[None, :], np.array([theta.c]))[0]
 
     # mirror the positive side so the layout is exactly symmetric
     xs = np.concatenate([-x_pos[::-1], [0.0], x_pos])
@@ -371,7 +344,12 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
 
 
 def _batch_x_at_arc(s, c, max_iter=60, tol=1e-13):
-    """Rowwise arc-length inversion: s is (S, k), c is (S,)."""
+    """Invert the arc length of y = c x^2 row by row: x >= 0 with arclen(x) = s.
+
+    s is (S, k) and nonnegative, c is (S,). Newton from x = s converges
+    monotonically (the arc length is increasing and convex for x > 0 and
+    arclen(x) >= x).
+    """
     c = np.asarray(c, dtype=float)[:, None]
     x = np.asarray(s, dtype=float).copy()
     straight = (c == 0.0)
@@ -474,13 +452,21 @@ def reals_to_vis(x) -> np.ndarray:
 def add_noise(v, flux, rng) -> np.ndarray:
     """Add white Gaussian noise of std 2 sqrt(flux) to each real component.
 
-    Deterministic given the generator state; one normal draw per component
-    in (re..., im...) order.
+    ``v`` is one (n,) visibility vector or (S, n) rows of them. ``flux`` is
+    a scalar, or an (S, 1) column giving each row its own flux; an (S,)
+    vector is refused, because it would broadcast along the data columns.
+    Deterministic given the generator state; one normal draw per component,
+    row after row, in (re..., im...) order.
     """
-    if flux <= 0:
-        raise ValidationError(f"flux must be positive, got {flux}")
+    flux = np.asarray(flux, dtype=float)
     x = vis_to_reals(v)
-    x = x + rng.normal(0.0, 2.0 * math.sqrt(flux), size=x.shape)
+    if flux.ndim and flux.shape != x.shape[:-1] + (1,):
+        raise ValidationError(
+            f"flux must be a scalar or a column of shape {x.shape[:-1] + (1,)}, "
+            f"got shape {flux.shape}")
+    if not np.all(flux > 0):
+        raise ValidationError(f"flux must be positive, got {flux.min()}")
+    x += rng.normal(0.0, 2.0 * np.sqrt(flux), size=x.shape)
     return reals_to_vis(x)
 
 

@@ -139,7 +139,10 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     Naive models return the network output clamped into the training
     intervals (no angle wrapping: wrapping would smuggle in exactly the
     topology the naive baseline lacks). Embedded models route the output
-    through the analytic inverse of their embedding.
+    through the analytic inverse of their embedding. That inverse is not
+    clamped: a curvature outside the training interval is returned as it
+    is and counted in an ``out_of_domain`` event, where the naive operator
+    would clamp it and record a ``clamped`` event.
 
     Accepts (M,) or (B, M); returns (P,) or (B, P) in internal units.
     Non-finite inputs are rejected.

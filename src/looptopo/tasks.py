@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .embeddings import (C_MAX_DEFAULT, C_MIN_DEFAULT, circle_embed, circle_inv,
-                         gamma, gamma_g, gamma_g_inv, gamma_inv)
+from .embeddings import (C_MAX_DEFAULT, C_MIN_DEFAULT, EPS_TOL, circle_embed,
+                         circle_inv, gamma, gamma_g, gamma_g_inv, gamma_inv)
 from .errors import ValidationError
 
 KINDS = ("naive", "embedded")
@@ -113,16 +113,31 @@ class Task:
 # The embeddings are called through this module's globals at call time, so
 # that wrapping them (as a tracer does) reaches every call.
 
+def _report_out_of_domain(c, intervals, diag):
+    """Count, without clamping, the curvatures outside the c interval."""
+    lo, hi = intervals.get("c", (-np.inf, np.inf))
+    n = int(np.count_nonzero((c < lo) | (c > hi)))
+    if n and diag is not None:
+        diag.warn("out_of_domain", "embedded curvatures outside the c interval, "
+                  "returned unclamped", n)
+
+
 def _strip_inv(out, intervals, diag):
     alpha, c = gamma_inv(out, diag=diag)
-    return np.stack([np.atleast_1d(alpha), np.atleast_1d(c)], axis=1)
+    result = np.stack([np.atleast_1d(alpha), np.atleast_1d(c)], axis=1)
+    _report_out_of_domain(result[:, 1], intervals, diag)
+    return result
 
 
 def _collapsing_strip_inv(out, intervals, diag):
     floors = (intervals.get("flux", (1e-9,))[0],
               intervals.get("sigma", (1e-9,))[0],
               max(intervals.get("eps", (0.0,))[0], 0.0))
-    return gamma_g_inv(out, floors=floors, diag=diag)
+    result = gamma_g_inv(out, floors=floors, diag=diag)
+    # collapsed rows carry c = 0 by construction, whatever the interval
+    live = np.asarray(out, dtype=float)[:, 4] >= EPS_TOL
+    _report_out_of_domain(result[live, 6], intervals, diag)
+    return result
 
 
 _ALPHA_C = {"alpha": (0.0, 180.0), "c": (C_MIN_DEFAULT, C_MAX_DEFAULT)}

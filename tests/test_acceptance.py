@@ -286,7 +286,7 @@ def test_pca_sanity(tmp_path):
     ds_dir = tmp_path / "ds"
     from looptopo.data import save_dataset
     save_dataset(ds, ds_dir)
-    assert cli_main(["pca", "--dataset", str(ds_dir), "--seed", "1",
+    assert cli_main(["pca", "--dataset", str(ds_dir),
                      "--out", str(out)]) == 0
     with open(out / "projections.csv") as fh:
         header = fh.readline().strip().split(",")

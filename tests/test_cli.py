@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from looptopo.cli import main
+from looptopo.cli import build_parser, main
 
 
 def run(argv):
@@ -116,8 +116,7 @@ class TestEvaluate:
     def test_report_and_scatter(self, workspace, tmp_path):
         out = tmp_path / "eval"
         assert run(["evaluate", "--dataset", workspace["ds"],
-                    "--model", workspace["emb"], "--seed", "1",
-                    "--out", out]) == 0
+                    "--model", workspace["emb"], "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert "moebius" in report["summaries"]
         assert "q75" in report["summaries"]["moebius"]
@@ -133,15 +132,14 @@ class TestEvaluate:
                     "--n-train", 30, "--n-val", 10, "--n-test", 10,
                     "--out", circle_ds]) == 0
         assert run(["evaluate", "--dataset", circle_ds,
-                    "--model", workspace["emb"], "--seed", "1",
+                    "--model", workspace["emb"],
                     "--out", tmp_path / "e"]) == 1
 
 
 class TestPca:
     def test_projection_export(self, workspace, tmp_path):
         out = tmp_path / "pca"
-        assert run(["pca", "--dataset", workspace["ds"], "--seed", "1",
-                    "--out", out]) == 0
+        assert run(["pca", "--dataset", workspace["ds"], "--out", out]) == 0
         assert read_csv_header(out / "projections.csv") == \
             ["pc1", "pc2", "pc3", "alpha_deg", "c"]
         variance = json.loads((out / "variance.json").read_text())
@@ -149,7 +147,7 @@ class TestPca:
         assert len(ratios) == 3 and ratios == sorted(ratios, reverse=True)
 
     def test_k_too_large_fails(self, workspace, tmp_path):
-        assert run(["pca", "--dataset", workspace["ds"], "--seed", "1",
+        assert run(["pca", "--dataset", workspace["ds"],
                     "--components", 61, "--out", tmp_path / "p"]) == 1
 
     def test_circle_dataset_rejected(self, tmp_path):
@@ -157,7 +155,7 @@ class TestPca:
         assert run(["gen-dataset", "--scenario", "circle", "--seed", "5",
                     "--n-train", 30, "--n-val", 10, "--n-test", 10,
                     "--out", circle_ds]) == 0
-        assert run(["pca", "--dataset", circle_ds, "--seed", "1",
+        assert run(["pca", "--dataset", circle_ds,
                     "--out", tmp_path / "p"]) == 1
 
 
@@ -169,7 +167,7 @@ class TestPredict:
         np.savetxt(vis_path, ds.clean[:3], delimiter=",")
         out_path = tmp_path / "pred.csv"
         assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
-                    "--seed", "1", "--out", out_path]) == 0
+                    "--out", out_path]) == 0
         printed = capsys.readouterr().out
         assert printed.count("sample") == 3
         assert "alpha" in printed and "deg" in printed
@@ -179,15 +177,13 @@ class TestPredict:
     def test_malformed_input_reports_position(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(["0.0"] * 60) + "\n" + ",".join(["x"] * 60) + "\n")
-        assert run(["predict", "--model", workspace["emb"], "--input", bad,
-                    "--seed", "1"]) == 1
+        assert run(["predict", "--model", workspace["emb"], "--input", bad]) == 1
         assert "line" in capsys.readouterr().err or True
 
     def test_wrong_arity_rejected(self, workspace, tmp_path):
         bad = tmp_path / "short.csv"
         bad.write_text("1.0,2.0,3.0\n")
-        assert run(["predict", "--model", workspace["emb"], "--input", bad,
-                    "--seed", "1"]) == 1
+        assert run(["predict", "--model", workspace["emb"], "--input", bad]) == 1
 
     def test_render_writes_image(self, workspace, tmp_path):
         from looptopo.data import load_dataset
@@ -196,7 +192,7 @@ class TestPredict:
         np.savetxt(vis_path, ds.clean[:1], delimiter=",")
         img_path = tmp_path / "img.csv"
         assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
-                    "--seed", "1", "--render", img_path, "--render-n", 32]) == 0
+                    "--render", img_path, "--render-n", 32]) == 0
         assert read_csv_header(img_path) == ["x", "y", "value"]
 
     def test_non_finite_value_rejected(self, workspace, tmp_path, capsys):
@@ -261,6 +257,31 @@ def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error:")
 
 
+REMOVED_OPTIONS = {
+    "gen-dataset --jobs": (["gen-dataset", "--scenario", "circle", "--seed", "1",
+                            "--out", "ds"], ["--jobs", "2"]),
+    "evaluate --seed": (["evaluate", "--dataset", "ds", "--model", "m.ckpt",
+                         "--out", "e"], ["--seed", "1"]),
+    "evaluate --config": (["evaluate", "--dataset", "ds", "--model", "m.ckpt",
+                           "--out", "e"], ["--config", "c.json"]),
+    "predict --seed": (["predict", "--model", "m.ckpt", "--input", "v.csv"],
+                       ["--seed", "1"]),
+    "predict --config": (["predict", "--model", "m.ckpt", "--input", "v.csv"],
+                         ["--config", "c.json"]),
+    "pca --seed": (["pca", "--dataset", "ds", "--out", "p"], ["--seed", "1"]),
+    "vis-forward --seed": (["vis-forward", "--theta", "0,0,1000,8,0,0,0"],
+                           ["--seed", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_OPTIONS))
+def test_removed_option_rejected(case):
+    argv, removed = REMOVED_OPTIONS[case]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + removed)
+
+
 class TestVisForward:
     def test_zero_frequency_equals_flux(self, tmp_path):
         freq_file = tmp_path / "f.csv"
@@ -269,7 +290,7 @@ class TestVisForward:
         cfg.write_text(json.dumps({"seed": 1,
                                    "frequencies": {"file": str(freq_file)}}))
         out = tmp_path / "vis.csv"
-        assert run(["vis-forward", "--config", cfg, "--seed", "1",
+        assert run(["vis-forward", "--config", cfg,
                     "--theta", "0,0,1000,8,5,0,0.05", "--out", out]) == 0
         rows = [r for r in out.read_text().strip().split("\n")
                 if not r.startswith("#")]
@@ -283,9 +304,9 @@ class TestVisForward:
         out_cf = tmp_path / "cf.csv"
         out_q = tmp_path / "q.csv"
         theta = "0,0,1000,8,3,40,0.02"
-        assert run(["vis-forward", "--seed", "1", "--theta", theta,
+        assert run(["vis-forward", "--theta", theta,
                     "--out", out_cf]) == 0
-        assert run(["vis-forward", "--seed", "1", "--theta", theta,
+        assert run(["vis-forward", "--theta", theta,
                     "--oracle", "--out", out_q]) == 0
         cf = np.loadtxt(out_cf, delimiter=",", skiprows=2)
         q = np.loadtxt(out_q, delimiter=",", skiprows=2)
@@ -295,7 +316,7 @@ class TestVisForward:
 
     def test_eps_zero_matches_gaussian(self, tmp_path):
         out = tmp_path / "g.csv"
-        assert run(["vis-forward", "--seed", "1", "--theta", "0,0,1000,8,0,0,0",
+        assert run(["vis-forward", "--theta", "0,0,1000,8,0,0,0",
                     "--out", out]) == 0
         import math
         from looptopo.forward_model import default_frequencies, fwhm_to_std
@@ -306,7 +327,7 @@ class TestVisForward:
         np.testing.assert_allclose(data[:, 2], expected, atol=1e-9 * 1000)
 
     def test_bad_theta_rejected(self, capsys):
-        assert run(["vis-forward", "--seed", "1", "--theta", "1,2,3"]) == 1
+        assert run(["vis-forward", "--theta", "1,2,3"]) == 1
         assert "7" in capsys.readouterr().err
 
 

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
                            apply_standardization, fit_standardization,
@@ -14,6 +15,7 @@ from looptopo.diagnostics import Diagnostics
 from looptopo.errors import (ChecksumError, FormatVersionError,
                              ValidationError)
 from looptopo.forward_model import vis_to_reals, visibilities_closed_form_batch
+from looptopo.tasks import TASKS
 
 PI = math.pi
 
@@ -59,6 +61,29 @@ class TestSampling:
         cdf = draws / 180.0
         ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(ecdf_lo - cdf)))
         assert ks < 0.01
+
+    @settings(max_examples=60, deadline=None)
+    @given(task=st.sampled_from(sorted(TASKS)), size=st.integers(1, 500),
+           fraction=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_draw(self, task, size, fraction, seed):
+        cfg = SamplingConfig.default(task, 0, circular_fraction=fraction)
+        rng = np.random.default_rng(seed)
+        spec = TASKS[task]
+        iv = cfg.resolved_intervals()
+        assert sample_params_external(cfg, rng).shape == (len(spec.params),)
+
+        draw = sample_params_external(cfg, rng, size=size)
+        assert draw.shape == (size, len(spec.params))
+        for j, name in enumerate(spec.params):
+            lo, hi = iv[name]
+            assert np.all((draw[:, j] >= lo) & (draw[:, j] <= hi)), name
+            if lo == hi:
+                assert np.all(draw[:, j] == lo), name
+        if spec.collapses:
+            # a uniform eps draw is never exactly 0, so these are the collapsed rows
+            collapsed = draw[:, spec.params.index("eps")] == 0.0
+            assert np.all(draw[collapsed][:, [spec.params.index("alpha"),
+                                              spec.params.index("c")]] == 0.0)
 
     def test_interval_overrides(self):
         cfg = SamplingConfig.default("complete", 1, intervals={"flux": (900, 1100)})
@@ -111,6 +136,16 @@ class TestGeneration:
         target = 2 * math.sqrt(1000)
         assert abs(resid.std() - target) / target < 0.02
         assert abs(resid.mean()) < 1.0
+
+    def test_noise_scales_per_row(self):
+        # exactly as many samples as data columns, so that a flux vector
+        # broadcast along the columns instead of the rows would go unnoticed
+        cfg = SamplingConfig.default("complete", 78, n_train=40, n_val=10,
+                                     n_test=10, intervals={"flux": (500, 5000)})
+        ds = generate_dataset(cfg)
+        assert ds.noisy.shape == (60, 60)
+        resid = (ds.noisy - ds.clean) / (2 * np.sqrt(ds.params[:, 2:3]))
+        assert abs(resid.std() - 1) < 0.05
 
     def test_simple_scenario_is_noise_free(self):
         ds = generate_dataset(small_cfg("simple"))

@@ -296,6 +296,17 @@ class TestNoise:
         with pytest.raises(ValidationError):
             add_noise(np.zeros(30, dtype=complex), 0.0, np.random.default_rng(0))
 
+    def test_flux_column_gives_each_row_its_flux(self):
+        v = np.zeros((60, 30), dtype=complex)  # 60 real columns, as many as rows
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError):
+            add_noise(v, np.full(60, 1000.0), rng)  # would scale columns, not rows
+        with pytest.raises(ValidationError):
+            add_noise(v, np.array([[1000.0]] * 59 + [[0.0]]), rng)
+        flux = np.linspace(500.0, 5000.0, 60)[:, None]
+        std = vis_to_reals(add_noise(v, flux, rng)) / (2 * np.sqrt(flux))
+        assert abs(std.std() - 1) < 0.05
+
 
 class TestRealCoding:
     def test_round_trip(self):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo.analysis import evaluate_predictions, evaluation_scatter
 from looptopo.data import SamplingConfig, internal_intervals
-from looptopo.embeddings import EPS_TOL
+from looptopo.diagnostics import Diagnostics
+from looptopo.embeddings import EPS_TOL, gamma
 from looptopo.regularizer import build_targets, output_dim
 from looptopo.tasks import KINDS, TASKS
 
@@ -78,3 +79,21 @@ def test_table_entry_round_trip(task, kind, data):
     header, rows = evaluation_scatter(task, truth, back,
                                       build_targets("embedded", task, params), report)
     assert rows.shape == (len(params), len(header))
+
+
+def test_embedded_curvature_outside_interval_is_reported():
+    diag = Diagnostics()
+    back = TASKS["simple"].invert([[0.5, 0, 0.3]], intervals("simple"), diag)
+    assert back[0, 1] == 0.3  # reported, not clamped
+    assert diag.count("out_of_domain") == 1
+
+
+def test_collapsed_rows_are_not_out_of_domain():
+    # an interval without c = 0 would flag the collapsed rows if they counted
+    iv = {**intervals("complete"), "c": (0.01, 0.05)}
+    live = [0, 0, 1000, 8, 2, *(2 * gamma(0.4, 0.3))]
+    collapsed = [0, 0, 1000, 8, EPS_TOL / 2, 1, 1, 1]
+    diag = Diagnostics()
+    back = TASKS["complete"].invert(np.array([live, collapsed]), iv, diag)
+    assert back[1, 6] == 0.0
+    assert diag.count("out_of_domain") == 1
