@@ -178,7 +178,7 @@ class TestPredict:
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(["0.0"] * 60) + "\n" + ",".join(["x"] * 60) + "\n")
         assert run(["predict", "--model", workspace["emb"], "--input", bad]) == 1
-        assert "line" in capsys.readouterr().err or True
+        assert "bad.csv:2" in capsys.readouterr().err  # the non-numeric row
 
     def test_wrong_arity_rejected(self, workspace, tmp_path):
         bad = tmp_path / "short.csv"

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptopo.diagnostics import Diagnostics
 from looptopo.embeddings import LoopParams
 from looptopo.errors import ParseError, ValidationError
-from looptopo.forward_model import (DEFAULT_BUILD, FrequencyConfig,
+from looptopo.forward_model import (DEFAULT_BUILD, EXPONENT_MODES, FrequencyConfig,
                                     FrequencySet, GridSpec, LoopBuildConfig,
                                     add_noise, build_loop_components,
                                     default_frequencies, eval_image,
@@ -15,6 +16,7 @@ from looptopo.forward_model import (DEFAULT_BUILD, FrequencyConfig,
                                     vis_to_reals, visibilities_closed_form,
                                     visibilities_closed_form_batch,
                                     visibilities_quadrature_oracle)
+from looptopo.tasks import TASKS
 
 PI = math.pi
 FREQS = default_frequencies()
@@ -215,6 +217,63 @@ class TestClosedForm:
         for i in range(len(thetas)):
             single = visibilities_closed_form(thetas[i], FREQS)
             np.testing.assert_allclose(batch[i], single, atol=1e-10 * thetas[i, 2])
+
+
+def _interval(name):
+    lo, hi = TASKS["complete"].intervals[name]
+    return st.floats(lo, hi)
+
+
+@st.composite
+def complete_loops(draw):
+    """One (7,) loop from the complete task's intervals, edge cases included."""
+    eps = draw(st.one_of(st.just(0.0), _interval("eps")))
+    alpha = draw(st.one_of(st.floats(0.0, PI, exclude_max=True), st.floats(0.0, 1e-6),
+                           st.floats(PI - 1e-6, PI, exclude_max=True)))
+    c = draw(st.one_of(st.just(0.0), _interval("c")))  # the interval is symmetric about 0
+    return [draw(_interval("x_c")), draw(_interval("y_c")), draw(_interval("flux")),
+            draw(_interval("sigma")), eps, alpha, c]
+
+
+class TestClosedFormBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(complete_loops(), min_size=1, max_size=30),
+           n_components=st.sampled_from((1, 3, 11, 21)),
+           mode=st.sampled_from(EXPONENT_MODES))
+    def test_matches_scalar(self, rows, n_components, mode):
+        # chunk 7 puts chunk boundaries inside most batches, with a remainder
+        cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
+        thetas = np.array(rows)
+        batch = visibilities_closed_form_batch(thetas, FREQS, cfg, chunk=7)
+        for theta, vis in zip(thetas, batch):
+            np.testing.assert_allclose(vis, visibilities_closed_form(theta, FREQS, cfg),
+                                       rtol=0, atol=1e-10 * theta[2])
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(complete_loops(), min_size=1, max_size=30))
+    def test_seam_identification(self, rows):
+        # (alpha, c) and (alpha + pi, -c) are the same loop
+        thetas = np.array(rows)
+        flipped = thetas.copy()
+        flipped[:, 5] += PI
+        flipped[:, 6] *= -1.0
+        gap = np.abs(visibilities_closed_form_batch(flipped, FREQS, chunk=7)
+                     - visibilities_closed_form_batch(thetas, FREQS, chunk=7))
+        assert np.all(gap <= 1e-10 * thetas[:, 2:3])
+
+    @pytest.mark.parametrize("column, value, rule", [
+        (2, float("nan"), "parameters must be finite"),
+        (2, 0.0, "flux must be positive"),
+        (3, -8.0, "sigma must be positive"),
+        (4, -5.0, "eps must be nonnegative")])
+    def test_rejects_what_scalar_rejects(self, column, value, rule):
+        rng = np.random.default_rng(5)
+        thetas = np.array([random_loop(rng).as_array() for _ in range(9)])
+        thetas[4, column] = value
+        with pytest.raises(ValidationError):
+            visibilities_closed_form(thetas[4], FREQS)
+        with pytest.raises(ValidationError, match=f"row 4: {rule}"):
+            visibilities_closed_form_batch(thetas, FREQS)
 
 
 class TestQuadratureOracle:
