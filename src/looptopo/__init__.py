@@ -15,9 +15,8 @@ from .data import (Dataset, SamplingConfig, StandardizationStats,
                    generate_dataset, internal_intervals, invert_standardization,
                    load_dataset, sample_params, save_dataset)
 from .diagnostics import Diagnostics
-from .embeddings import (CircleParam, LoopParams, MoebiusCoords, circle_embed,
-                         circle_inv, gamma, gamma_g, gamma_g_inv, gamma_inv,
-                         moebius_distance)
+from .embeddings import (LoopParams, circle_embed, circle_inv, gamma, gamma_g,
+                         gamma_g_inv, gamma_inv, moebius_distance)
 from .errors import (ChecksumError, FormatVersionError, LoopTopoError,
                      ParseError, TrainingDivergedError, ValidationError)
 from .forward_model import (FrequencyConfig, FrequencySet, GridSpec, LoopBuildConfig,

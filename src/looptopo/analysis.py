@@ -1,12 +1,12 @@
 """Evaluation metrics, percentile statistics, PCA projection, CSV exports."""
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import gamma, moebius_distance
 from .errors import ValidationError
+from .serialization import format_csv, is_integer, write_bytes
 from .tasks import get_task
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -100,8 +100,8 @@ def pca_fit(x, k=3) -> PcaModel:
     if x.ndim != 2:
         raise ValidationError(f"expected a 2-D sample matrix, got shape {x.shape}")
     n, d = x.shape
-    if k < 1 or k > d:
-        raise ValidationError(f"k must be in [1, {d}], got {k}")
+    if not is_integer(k) or not 1 <= k <= d:
+        raise ValidationError(f"k must be an integer in [1, {d}], got {k!r}")
     if n < k:
         raise ValidationError(f"need at least {k} samples, got {n}")
     mean = x.mean(axis=0)
@@ -212,11 +212,4 @@ def export_scatter(rows, header, path, comment=None):
     An optional leading '#' comment line carries run provenance without
     disturbing numeric readers.
     """
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else str(v)
-                             for v in row])
+    write_bytes(path, format_csv(header, rows, digits=10, comment=comment))

@@ -1,7 +1,6 @@
 """Command-line entry point. All angles at this boundary are degrees."""
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -14,14 +13,14 @@ from .data import (TEST, SamplingConfig, generate_dataset,
                    internal_intervals, load_dataset, save_dataset)
 from .diagnostics import Diagnostics
 from .embeddings import LoopParams
-from .errors import LoopTopoError, ParseError, ValidationError
-from .forward_model import (DEFAULT_BUILD, FrequencyConfig, GridSpec, LoopBuildConfig,
+from .errors import LoopTopoError, ValidationError
+from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       default_frequencies, eval_image, load_frequencies,
-                      save_image_csv, visibilities_closed_form,
-                      visibilities_quadrature_oracle)
+                      visibilities_closed_form, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import config_hash, read_json, write_json
+from .serialization import (config_hash, format_csv, is_integer, parse_csv, read_bytes,
+                            read_json, write_bytes, write_json)
 from .tasks import LOOP_PARAMS, TASKS
 
 
@@ -34,16 +33,27 @@ def _read_config(path):
     return cfg
 
 
+def _section(cfg, name):
+    """A copy of the config section ``name``; {} when it is absent."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    return dict(section)
+
+
 def _require_seed(args, cfg):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValidationError("a seed is required (--seed or \"seed\" in the config)")
-    return int(seed)
+    if not is_integer(seed) or seed < 0:
+        raise ValidationError(f"the seed must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _sampling_config(args, cfg, seed):
-    section = dict(cfg.get("dataset", {}))
-    scenario = getattr(args, "scenario", None) or section.pop("scenario", None)
+    section = _section(cfg, "dataset")
+    declared = section.pop("scenario", None)
+    scenario = getattr(args, "scenario", None) or declared
     if scenario is None:
         raise ValidationError("a scenario is required (--scenario or dataset.scenario)")
     declared_total = section.pop("n_samples", None)
@@ -60,23 +70,20 @@ def _sampling_config(args, cfg, seed):
 
 
 def _frequencies(cfg):
-    section = cfg.get("frequencies")
-    if section is None:
-        return default_frequencies(FrequencyConfig())
-    if "file" in section:
-        return load_frequencies(section["file"])
-    return default_frequencies(FrequencyConfig.from_dict(section))
+    section = _section(cfg, "frequencies")
+    if "file" not in section:
+        return default_frequencies(FrequencyConfig.from_dict(section))
+    if len(section) > 1 or not isinstance(section["file"], str):
+        raise ValidationError("frequencies: \"file\" takes a path and no other keys")
+    return load_frequencies(section["file"])
 
 
 def _build_config(cfg):
-    section = cfg.get("loop_build")
-    if section is None:
-        return DEFAULT_BUILD
-    return LoopBuildConfig.from_dict(section)
+    return LoopBuildConfig.from_dict(_section(cfg, "loop_build"))
 
 
 def _nn_config(args, cfg, input_dim, out_dim, seed):
-    section = dict(cfg.get("nn", {}))
+    section = _section(cfg, "nn")
     if getattr(args, "width", None) is not None and getattr(args, "depth", None) is not None:
         section["hidden_widths"] = [args.width] * args.depth
     elif getattr(args, "width", None) is not None or getattr(args, "depth", None) is not None:
@@ -93,7 +100,7 @@ def _nn_config(args, cfg, input_dim, out_dim, seed):
 
 
 def _train_config(args, cfg, seed):
-    section = dict(cfg.get("train", {}))
+    section = _section(cfg, "train")
     for cli_name, key in (("epochs", "epochs"), ("batch_size", "batch_size"),
                           ("lr", "learning_rate"), ("patience", "patience")):
         override = getattr(args, cli_name, None)
@@ -188,7 +195,7 @@ def cmd_evaluate(args):
     report = analysis.evaluate_predictions(task, kind, truth, pred,
                                            internal_intervals(ds.config))
     header, rows = analysis.evaluation_scatter(task, truth, pred, ds.clean[mask], report)
-    analysis.export_scatter(rows.tolist(), header, os.path.join(args.out, "scatter.csv"))
+    analysis.export_scatter(rows, header, os.path.join(args.out, "scatter.csv"))
     boxplot = {m.name: analysis.boxplot_stats(report.per_param[m.name])
                for m in spec.metrics if m.error == "norm"}
     if boxplot:
@@ -205,14 +212,13 @@ def cmd_evaluate(args):
 def cmd_demo_circle(args):
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
-    section = dict(cfg.get("dataset", {}))
-    sampling = SamplingConfig.default("circle", seed, **section)
+    sampling = SamplingConfig.default("circle", seed, **_section(cfg, "dataset"))
     ds = generate_dataset(sampling)
     os.makedirs(args.out, exist_ok=True)
 
-    nn_section = dict(cfg.get("nn", {}))
+    nn_section = _section(cfg, "nn")
     nn_section.setdefault("hidden_widths", [64, 64, 64])
-    train_section = dict(cfg.get("train", {}))
+    train_section = _section(cfg, "train")
     if args.epochs is not None:
         train_section["epochs"] = args.epochs
     train_section.setdefault("epochs", 100)
@@ -237,13 +243,10 @@ def cmd_demo_circle(args):
     preds = {k: regularizer.predict(m, points)[:, 0] for k, m in models.items()}
     header = ["theta_true_deg", "x", "y", "theta_naive_deg", "theta_embedded_deg",
               "naive_raw_error_rad", "embedded_circular_error_rad"]
-    rows = [[math.degrees(t), p[0], p[1],
-             math.degrees(preds["naive"][i]), math.degrees(preds["embedded"][i]),
-             abs(float(preds["naive"][i] - t)),
-             float(analysis.circular_error(preds["embedded"][i], t))]
-            for i, (t, p) in enumerate(zip(thetas, points))]
-    analysis.export_scatter([[float(v) for v in r] for r in rows], header,
-                            os.path.join(args.out, "scatter.csv"))
+    rows = np.column_stack([np.degrees(thetas), points, np.degrees(preds["naive"]),
+                            np.degrees(preds["embedded"]), np.abs(preds["naive"] - thetas),
+                            analysis.circular_error(preds["embedded"], thetas)])
+    analysis.export_scatter(rows, header, os.path.join(args.out, "scatter.csv"))
 
     band = np.concatenate([np.linspace(1e-4, 0.05, 200),
                            2.0 * np.pi - np.linspace(1e-4, 0.05, 200)])
@@ -271,52 +274,23 @@ def cmd_pca(args):
     ds = load_dataset(args.dataset)
     if not TASKS[ds.config.scenario].visibilities:
         raise ValidationError("PCA export expects a visibility dataset")
-    k = args.components if args.components is not None else cfg.get("pca", {}).get("components", 3)
+    section = _section(cfg, "pca")
+    k = section.pop("components", 3)
+    if section:
+        raise ValidationError(f"pca: unknown keys {sorted(section)}")
+    if args.components is not None:
+        k = args.components
     model = analysis.pca_fit(ds.inputs(), k=k)
     coords = analysis.pca_project(model, ds.inputs())
     os.makedirs(args.out, exist_ok=True)
     header = [f"pc{i+1}" for i in range(k)] + ["alpha_deg", "c"]
-    rows = [[*coords[i], ds.params_disk[i, 5], ds.params_disk[i, 6]]
-            for i in range(ds.n_samples)]
-    analysis.export_scatter([[float(v) for v in r] for r in rows], header,
+    analysis.export_scatter(np.column_stack([coords, ds.params_disk[:, 5:7]]), header,
                             os.path.join(args.out, "projections.csv"))
     write_json({"explained_variance_ratio": model.explained_variance_ratio.tolist(),
                 "singular_values": model.singular_values.tolist(),
                 "config_hash": config_hash(ds.config.to_dict())},
                os.path.join(args.out, "variance.json"))
     return 0
-
-
-def _read_vis_csv(path, expect_dim):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and any(not _is_number(v) for v in row):
-                continue  # optional header
-            if len(row) != expect_dim:
-                raise ParseError(f"expected {expect_dim} values, got {len(row)}",
-                                 path=path, line=lineno)
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError("non-finite value", path=path, line=lineno)
-            rows.append(values)
-    if not rows:
-        raise ParseError("no data rows", path=path)
-    return np.array(rows)
-
-
-def _is_number(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def _full_params(spec, pred, intervals):
@@ -332,7 +306,7 @@ def cmd_predict(args):
     model = load_checkpoint(args.model)
     kind, task = regularizer.check_model_consistency(model)
     spec = TASKS[task]
-    x = _read_vis_csv(args.input, model.config.input_dim)
+    _, x = parse_csv(read_bytes(args.input), args.input, width=model.config.input_dim)
     diag = Diagnostics()
     pred = _full_params(spec, regularizer.predict(model, x, diag=diag),
                         model.metadata["intervals"])
@@ -347,7 +321,7 @@ def cmd_predict(args):
         run_hash = config_hash({"command": "predict",
                                 "model": model.metadata.get("run_config_hash"),
                                 "model_kind": kind, "model_task": task})
-        analysis.export_scatter(printable.tolist(), spec.header, args.out,
+        analysis.export_scatter(printable, spec.header, args.out,
                                 comment=f"config_hash: {run_hash}")
     if args.render:
         if spec.params != LOOP_PARAMS:
@@ -355,8 +329,9 @@ def cmd_predict(args):
         theta = LoopParams.from_array(pred[0])
         half = abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma
         grid = GridSpec.centered(half, args.render_n)
-        img = eval_image(theta, grid)
-        save_image_csv(img, grid, args.render)
+        xs, ys = np.meshgrid(grid.xs(), grid.ys())
+        pixels = np.column_stack([xs.ravel(), ys.ravel(), eval_image(theta, grid).ravel()])
+        write_bytes(args.render, format_csv(["x", "y", "value"], pixels, digits=10))
     _emit_diagnostics(diag)
     return 0
 
@@ -382,20 +357,15 @@ def cmd_vis_forward(args):
     else:
         vis = visibilities_closed_form(theta, freqs, cfg=build)
 
-    lines = ["u,v,re,im"]
-    for (u, v), z in zip(freqs.uv, vis):
-        lines.append(f"{u:.17g},{v:.17g},{z.real:.17g},{z.imag:.17g}")
-    text = "\n".join(lines) + "\n"
+    header, rows = ["u", "v", "re", "im"], np.column_stack([freqs.uv, vis.real, vis.imag])
     if args.out:
         run_hash = config_hash({"command": "vis-forward", "theta": ext,
                                 "oracle": bool(args.oracle),
                                 "frequencies": freqs.uv.tolist(),
                                 "build": build.to_dict()})
-        with open(args.out, "w") as fh:
-            fh.write(f"# config_hash: {run_hash}\n")
-            fh.write(text)
+        write_bytes(args.out, format_csv(header, rows, comment=f"config_hash: {run_hash}"))
     else:
-        print(text, end="")
+        sys.stdout.write(format_csv(header, rows).decode())
     _emit_diagnostics(diag)
     return 0
 
@@ -455,7 +425,9 @@ def build_parser():
 
     p = sub.add_parser("predict", help="apply a checkpoint to visibilities from a CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True, help="CSV of real-coded visibility rows")
+    p.add_argument("--input", required=True,
+                   help="CSV of real-coded visibility rows (re_1..re_n, im_1..im_n): "
+                        "an optional header, then rows of the model's input_dim numbers")
     p.add_argument("--out", help="optional CSV of predicted parameters")
     p.add_argument("--render", help="write an image CSV of the first prediction")
     p.add_argument("--render-n", type=int, default=128, dest="render_n")

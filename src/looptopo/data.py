@@ -24,9 +24,9 @@ from .errors import FormatVersionError, ParseError, ValidationError
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
-from .serialization import (config_hash, read_array_bin, read_json,
-                            read_matrix_csv, write_array_bin, write_json,
-                            write_matrix_csv)
+from .serialization import (config_from_dict, config_hash, is_finite_number,
+                            read_array_bin, read_json, read_matrix_csv,
+                            write_array_bin, write_json, write_matrix_csv)
 from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
@@ -49,16 +49,18 @@ class SamplingConfig:
     intervals: dict = None
 
     @classmethod
-    def default(cls, scenario, seed, **overrides):
+    def default(cls, scenario, seed, /, **overrides):
+        """The task's default split sizes, noise and circular fraction,
+        updated by ``overrides``, which may set any field but scenario and seed."""
         task = get_task(scenario)
+        clash = sorted({"scenario", "seed"} & set(overrides))
+        if clash:
+            raise ValidationError(f"SamplingConfig.default takes {clash} as arguments, "
+                                  "not as overrides")
         n_train, n_val, n_test = task.split_sizes
         base = dict(scenario=scenario, n_train=n_train, n_val=n_val, n_test=n_test,
-                    seed=seed, noise=task.noise,
-                    circular_fraction=task.circular_fraction, intervals=None)
-        base.update(overrides)
-        cfg = cls(**base)
-        cfg.validate()
-        return cfg
+                    seed=seed, noise=task.noise, circular_fraction=task.circular_fraction)
+        return config_from_dict(cls, {**base, **overrides})
 
     def validate(self):
         task = get_task(self.scenario)
@@ -86,6 +88,11 @@ class SamplingConfig:
             unknown = set(self.intervals) - set(base)
             if unknown:
                 raise ValidationError(f"unknown interval names {sorted(unknown)}")
+            for k, v in self.intervals.items():
+                if not (isinstance(v, (list, tuple)) and len(v) == 2
+                        and all(map(is_finite_number, v))):
+                    raise ValidationError(f"interval for {k} must be a pair of finite "
+                                          f"numbers, got {v!r}")
             base.update({k: tuple(v) for k, v in self.intervals.items()})
         return base
 
@@ -95,14 +102,7 @@ class SamplingConfig:
                 "noise": self.noise, "circular_fraction": self.circular_fraction,
                 "intervals": {k: list(v) for k, v in self.resolved_intervals().items()}}
 
-    @classmethod
-    def from_dict(cls, d):
-        cfg = cls(scenario=d["scenario"], n_train=d["n_train"], n_val=d["n_val"],
-                  n_test=d["n_test"], seed=d["seed"], noise=d["noise"],
-                  circular_fraction=d.get("circular_fraction", 0.0),
-                  intervals=d.get("intervals"))
-        cfg.validate()
-        return cfg
+    from_dict = classmethod(config_from_dict)
 
 
 def internal_intervals(cfg: SamplingConfig) -> dict:
@@ -210,15 +210,11 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
             freqs = default_frequencies(FrequencyConfig())
         if build is None:
             build = DEFAULT_BUILD
-        vis = visibilities_closed_form_batch(params, freqs, build)
-        clean = vis_to_reals(vis)
+        clean = vis_to_reals(visibilities_closed_form_batch(params, freqs, build))
     else:
         freqs = build = None
         clean = task.embed(params)
-    if cfg.noise:
-        noisy = vis_to_reals(add_noise(vis, params[:, 2:3], noise_rng))
-    else:
-        noisy = clean.copy()
+    noisy = add_noise(clean, params[:, 2:3], noise_rng) if cfg.noise else clean.copy()
 
     split = np.empty(total, dtype=np.int8)
     split[:cfg.n_train] = TRAIN
@@ -234,14 +230,6 @@ class StandardizationStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    def to_dict(self):
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(mean=np.asarray(d["mean"], dtype=float),
-                   std=np.asarray(d["std"], dtype=float))
 
 
 def fit_standardization(ds: Dataset, diag: Diagnostics | None = None) -> StandardizationStats:

@@ -29,34 +29,6 @@ TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
-class MoebiusCoords:
-    """Orientation angle (radians, [0, pi)) and curvature of a loop."""
-
-    alpha: float
-    c: float
-
-    def validate(self, c_min=C_MIN_DEFAULT, c_max=C_MAX_DEFAULT):
-        if not (0.0 <= self.alpha < np.pi):
-            raise ValidationError(f"alpha must be in [0, pi), got {self.alpha}")
-        if not (c_min <= self.c <= c_max):
-            raise ValidationError(f"c must be in [{c_min}, {c_max}], got {self.c}")
-
-    def as_array(self):
-        return np.array([self.alpha, self.c])
-
-
-@dataclass(frozen=True)
-class CircleParam:
-    """Angle on the unit circle, radians in [0, 2*pi)."""
-
-    theta: float
-
-    def validate(self):
-        if not (0.0 <= self.theta < TWO_PI):
-            raise ValidationError(f"theta must be in [0, 2pi), got {self.theta}")
-
-
-@dataclass(frozen=True)
 class LoopParams:
     """The 7 parameters of a loop-shaped source.
 
@@ -112,9 +84,7 @@ class LoopParams:
 
 
 def _coords(x):
-    """Accept MoebiusCoords, pairs, or (..., 2) arrays."""
-    if isinstance(x, MoebiusCoords):
-        return x.as_array()
+    """Accept pairs or (..., 2) arrays."""
     a = np.asarray(x, dtype=float)
     if a.shape[-1] != 2:
         raise ValidationError(f"expected (alpha, c) pairs, got shape {a.shape}")

@@ -26,7 +26,6 @@ is the reference the batch kernel is tested against; the two agree to
 rounding, not bit for bit.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .embeddings import LoopParams, _params_array
 from .errors import ParseError, ValidationError
+from .serialization import config_from_dict, format_csv, parse_csv, read_bytes, write_bytes
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -75,11 +75,7 @@ class LoopBuildConfig:
         return {"n_components": self.n_components, "span_factor": self.span_factor,
                 "exponent_mode": self.exponent_mode}
 
-    @classmethod
-    def from_dict(cls, d):
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    from_dict = classmethod(config_from_dict)
 
 
 DEFAULT_BUILD = LoopBuildConfig()
@@ -106,16 +102,7 @@ class FrequencyConfig:
         if not (0 < self.r_min <= self.r_max):
             raise ValidationError(f"need 0 < r_min <= r_max, got {self.r_min}, {self.r_max}")
 
-    def to_dict(self):
-        return {"n_radii": self.n_radii, "per_radius": self.per_radius,
-                "r_min": self.r_min, "r_max": self.r_max,
-                "ring_rotation_deg": self.ring_rotation_deg}
-
-    @classmethod
-    def from_dict(cls, d):
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -164,35 +151,15 @@ def default_frequencies(cfg: FrequencyConfig = FrequencyConfig()) -> FrequencySe
 
 
 def save_frequencies(freqs: FrequencySet, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        for u, v in freqs.uv:
-            writer.writerow([f"{u:.17g}", f"{v:.17g}"])
+    write_bytes(path, format_csv(["u", "v"], freqs.uv))
 
 
 def load_frequencies(path) -> FrequencySet:
     """Parse a u,v CSV; raises ParseError with the offending line number."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty frequency file", path=path)
-        if [h.strip().lower() for h in header] != ["u", "v"]:
-            raise ParseError(f"expected header 'u,v', got {header!r}", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", path=path, line=lineno)
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
-    if not rows:
-        raise ParseError("frequency file has no data rows", path=path)
-    return FrequencySet(np.array(rows))
+    header, uv = parse_csv(read_bytes(path), path, width=2)
+    if header is None or [h.strip().lower() for h in header] != ["u", "v"]:
+        raise ParseError(f"expected header 'u,v', got {header!r}", path=path, line=1)
+    return FrequencySet(uv)
 
 
 @dataclass(frozen=True)
@@ -481,34 +448,23 @@ def reals_to_vis(x) -> np.ndarray:
     return x[..., :h] + 1j * x[..., h:]
 
 
-def add_noise(v, flux, rng) -> np.ndarray:
-    """Add white Gaussian noise of std 2 sqrt(flux) to each real component.
+def add_noise(x, flux, rng) -> np.ndarray:
+    """Real-coded visibilities plus white Gaussian noise of std 2 sqrt(flux).
 
-    ``v`` is one (n,) visibility vector or (S, n) rows of them. ``flux`` is
-    a scalar, or an (S, 1) column giving each row its own flux; an (S,)
-    vector is refused, because it would broadcast along the data columns.
-    Deterministic given the generator state; one normal draw per component,
-    row after row, in (re..., im...) order.
+    ``x`` is one real-coded (2n,) vector or (S, 2n) rows of them (see
+    ``vis_to_reals``); a new array is returned. ``flux`` is a scalar, or an
+    (S, 1) column giving each row its own flux; an (S,) vector is refused,
+    because it would broadcast along the data columns. Deterministic given
+    the generator state; one normal draw per entry, row after row.
     """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValidationError("add_noise takes real-coded visibilities (vis_to_reals)")
     flux = np.asarray(flux, dtype=float)
-    x = vis_to_reals(v)
     if flux.ndim and flux.shape != x.shape[:-1] + (1,):
         raise ValidationError(
             f"flux must be a scalar or a column of shape {x.shape[:-1] + (1,)}, "
             f"got shape {flux.shape}")
     if not np.all(flux > 0):
         raise ValidationError(f"flux must be positive, got {flux.min()}")
-    x += rng.normal(0.0, 2.0 * np.sqrt(flux), size=x.shape)
-    return reals_to_vis(x)
-
-
-def save_image_csv(img, grid: GridSpec, path):
-    """Flat CSV dump: x, y, value per row."""
-    xs, ys = grid.xs(), grid.ys()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                writer.writerow([f"{x:.10g}", f"{y:.10g}", f"{img[i, j]:.10g}"])
-
+    return x + rng.normal(0.0, 2.0 * np.sqrt(flux), size=x.shape)

@@ -18,7 +18,8 @@ import numpy as np
 from .data import StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, TrainingDivergedError,
                      ValidationError)
-from .serialization import read_bytes
+from .serialization import (config_from_dict, format_csv, is_integer, read_bytes,
+                            write_bytes)
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
@@ -39,11 +40,11 @@ class MlpConfig:
     def validate(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValidationError("input_dim and output_dim must be >= 1")
-        widths = tuple(int(w) for w in self.hidden_widths)
+        widths = self.hidden_widths
         if len(widths) < 1:
             raise ValidationError("at least one hidden layer is required")
-        if any(w < 1 for w in widths):
-            raise ValidationError(f"hidden widths must be >= 1, got {widths}")
+        if not all(is_integer(w) and w >= 1 for w in widths):
+            raise ValidationError(f"hidden widths must be integers >= 1, got {list(widths)}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.dtype not in DTYPES:
@@ -54,13 +55,7 @@ class MlpConfig:
                 "output_dim": self.output_dim, "dropout_rate": self.dropout_rate,
                 "final_bias": self.final_bias, "seed": self.seed, "dtype": self.dtype}
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_widths"] = tuple(d["hidden_widths"])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass
@@ -298,11 +293,7 @@ class TrainConfig:
                 "seed": self.seed, "beta1": self.beta1, "beta2": self.beta2,
                 "adam_eps": self.adam_eps}
 
-    @classmethod
-    def from_dict(cls, d):
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    from_dict = classmethod(config_from_dict)
 
 
 def eval_loss(model: MlpModel, x, y, chunk=8192):
@@ -377,10 +368,8 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
 
 
 def save_history_csv(history, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']:.17g},{row['val_loss']:.17g}\n")
+    columns = ["epoch", "train_loss", "val_loss"]
+    write_bytes(path, format_csv(columns, [[row[c] for c in columns] for row in history]))
 
 
 def _header_dict(model: MlpModel):
@@ -414,10 +403,7 @@ def save_checkpoint(model: MlpModel, path):
         arr = np.ascontiguousarray(named[entry["name"]])
         payload.append(arr.astype(np.dtype(entry["dtype"]), copy=False).tobytes())
     body = b"".join(payload)
-    digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(digest)
+    write_bytes(path, body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path) -> MlpModel:

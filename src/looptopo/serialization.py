@@ -1,9 +1,30 @@
-"""Shared on-disk helpers: checksums, canonical config hashing, flat arrays."""
+"""Shared on-disk helpers: checksums, config objects and their hashes, flat
+arrays, and the package's one CSV dialect.
+
+Every CSV file the package writes or reads (datasets in text mode, frequency
+sets, parameter tables, scatter and image exports, training histories,
+``predict --input``) follows one dialect:
+
+- an optional first line ``# comment`` (run provenance), a header row, then
+  one row per record; fields are separated by commas and lines end in
+  ``\\n`` (``\\r\\n`` reads the same);
+- integers are written as ``str(v)``, floats with 17 significant digits,
+  which read back bit for bit, or with 10 in the exports meant for people
+  (evaluation scatter, image);
+- a reader skips blank rows and takes the first row as a header when any of
+  its fields is not a number; every row must be as wide as the expected
+  width (by default that of the first row), and a value that is not a
+  number or is not finite is rejected with a ``ParseError`` naming the file
+  and its physical line.
+"""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 
 import numpy as np
@@ -15,14 +36,6 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def canonical_json(obj) -> str:
     """Stable JSON encoding used for hashing and manifests."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -32,15 +45,55 @@ def config_hash(obj) -> str:
     return sha256_bytes(canonical_json(obj).encode())
 
 
-def write_array_bin(arr: np.ndarray, path) -> dict:
-    """Write a little-endian flat binary array; returns its manifest entry."""
-    arr = np.ascontiguousarray(arr)
-    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    data = le.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return {"file": os.path.basename(path), "dtype": le.dtype.str,
-            "shape": list(arr.shape), "sha256": sha256_bytes(data)}
+def is_integer(v) -> bool:
+    """An int (numpy integers included), not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """An int or a finite float (numpy scalars included), not a bool."""
+    return is_integer(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                             and math.isfinite(v))
+
+
+#: Accepted JSON values and their description, per config field type.
+_FIELD_TYPES = {
+    int: (is_integer, "an integer"),
+    float: (is_finite_number, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, (list, tuple)), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def config_from_dict(cls, d):
+    """Build and validate the config dataclass ``cls`` from a JSON object.
+
+    Refuses keys that are not fields of ``cls``, missing required fields and
+    values of the wrong type (a float field takes any finite number, null
+    only where the default is None). Lists become tuples for tuple fields;
+    nothing else is converted, so valid input hashes as it did before.
+    """
+    name = cls.__name__
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name}: expected a JSON object, got {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise ValidationError(f"{name}: unknown keys {unknown}")
+    missing = sorted(k for k, f in fields.items()
+                     if k not in d and f.default is dataclasses.MISSING)
+    if missing:
+        raise ValidationError(f"{name}: missing keys {missing}")
+    for key, value in d.items():
+        field = fields[key]
+        accepts, described = _FIELD_TYPES[field.type]
+        if not (accepts(value) or (value is None and field.default is None)):
+            raise ValidationError(f"{name}.{key} must be {described}, got {value!r}")
+    cfg = cls(**{k: tuple(v) if fields[k].type is tuple else v for k, v in d.items()})
+    cfg.validate()
+    return cfg
 
 
 def read_bytes(path) -> bytes:
@@ -49,6 +102,24 @@ def read_bytes(path) -> bytes:
             return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def write_bytes(path, data: bytes):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def write_array_bin(arr: np.ndarray, path) -> dict:
+    """Write a little-endian flat binary array; returns its manifest entry."""
+    arr = np.ascontiguousarray(arr)
+    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    data = le.tobytes()
+    write_bytes(path, data)
+    return {"file": os.path.basename(path), "dtype": le.dtype.str,
+            "shape": list(arr.shape), "sha256": sha256_bytes(data)}
 
 
 def read_array_bin(path, entry: dict) -> np.ndarray:
@@ -62,21 +133,71 @@ def read_array_bin(path, entry: dict) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
 
 
+def format_csv(header, rows, digits=17, comment=None) -> bytes:
+    """The bytes of a CSV file: optional ``# comment`` line, header, rows.
+
+    Integers are written as ``str``, every other value with ``digits``
+    significant digits.
+    """
+    fmt = f"{{:.{digits}g}}".format
+    out = io.StringIO()
+    if comment:
+        out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([str(v) if isinstance(v, (int, np.integer)) else fmt(v) for v in row]
+                     for row in rows)
+    return out.getvalue().encode()
+
+
+def parse_csv(data: bytes, path, width=None):
+    """Parse CSV bytes -> (header or None, (rows, width) float array).
+
+    ``path`` names the file in errors. Rows must be ``width`` wide, or as
+    wide as the first row when ``width`` is None. Raises ``ParseError`` on
+    text that is not UTF-8, on a bad row (with its line) and when there are
+    no data rows.
+    """
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         path=path) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, rows = None, []
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not row or (line == 1 and row[0].startswith("#")):
+                continue
+            width = width or len(row)
+            if len(row) != width:
+                raise ParseError(f"expected {width} values, got {len(row)}",
+                                 path=path, line=line)
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                if header is None and not rows:
+                    header = row
+                    continue
+                raise ParseError(f"bad number: {exc}", path=path, line=line) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", path=path, line=line)
+            rows.append(values)
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}", path=path, line=reader.line_num) from None
+    if not rows:
+        raise ParseError("no data rows", path=path)
+    return header, np.array(rows)
+
+
 def write_matrix_csv(arr: np.ndarray, header, path) -> dict:
-    """Text twin of write_array_bin; %.17g keeps float round trips exact."""
+    """Text twin of write_array_bin: one row per leading index, 17 digits."""
     arr = np.asarray(arr)
-    rows2d = arr.reshape(arr.shape[0], -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if np.issubdtype(arr.dtype, np.integer):
-            for row in rows2d:
-                writer.writerow([str(int(v)) for v in row])
-        else:
-            for row in rows2d:
-                writer.writerow([f"{v:.17g}" for v in row])
+    data = format_csv(header, arr.reshape(arr.shape[0], -1))
+    write_bytes(path, data)
     return {"file": os.path.basename(path), "dtype": arr.dtype.str,
-            "shape": list(arr.shape), "sha256": sha256_file(path),
+            "shape": list(arr.shape), "sha256": sha256_bytes(data),
             "header": list(header)}
 
 
@@ -84,27 +205,14 @@ def read_matrix_csv(path, entry: dict) -> np.ndarray:
     data = read_bytes(path)
     if sha256_bytes(data) != entry["sha256"]:
         raise ChecksumError(f"checksum mismatch for {path}")
-    dtype = np.dtype(entry["dtype"])
-    values = []
-    reader = csv.reader(io.StringIO(data.decode(), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty CSV", path=path)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            values.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=path, line=lineno) from None
-    arr = np.array(values, dtype=dtype)
-    return arr.reshape(entry["shape"])
+    _, values = parse_csv(data, path)
+    if values.size != int(np.prod(entry["shape"])):
+        raise ParseError(f"expected shape {entry['shape']}, found {values.shape}", path=path)
+    return values.astype(np.dtype(entry["dtype"])).reshape(entry["shape"])
 
 
 def write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_json(path):

@@ -235,9 +235,30 @@ def _manifest_edited(workspace, tmp_path, edit):
     return ["evaluate", "--dataset", ds, "--model", workspace["emb"], "--out", tmp_path / "e"]
 
 
+def _written(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def _vis_forward_with_frequencies(path):
+    cfg = path.parent / "c.json"
+    cfg.write_text(json.dumps({"frequencies": {"file": str(path)}}))
+    return ["vis-forward", "--theta", "0,0,1000,8,5,0,0.05", "--config", cfg]
+
+
+NOT_UTF8 = b"\xff\xfe0.1,0.2\n"
+
 UNREADABLE_INPUTS = {
     "missing_checkpoint": lambda ws, tmp: [
         "predict", "--model", tmp / "missing.ckpt", "--input", tmp / "v.csv"],
+    "missing_predict_input": lambda ws, tmp: [
+        "predict", "--model", ws["emb"], "--input", tmp / "missing.csv"],
+    "non_utf8_predict_input": lambda ws, tmp: [
+        "predict", "--model", ws["emb"], "--input", _written(tmp / "v.csv", NOT_UTF8)],
+    "missing_frequency_file": lambda ws, tmp: _vis_forward_with_frequencies(
+        tmp / "missing.csv"),
+    "non_utf8_frequency_file": lambda ws, tmp: _vis_forward_with_frequencies(
+        _written(tmp / "f.csv", b"u,v\n" + NOT_UTF8)),
     "missing_dataset": lambda ws, tmp: [
         "evaluate", "--dataset", tmp / "missing_dir", "--model", ws["emb"],
         "--out", tmp / "e"],
@@ -254,6 +275,41 @@ UNREADABLE_INPUTS = {
 @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
 def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+BAD_CONFIGS = {
+    "dataset unknown key": ({"dataset": {"bogus": 1}}, "gen-dataset"),
+    "dataset wrong type": ({"dataset": {"n_train": "ten"}}, "gen-dataset"),
+    "dataset seed": ({"dataset": {"seed": 2}}, "gen-dataset"),
+    "dataset interval": ({"dataset": {"intervals": {"flux": [1000]}}}, "gen-dataset"),
+    "nn unknown key": ({"nn": {"bogus": 1}}, "train"),
+    "nn widths": ({"nn": {"hidden_widths": ["wide"]}}, "train"),
+    "train unknown key": ({"train": {"bogus": 1}}, "train"),
+    "train wrong type": ({"train": {"learning_rate": "fast"}}, "train"),
+    "loop_build unknown key": ({"loop_build": {"bogus": 1}}, "vis-forward"),
+    "frequencies unknown key": ({"frequencies": {"bogus": 1}}, "vis-forward"),
+    "frequencies file and keys": ({"frequencies": {"file": "f.csv", "n_radii": 2}},
+                                  "vis-forward"),
+    "pca wrong type": ({"pca": {"components": "3"}}, "pca"),
+    "pca unknown key": ({"pca": {"bogus": 1}}, "pca"),
+    "section not an object": ({"nn": [16, 16]}, "train"),
+    "seed wrong type": ({"seed": "one"}, "gen-dataset"),
+    "seed negative": ({"seed": -1}, "gen-dataset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_an_error(workspace, tmp_path, capsys, case):
+    cfg, command = BAD_CONFIGS[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, **cfg}))
+    argv = {"gen-dataset": ["--scenario", "simple", "--out", tmp_path / "ds"],
+            "train": ["--dataset", workspace["ds"], "--kind", "naive", "--epochs", 1,
+                      "--out", tmp_path / "m.ckpt"],
+            "vis-forward": ["--theta", "0,0,1000,8,5,0,0.05"],
+            "pca": ["--dataset", workspace["ds"], "--out", tmp_path / "p"]}[command]
+    assert run([command, "--config", path, *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

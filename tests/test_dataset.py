@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -207,6 +208,21 @@ class TestDiskFormat:
             path = tmp_path / f"{scenario}_{text}"
             save_dataset(ds, path, text=text)
             assert datasets_equal(ds, load_dataset(path))
+
+    def test_crlf_text_dataset_loads(self, tmp_path):
+        # text datasets were once written with \r\n line ends
+        ds = generate_dataset(small_cfg("complete"))
+        save_dataset(ds, tmp_path / "ds", text=True)
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["arrays"].values():
+            path = tmp_path / "ds" / entry["file"]
+            data = path.read_bytes()
+            assert b"\r" not in data
+            path.write_bytes(data.replace(b"\n", b"\r\n"))
+            entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        assert datasets_equal(ds, load_dataset(tmp_path / "ds"))
 
     def test_corrupted_byte_detected(self, tmp_path):
         ds = generate_dataset(small_cfg("simple"))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from looptopo.diagnostics import Diagnostics
-from looptopo.embeddings import (EPS_TOL, CircleParam, LoopParams,
-                                 MoebiusCoords, circle_embed, circle_inv,
+from looptopo.embeddings import (EPS_TOL, LoopParams, circle_embed, circle_inv,
                                  gamma, gamma_g, gamma_g_inv, gamma_inv,
                                  moebius_distance)
 from looptopo.errors import ValidationError
@@ -153,9 +152,6 @@ class TestMoebiusDistance:
         # gamma is injective on the half-open domain: only the diagonal
         assert np.array_equal(same_image, np.eye(len(pairs), dtype=bool))
 
-    def test_accepts_dataclass_coords(self):
-        assert moebius_distance(MoebiusCoords(0.3, 0.01), MoebiusCoords(0.3, 0.01)) == 0.0
-
 
 class TestGammaG:
     def test_collapsed_shape(self):
@@ -240,18 +236,6 @@ class TestCircle:
 
 
 class TestTypes:
-    def test_moebius_coords_validation(self):
-        MoebiusCoords(0.0, 0.05).validate()
-        with pytest.raises(ValidationError):
-            MoebiusCoords(PI, 0.0).validate()
-        with pytest.raises(ValidationError):
-            MoebiusCoords(0.5, 0.06).validate()
-
-    def test_circle_param_validation(self):
-        CircleParam(0.0).validate()
-        with pytest.raises(ValidationError):
-            CircleParam(2 * PI).validate()
-
     def test_loop_params_physical_validation(self):
         LoopParams(0, 0, 1000, 8, 5, 0.3, 0.01).validate()
         with pytest.raises(ValidationError):

@@ -337,34 +337,39 @@ class TestEvalImage:
 
 class TestNoise:
     def test_deterministic_given_seed(self):
-        v = visibilities_closed_form(LoopParams(0, 0, 1000, 8, 5, 0, 0.05), FREQS)
+        v = vis_to_reals(visibilities_closed_form(LoopParams(0, 0, 1000, 8, 5, 0, 0.05),
+                                                  FREQS))
         a = add_noise(v, 1000, np.random.default_rng(11))
         b = add_noise(v, 1000, np.random.default_rng(11))
         np.testing.assert_array_equal(a, b)
 
     def test_noise_std_matches_model(self):
         # 2 sqrt(1000) = 63.2455...; Monte Carlo std over 1e5 draws
-        v = np.zeros(30, dtype=complex)
+        v = np.zeros(60)
         rng = np.random.default_rng(12)
-        draws = np.concatenate(
-            [vis_to_reals(add_noise(v, 1000, rng)) for _ in range(1700)])
+        draws = np.concatenate([add_noise(v, 1000, rng) for _ in range(1700)])
         assert draws.size > 100000
         assert abs(draws.std() - 63.245553203367585) / 63.245553203367585 < 0.01
 
     def test_flux_must_be_positive(self):
         with pytest.raises(ValidationError):
-            add_noise(np.zeros(30, dtype=complex), 0.0, np.random.default_rng(0))
+            add_noise(np.zeros(60), 0.0, np.random.default_rng(0))
 
     def test_flux_column_gives_each_row_its_flux(self):
-        v = np.zeros((60, 30), dtype=complex)  # 60 real columns, as many as rows
+        v = np.zeros((60, 60))  # as many real columns as rows
         rng = np.random.default_rng(0)
         with pytest.raises(ValidationError):
             add_noise(v, np.full(60, 1000.0), rng)  # would scale columns, not rows
         with pytest.raises(ValidationError):
             add_noise(v, np.array([[1000.0]] * 59 + [[0.0]]), rng)
         flux = np.linspace(500.0, 5000.0, 60)[:, None]
-        std = vis_to_reals(add_noise(v, flux, rng)) / (2 * np.sqrt(flux))
+        std = add_noise(v, flux, rng) / (2 * np.sqrt(flux))
         assert abs(std.std() - 1) < 0.05
+
+    def test_complex_input_rejected(self):
+        v = visibilities_closed_form(LoopParams(0, 0, 1000, 8, 5, 0, 0.05), FREQS)
+        with pytest.raises(ValidationError):
+            add_noise(v, 1000, np.random.default_rng(0))  # real-coded rows only
 
 
 class TestRealCoding:
