@@ -12,8 +12,8 @@ from .analysis import (MetricReport, PcaModel, boxplot_stats, circular_error,
                        normalized_abs_error, pca_fit, pca_project)
 from .data import (Dataset, SamplingConfig, StandardizationStats,
                    apply_standardization, fit_standardization,
-                   generate_dataset, internal_intervals, invert_standardization,
-                   load_dataset, sample_params, save_dataset)
+                   generate_dataset, internal_intervals, load_dataset,
+                   save_dataset)
 from .diagnostics import Diagnostics
 from .embeddings import (LoopParams, circle_embed, circle_inv, gamma, gamma_g,
                          gamma_g_inv, gamma_inv, moebius_distance)
@@ -22,7 +22,7 @@ from .errors import (ChecksumError, FormatVersionError, LoopTopoError,
 from .forward_model import (FrequencyConfig, FrequencySet, GridSpec, LoopBuildConfig,
                       add_noise, build_loop_components, default_frequencies,
                       eval_image, fwhm_to_std, load_frequencies,
-                      save_frequencies, vis_to_reals, reals_to_vis,
+                      vis_to_reals, reals_to_vis,
                       visibilities_closed_form, visibilities_closed_form_batch,
                       visibilities_quadrature_oracle)
 from .mlp import (AdamState, MlpConfig, MlpModel, TrainConfig, adam_step,

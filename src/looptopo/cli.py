@@ -19,8 +19,8 @@ from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       visibilities_closed_form, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import (config_hash, format_csv, is_integer, parse_csv, read_bytes,
-                            read_json, write_bytes, write_json)
+from .serialization import (config_hash, format_csv, is_integer, make_dir, parse_csv,
+                            read_bytes, read_json, write_bytes, write_json)
 from .tasks import LOOP_PARAMS, TASKS
 
 
@@ -123,7 +123,7 @@ def cmd_gen_dataset(args):
     freqs = _frequencies(cfg) if visibilities else None
     build = _build_config(cfg) if visibilities else None
     ds = generate_dataset(sampling, freqs=freqs, build=build)
-    save_dataset(ds, args.out, text=args.text)
+    save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples to {args.out}", file=sys.stderr)
     return 0
 
@@ -141,21 +141,19 @@ def cmd_train(args):
                "dataset_config": ds.config.to_dict()}
     run_hash = config_hash(run_cfg)
 
-    diag = Diagnostics()
+    init = None
     if args.resume:
-        if not os.path.exists(args.out):
-            raise ValidationError(f"--resume given but {args.out} does not exist")
-        previous = load_checkpoint(args.out)
-        stored = previous.metadata.get("run_config_hash")
+        # resume keeps the stored weights only: a fresh optimizer, epochs from 0,
+        # standardization and target transform refitted, the history rewritten
+        init = load_checkpoint(args.out)
+        stored = init.metadata.get("run_config_hash")
         if stored != run_hash:
             raise ValidationError(
                 "refusing to resume: stored run config hash "
                 f"{stored} != current {run_hash}")
-        # continue from the stored weights with a fresh optimizer
-        model, history = _resume_training(previous, ds, train_cfg, args.kind)
-    else:
-        trainer = regularizer.train_naive if args.kind == "naive" else regularizer.train_embedded
-        model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg, diag=diag)
+    diag = Diagnostics()
+    trainer = regularizer.train_naive if args.kind == "naive" else regularizer.train_embedded
+    model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg, diag=diag, init=init)
     model.metadata["run_config_hash"] = run_hash
     save_checkpoint(model, args.out)
     history_path = args.history or (os.path.splitext(args.out)[0] + "_history.csv")
@@ -165,19 +163,6 @@ def cmd_train(args):
     return 0
 
 
-def _resume_training(model, ds, train_cfg, kind):
-    from .data import TRAIN, VAL, apply_standardization
-    from .mlp import train as train_loop
-    from .regularizer import _apply_transform, build_targets
-
-    task = ds.config.scenario
-    x_all = apply_standardization(model.stats, ds.inputs())
-    y_raw = build_targets(kind, task, ds.params)
-    y_all = _apply_transform(model.metadata.get("target_transform"), y_raw)
-    return train_loop(model, x_all[ds.mask(TRAIN)], y_all[ds.mask(TRAIN)],
-                      x_all[ds.mask(VAL)], y_all[ds.mask(VAL)], train_cfg)
-
-
 def cmd_evaluate(args):
     ds = load_dataset(args.dataset)
     model = load_checkpoint(args.model)
@@ -185,7 +170,7 @@ def cmd_evaluate(args):
     if task != ds.config.scenario:
         raise ValidationError(
             f"model was trained for the {task} task, dataset is {ds.config.scenario}")
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
 
     diag = Diagnostics()
     mask = ds.mask(TEST)
@@ -214,7 +199,7 @@ def cmd_demo_circle(args):
     seed = _require_seed(args, cfg)
     sampling = SamplingConfig.default("circle", seed, **_section(cfg, "dataset"))
     ds = generate_dataset(sampling)
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
 
     nn_section = _section(cfg, "nn")
     nn_section.setdefault("hidden_widths", [64, 64, 64])
@@ -282,7 +267,7 @@ def cmd_pca(args):
         k = args.components
     model = analysis.pca_fit(ds.inputs(), k=k)
     coords = analysis.pca_project(model, ds.inputs())
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     header = [f"pc{i+1}" for i in range(k)] + ["alpha_deg", "c"]
     analysis.export_scatter(np.column_stack([coords, ds.params_disk[:, 5:7]]), header,
                             os.path.join(args.out, "projections.csv"))
@@ -388,7 +373,6 @@ def build_parser():
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-val", type=int, dest="n_val")
     p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--text", action="store_true", help="CSV arrays instead of binary")
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train a naive or embedded model")
@@ -403,7 +387,9 @@ def build_parser():
     p.add_argument("--width", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--resume", action="store_true",
+                   help="start from the weights in --out (same run config); fresh "
+                        "optimizer, epochs from 0, history rewritten")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run a checkpoint over a dataset's test split")

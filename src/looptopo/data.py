@@ -7,7 +7,7 @@ are visibilities. Noisy visibilities carry white Gaussian noise of std
 
 Sampling happens in external units (angles in degrees, matching config files
 and disk), which are converted to internal radians exactly once. A dataset
-directory is a manifest.json plus flat little-endian arrays, checksummed.
+directory is a manifest.json plus flat little-endian binary arrays, checksummed.
 
 A seed gives two random streams, one per purpose: stream 0 draws all the
 parameters of a dataset in one call, stream 1 all of its noise in one call.
@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .errors import FormatVersionError, ParseError, ValidationError
+from .errors import ChecksumError, FormatVersionError, ParseError, ValidationError
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
 from .serialization import (config_from_dict, config_hash, is_finite_number,
-                            read_array_bin, read_json, read_matrix_csv,
-                            write_array_bin, write_json, write_matrix_csv)
+                            make_dir, read_array_bin, read_json, write_array_bin,
+                            write_json)
 from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
@@ -142,11 +142,6 @@ def to_internal_params(scenario, ext: np.ndarray) -> np.ndarray:
     return arr
 
 
-def sample_params(cfg: SamplingConfig, rng):
-    """One parameter draw in internal units (radians)."""
-    return to_internal_params(cfg.scenario, sample_params_external(cfg, rng))
-
-
 @dataclass
 class Dataset:
     """In-memory dataset; params_disk is the serialization truth (degrees)."""
@@ -254,37 +249,16 @@ def apply_standardization(stats: StandardizationStats, x):
     return (np.asarray(x, dtype=float) - stats.mean) / stats.std
 
 
-def invert_standardization(stats: StandardizationStats, z):
-    return np.asarray(z, dtype=float) * stats.std + stats.mean
-
-
-def save_dataset(ds: Dataset, path, text=False):
-    """Write a dataset directory; binary by default, CSV with text=True."""
-    os.makedirs(path, exist_ok=True)
+def save_dataset(ds: Dataset, path):
+    """Write a dataset directory: the manifest and the four binary arrays."""
+    make_dir(path)
     manifest = ds.manifest_dict()
-    manifest["mode"] = "text" if text else "binary"
+    manifest["mode"] = "binary"
     manifest["config_hash"] = config_hash(manifest["config"])
-
-    arrays = {}
-    if text:
-        task = get_task(ds.config.scenario)
-        m = ds.data_dim // 2
-        data_header = ([f"re_{i+1}" for i in range(m)] + [f"im_{i+1}" for i in range(m)]
-                       if task.visibilities else task.data_header)
-        arrays["params"] = write_matrix_csv(ds.params_disk, task.disk_header,
-                                            os.path.join(path, "params.csv"))
-        arrays["clean"] = write_matrix_csv(ds.clean, data_header,
-                                           os.path.join(path, "clean.csv"))
-        arrays["noisy"] = write_matrix_csv(ds.noisy, data_header,
-                                           os.path.join(path, "noisy.csv"))
-        arrays["split"] = write_matrix_csv(ds.split.astype(np.int64), ["split"],
-                                           os.path.join(path, "split.csv"))
-    else:
-        arrays["params"] = write_array_bin(ds.params_disk, os.path.join(path, "params.bin"))
-        arrays["clean"] = write_array_bin(ds.clean, os.path.join(path, "clean.bin"))
-        arrays["noisy"] = write_array_bin(ds.noisy, os.path.join(path, "noisy.bin"))
-        arrays["split"] = write_array_bin(ds.split, os.path.join(path, "split.bin"))
-    manifest["arrays"] = arrays
+    manifest["arrays"] = {
+        name: write_array_bin(arr, os.path.join(path, f"{name}.bin"))
+        for name, arr in (("params", ds.params_disk), ("clean", ds.clean),
+                          ("noisy", ds.noisy), ("split", ds.split))}
     write_json(manifest, os.path.join(path, "manifest.json"))
 
 
@@ -296,10 +270,15 @@ def load_dataset(path) -> Dataset:
         raise FormatVersionError(
             f"dataset format version {version} is not supported "
             f"(this build reads version {DATASET_FORMAT_VERSION})")
-    read = read_matrix_csv if manifest.get("mode", "binary") == "text" else read_array_bin
+    mode = manifest.get("mode", "binary")
+    if mode != "binary":
+        raise FormatVersionError(f"dataset mode {mode!r} is not supported "
+                                 "(this build reads binary datasets only)")
     try:
+        if config_hash(manifest["config"]) != manifest["config_hash"]:
+            raise ChecksumError(f"{manifest_path}: config does not match its config_hash")
         cfg = SamplingConfig.from_dict(manifest["config"])
-        arrays = {name: read(os.path.join(path, entry["file"]), entry)
+        arrays = {name: read_array_bin(os.path.join(path, entry["file"]), entry)
                   for name, entry in ((n, manifest["arrays"][n])
                                       for n in ("params", "clean", "noisy", "split"))}
     except KeyError as exc:

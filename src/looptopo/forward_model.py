@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .embeddings import LoopParams, _params_array
+from .embeddings import LoopParams
 from .errors import ParseError, ValidationError
-from .serialization import config_from_dict, format_csv, parse_csv, read_bytes, write_bytes
+from .serialization import config_from_dict, parse_csv, read_bytes
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -150,10 +150,6 @@ def default_frequencies(cfg: FrequencyConfig = FrequencyConfig()) -> FrequencySe
     return FrequencySet(np.array(pts))
 
 
-def save_frequencies(freqs: FrequencySet, path):
-    write_bytes(path, format_csv(["u", "v"], freqs.uv))
-
-
 def load_frequencies(path) -> FrequencySet:
     """Parse a u,v CSV; raises ParseError with the offending line number."""
     header, uv = parse_csv(read_bytes(path), path, width=2)
@@ -219,7 +215,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
     center. eps = 0 returns the single circular component.
     """
     if not isinstance(theta, LoopParams):
-        theta = LoopParams.from_array(_params_array(theta))
+        theta = LoopParams.from_array(theta)
     theta.validate()
     cfg.validate()
 

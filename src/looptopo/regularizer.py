@@ -67,7 +67,7 @@ def _invert_transform(tf, y):
     return y * np.asarray(tf["scale"]) + np.asarray(tf["offset"])
 
 
-def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
+def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None):
     task = dataset.config.scenario
     spec = get_task(task)
     out_dim = output_dim(kind, task)
@@ -79,6 +79,8 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
     if nn_cfg.input_dim != dataset.data_dim:
         raise ValidationError(
             f"dataset provides {dataset.data_dim} inputs, config says {nn_cfg.input_dim}")
+    if init is not None and init.config != nn_cfg:
+        raise ValidationError("the initial model's config differs from the network config")
     if train_cfg is None:
         train_cfg = TrainConfig()
 
@@ -90,7 +92,7 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
     tf = _target_transform(kind, spec, intervals, y_raw[dataset.mask(TRAIN)])
     y_all = _apply_transform(tf, y_raw)
 
-    model = init_mlp(nn_cfg)
+    model = init_mlp(nn_cfg) if init is None else MlpModel(nn_cfg, *init.copy_parameters())
     model.stats = stats
     model.metadata = {"kind": kind, "task": task,
                       "embedding": spec.embedding if kind == "embedded" else "identity",
@@ -106,15 +108,16 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None):
 
 
 def train_naive(dataset: Dataset, nn_cfg: MlpConfig = None,
-                train_cfg: TrainConfig = None, diag=None):
-    """Fit the direct parameter regressor. Returns (model, history)."""
-    return _train_kind("naive", dataset, nn_cfg, train_cfg, diag=diag)
+                train_cfg: TrainConfig = None, diag=None, init: MlpModel = None):
+    """Fit the direct parameter regressor. Returns (model, history). ``init``, when
+    given, supplies the starting weights; all else is fitted afresh."""
+    return _train_kind("naive", dataset, nn_cfg, train_cfg, diag=diag, init=init)
 
 
 def train_embedded(dataset: Dataset, nn_cfg: MlpConfig = None,
-                   train_cfg: TrainConfig = None, diag=None):
-    """Fit the embedded-target regressor. Returns (model, history)."""
-    return _train_kind("embedded", dataset, nn_cfg, train_cfg, diag=diag)
+                   train_cfg: TrainConfig = None, diag=None, init: MlpModel = None):
+    """Fit the embedded-target regressor; see train_naive. Returns (model, history)."""
+    return _train_kind("embedded", dataset, nn_cfg, train_cfg, diag=diag, init=init)
 
 
 def check_model_consistency(model: MlpModel):

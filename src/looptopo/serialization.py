@@ -1,9 +1,10 @@
-"""Shared on-disk helpers: checksums, config objects and their hashes, flat
-arrays, and the package's one CSV dialect.
+"""Shared on-disk helpers, the one module that opens files and creates
+directories: checksums, config objects and their hashes, the flat binary
+arrays of the dataset format, and the package's one CSV dialect.
 
-Every CSV file the package writes or reads (datasets in text mode, frequency
-sets, parameter tables, scatter and image exports, training histories,
-``predict --input``) follows one dialect:
+Every CSV file the package writes or reads (frequency sets, parameter
+tables, scatter and image exports, training histories, ``predict --input``)
+follows one dialect:
 
 - an optional first line ``# comment`` (run provenance), a header row, then
   one row per record; fields are separated by commas and lines end in
@@ -112,6 +113,14 @@ def write_bytes(path, data: bytes):
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def make_dir(path):
+    """Create the directory ``path`` and its parents; an existing one is fine."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
 def write_array_bin(arr: np.ndarray, path) -> dict:
     """Write a little-endian flat binary array; returns its manifest entry."""
     arr = np.ascontiguousarray(arr)
@@ -189,26 +198,6 @@ def parse_csv(data: bytes, path, width=None):
     if not rows:
         raise ParseError("no data rows", path=path)
     return header, np.array(rows)
-
-
-def write_matrix_csv(arr: np.ndarray, header, path) -> dict:
-    """Text twin of write_array_bin: one row per leading index, 17 digits."""
-    arr = np.asarray(arr)
-    data = format_csv(header, arr.reshape(arr.shape[0], -1))
-    write_bytes(path, data)
-    return {"file": os.path.basename(path), "dtype": arr.dtype.str,
-            "shape": list(arr.shape), "sha256": sha256_bytes(data),
-            "header": list(header)}
-
-
-def read_matrix_csv(path, entry: dict) -> np.ndarray:
-    data = read_bytes(path)
-    if sha256_bytes(data) != entry["sha256"]:
-        raise ChecksumError(f"checksum mismatch for {path}")
-    _, values = parse_csv(data, path)
-    if values.size != int(np.prod(entry["shape"])):
-        raise ParseError(f"expected shape {entry['shape']}, found {values.shape}", path=path)
-    return values.astype(np.dtype(entry["dtype"])).reshape(entry["shape"])
 
 
 def write_json(obj, path):

@@ -87,11 +87,6 @@ class Task:
         """Predicted-parameter CSV columns."""
         return [f"{n}_deg" if u == "deg" else n for n, u in zip(self.params, self.units)]
 
-    @property
-    def disk_header(self):
-        """Params CSV columns on disk, where sigma is stored as its FWHM."""
-        return ["sigma_fwhm" if h == "sigma" else h for h in self.header]
-
     def clamp(self, out, intervals, diag=None):
         """Naive outputs clamped into the parameter intervals, angles into
         their half-open interval."""

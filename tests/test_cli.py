@@ -49,12 +49,6 @@ class TestGenDataset:
             assert (tmp_path / "a" / fname).read_bytes() == \
                    (tmp_path / "b" / fname).read_bytes()
 
-    def test_text_mode(self, tmp_path):
-        assert run(["gen-dataset", "--scenario", "circle", "--seed", "5",
-                    "--n-train", 30, "--n-val", 10, "--n-test", 10,
-                    "--text", "--out", tmp_path / "t"]) == 0
-        assert (tmp_path / "t" / "params.csv").exists()
-
     def test_missing_seed_fails(self, tmp_path, capsys):
         assert run(["gen-dataset", "--scenario", "circle",
                     "--out", tmp_path / "x"]) == 1
@@ -105,6 +99,29 @@ class TestTrain:
                     "--seed", "4", "--width", 24, "--depth", 1, "--out", out,
                     "--epochs", 2, "--resume"]) == 1
         assert "refusing to resume" in capsys.readouterr().err
+
+    def test_resume_is_a_fit_from_the_stored_weights(self, workspace, tmp_path):
+        from looptopo import regularizer
+        from looptopo.data import load_dataset
+        from looptopo.mlp import TrainConfig, load_checkpoint, save_checkpoint, \
+            save_history_csv
+        out = tmp_path / "r.ckpt"
+        base = ["train", "--dataset", workspace["ds"], "--kind", "naive", "--seed", "4",
+                "--width", 16, "--depth", 2, "--dropout", 0.1, "--epochs", 2, "--out", out]
+        assert run(base) == 0
+        first = load_checkpoint(out)
+        assert run(base + ["--resume"]) == 0
+        model, history = regularizer.train_naive(
+            load_dataset(workspace["ds"]), nn_cfg=first.config,
+            train_cfg=TrainConfig.from_dict(first.metadata["train_config"]), init=first)
+        model.metadata["run_config_hash"] = first.metadata["run_config_hash"]
+        save_checkpoint(model, tmp_path / "api.ckpt")
+        save_history_csv(history, tmp_path / "api_history.csv")
+        assert (tmp_path / "api.ckpt").read_bytes() == out.read_bytes()
+        assert (tmp_path / "api_history.csv").read_bytes() == \
+            (tmp_path / "r_history.csv").read_bytes()
+        # the resumed run trained on from the first run's weights
+        assert not np.array_equal(model.weights[0], first.weights[0])
 
     def test_resume_without_checkpoint_fails(self, workspace, tmp_path):
         assert run(["train", "--dataset", workspace["ds"], "--kind", "naive",
@@ -269,7 +286,28 @@ UNREADABLE_INPUTS = {
     "manifest_without_arrays": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                           if k != "arrays"})),
+    "text_mode_manifest": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: json.dumps({**json.loads(text), "mode": "text"})),
+    "edited_manifest_config": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: text.replace('"n_test": 40', '"n_test": 41')),
 }
+
+
+OUT_IS_A_FILE = {
+    "gen-dataset": lambda ws: ["gen-dataset", "--scenario", "circle", "--seed", "1",
+                               "--n-train", 10, "--n-val", 5, "--n-test", 5],
+    "evaluate": lambda ws: ["evaluate", "--dataset", ws["ds"], "--model", ws["emb"]],
+    "demo-circle": lambda ws: ["demo-circle", "--seed", "1", "--epochs", 1],
+    "pca": lambda ws: ["pca", "--dataset", ws["ds"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_IS_A_FILE))
+def test_out_naming_a_file_is_an_error(workspace, tmp_path, capsys, command):
+    afile = _written(tmp_path / "afile", b"not a directory\n")
+    assert run(OUT_IS_A_FILE[command](workspace) + ["--out", afile]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert afile.read_bytes() == b"not a directory\n"
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
@@ -314,6 +352,8 @@ def test_bad_config_is_an_error(workspace, tmp_path, capsys, case):
 
 
 REMOVED_OPTIONS = {
+    "gen-dataset --text": (["gen-dataset", "--scenario", "circle", "--seed", "1",
+                            "--out", "ds"], ["--text"]),
     "gen-dataset --jobs": (["gen-dataset", "--scenario", "circle", "--seed", "1",
                             "--out", "ds"], ["--jobs", "2"]),
     "evaluate --seed": (["evaluate", "--dataset", "ds", "--model", "m.ckpt",

@@ -1,7 +1,8 @@
-import hashlib
 import json
 import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
                            apply_standardization, fit_standardization,
-                           generate_dataset, internal_intervals,
-                           invert_standardization, load_dataset,
-                           sample_params, sample_params_external, save_dataset)
+                           generate_dataset, internal_intervals, load_dataset,
+                           sample_params_external, save_dataset, to_internal_params)
 from looptopo.diagnostics import Diagnostics
-from looptopo.errors import (ChecksumError, FormatVersionError,
+from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
                              ValidationError)
 from looptopo.forward_model import vis_to_reals, visibilities_closed_form_batch
 from looptopo.tasks import TASKS
@@ -38,7 +38,7 @@ class TestSampling:
         rng = np.random.default_rng(0)
         cfg = small_cfg("simple")
         for _ in range(50):
-            p = sample_params(cfg, rng)
+            p = to_internal_params(cfg.scenario, sample_params_external(cfg, rng))
             assert p[0] == 0 and p[1] == 0 and p[2] == 1000 and p[3] == 8 and p[4] == 5
             assert 0 <= p[5] < PI
             assert -0.05 <= p[6] <= 0.05
@@ -49,7 +49,7 @@ class TestSampling:
         cfg = SamplingConfig.default("complete", 3, n_train=50, n_val=10, n_test=10,
                                      circular_fraction=1.0 - 1e-12)
         for _ in range(50):
-            p = sample_params(cfg, rng)
+            p = to_internal_params(cfg.scenario, sample_params_external(cfg, rng))
             assert p[4] == 0.0 and p[5] == 0.0 and p[6] == 0.0
 
     def test_alpha_uniformity_ks(self):
@@ -190,7 +190,7 @@ class TestStandardization:
         ds = generate_dataset(small_cfg("simple"))
         stats = fit_standardization(ds)
         x = ds.inputs(TEST)
-        back = invert_standardization(stats, apply_standardization(stats, x))
+        back = apply_standardization(stats, x) * stats.std + stats.mean
         np.testing.assert_allclose(back, x, atol=1e-12 * np.abs(x).max())
 
     def test_uses_training_split_only(self):
@@ -201,27 +201,38 @@ class TestStandardization:
 
 
 class TestDiskFormat:
-    @pytest.mark.parametrize("text", [False, True])
-    def test_round_trip_identity(self, tmp_path, text):
+    def test_round_trip_identity(self, tmp_path):
         for scenario in ("circle", "simple", "complete"):
             ds = generate_dataset(small_cfg(scenario))
-            path = tmp_path / f"{scenario}_{text}"
-            save_dataset(ds, path, text=text)
+            path = tmp_path / scenario
+            save_dataset(ds, path)
             assert datasets_equal(ds, load_dataset(path))
 
-    def test_crlf_text_dataset_loads(self, tmp_path):
-        # text datasets were once written with \r\n line ends
-        ds = generate_dataset(small_cfg("complete"))
-        save_dataset(ds, tmp_path / "ds", text=True)
+    def test_text_mode_rejected(self, tmp_path):
+        save_dataset(generate_dataset(small_cfg("circle")), tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        for entry in manifest["arrays"].values():
-            path = tmp_path / "ds" / entry["file"]
-            data = path.read_bytes()
-            assert b"\r" not in data
-            path.write_bytes(data.replace(b"\n", b"\r\n"))
-            entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest["mode"] = "text"
         manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatVersionError, match="'text'"):
+            load_dataset(tmp_path / "ds")
+
+    def test_edited_config_detected(self, tmp_path):
+        # the stored alphas reach 179.6 deg; narrowing their interval would
+        # silently change naive clamping and the normalized errors
+        save_dataset(generate_dataset(small_cfg("simple")), tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["intervals"]["alpha"] = [0, 90]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ChecksumError, match="config_hash"):
+            load_dataset(tmp_path / "ds")
+
+    def test_config_hash_ignores_manifest_layout(self, tmp_path):
+        ds = generate_dataset(small_cfg("complete"))
+        save_dataset(ds, tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest_path.write_text(json.dumps(json.loads(manifest_path.read_text())))
         assert datasets_equal(ds, load_dataset(tmp_path / "ds"))
 
     def test_corrupted_byte_detected(self, tmp_path):
@@ -287,3 +298,47 @@ class TestConfigValidation:
     def test_dict_round_trip(self):
         cfg = small_cfg("complete")
         assert SamplingConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "ds"
+    save_dataset(generate_dataset(small_cfg("complete", n_train=6, n_val=2, n_test=2)), path)
+    return path
+
+
+def _load_damaged(saved, name, damage):
+    """Load a copy of the dataset at ``saved`` whose file ``name`` went
+    through ``damage`` (bytes -> bytes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = shutil.copytree(saved, os.path.join(tmp, "ds"))
+        target = os.path.join(copy, name)
+        with open(target, "rb") as fh:
+            data = fh.read()
+        with open(target, "wb") as fh:
+            fh.write(damage(data))
+        load_dataset(copy)
+
+
+BIN_FILES = ("params.bin", "clean.bin", "noisy.bin", "split.bin")
+
+
+class TestDamagedArrays:
+    """Any one flipped byte, or any truncation, of an array file is refused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(BIN_FILES), where=st.floats(0.0, 1.0, exclude_max=True),
+           mask=st.integers(1, 255))
+    def test_byte_flip(self, saved_dataset, name, where, mask):
+        def flip(data):
+            blob = bytearray(data)
+            blob[int(where * len(blob))] ^= mask
+            return bytes(blob)
+        with pytest.raises(LoopTopoError):
+            _load_damaged(saved_dataset, name, flip)
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(BIN_FILES), keep=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation(self, saved_dataset, name, keep):
+        with pytest.raises(LoopTopoError):
+            _load_damaged(saved_dataset, name, lambda data: data[:int(keep * len(data))])

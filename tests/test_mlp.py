@@ -1,9 +1,13 @@
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptopo.data import StandardizationStats
-from looptopo.errors import (ChecksumError, FormatVersionError,
+from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
                              TrainingDivergedError, ValidationError)
 from looptopo.mlp import (AdamState, MlpConfig, TrainConfig,
                           adam_step, eval_loss, forward, init_mlp,
@@ -353,6 +357,38 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ChecksumError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _load_damaged(damage):
+        """Save a small model with stats and metadata, pass the file's bytes
+        through ``damage``, and load the result."""
+        m = tiny_model(seed=2, dtype="float32")
+        m.stats = StandardizationStats(mean=np.arange(8.0), std=np.full(8, 2.0))
+        m.metadata = {"kind": "naive", "task": "simple"}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.ckpt")
+            save_checkpoint(m, path)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(damage(data))
+            load_checkpoint(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+    def test_any_byte_flip_rejected(self, where, mask):
+        def flip(data):
+            blob = bytearray(data)
+            blob[int(where * len(blob))] ^= mask
+            return bytes(blob)
+        with pytest.raises(LoopTopoError):
+            self._load_damaged(flip)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keep=st.floats(0.0, 1.0, exclude_max=True))
+    def test_any_truncation_rejected(self, keep):
+        with pytest.raises(LoopTopoError):
+            self._load_damaged(lambda data: data[:int(keep * len(data))])
 
     def test_future_version_rejected(self, tmp_path):
         import hashlib

@@ -8,7 +8,8 @@ from looptopo.data import (TEST, SamplingConfig, generate_dataset,
 from looptopo.diagnostics import Diagnostics
 from looptopo.embeddings import gamma, gamma_g
 from looptopo.errors import ValidationError
-from looptopo.mlp import MlpConfig, TrainConfig, load_checkpoint, save_checkpoint
+from looptopo.mlp import (MlpConfig, TrainConfig, init_mlp, load_checkpoint,
+                          save_checkpoint)
 from looptopo.regularizer import (build_targets, check_model_consistency,
                                   output_dim, predict, train_embedded,
                                   train_naive)
@@ -124,6 +125,28 @@ class TestTrainedModels:
         bad = MlpConfig(input_dim=2, hidden_widths=(8,), output_dim=3, seed=0)
         with pytest.raises(ValidationError):
             train_embedded(ds, nn_cfg=bad, train_cfg=TINY_TRAIN)
+
+    @pytest.mark.parametrize("trainer", [train_naive, train_embedded])
+    def test_init_supplies_starting_weights(self, trainer):
+        ds = tiny_dataset("simple")
+        kind = "naive" if trainer is train_naive else "embedded"
+        nn_cfg = tiny_nn(ds, kind)
+        still = TrainConfig(epochs=2, batch_size=32, learning_rate=1e-12, patience=0, seed=1)
+        start, _ = trainer(ds, nn_cfg=nn_cfg, train_cfg=TINY_TRAIN)
+        fresh, _ = trainer(ds, nn_cfg=nn_cfg, train_cfg=still)
+        resumed, _ = trainer(ds, nn_cfg=nn_cfg, train_cfg=still, init=start)
+        for ref, model in ((init_mlp(nn_cfg), fresh), (start, resumed)):
+            for (name, a), (_, b) in zip(ref.parameter_arrays(), model.parameter_arrays()):
+                np.testing.assert_allclose(b, a, rtol=0, atol=1e-6, err_msg=name)
+        # the trained weights are far from init_mlp's, so the check tells them apart
+        assert np.abs(start.weights[0] - init_mlp(nn_cfg).weights[0]).max() > 1e-3
+
+    def test_init_with_other_config_rejected(self):
+        ds = tiny_dataset("circle")
+        other = init_mlp(MlpConfig(input_dim=2, hidden_widths=(8,), output_dim=2, seed=5))
+        with pytest.raises(ValidationError):
+            train_embedded(ds, nn_cfg=tiny_nn(ds, "embedded"), train_cfg=TINY_TRAIN,
+                           init=other)
 
     def test_input_dim_mismatch_rejected(self):
         ds = tiny_dataset("circle")
