@@ -136,9 +136,11 @@ def cmd_train(args):
     out_dim = regularizer.output_dim(args.kind, task)
     nn_cfg = _nn_config(args, cfg, ds.data_dim, out_dim, seed)
     train_cfg = _train_config(args, cfg, seed)
+    manifest = ds.manifest_dict()
     run_cfg = {"command": "train", "kind": args.kind, "nn": nn_cfg.to_dict(),
                "train": train_cfg.to_dict(),
-               "dataset_config": ds.config.to_dict()}
+               "dataset_config": ds.config.to_dict(),
+               "frequencies": manifest["frequencies"], "build": manifest["build"]}
     run_hash = config_hash(run_cfg)
 
     init = None

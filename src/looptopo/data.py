@@ -24,7 +24,7 @@ from .errors import ChecksumError, FormatVersionError, ParseError, ValidationErr
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
-from .serialization import (config_from_dict, config_hash, is_finite_number,
+from .serialization import (config_from_dict, config_hash, is_finite_number, is_integer,
                             make_dir, read_array_bin, read_json, write_array_bin,
                             write_json)
 from .tasks import LOOP_PARAMS, get_task
@@ -262,6 +262,24 @@ def save_dataset(ds: Dataset, path):
     write_json(manifest, os.path.join(path, "manifest.json"))
 
 
+def _array_entry(manifest, name, manifest_path):
+    """The manifest entry of one array, checked to hold what read_array_bin reads."""
+    entries = manifest["arrays"]
+    entry = entries.get(name) if isinstance(entries, dict) else None
+    try:
+        ok = (all(isinstance(entry[k], str) for k in ("file", "dtype", "sha256"))
+              and isinstance(entry["shape"], list)
+              and all(is_integer(d) and d >= 0 for d in entry["shape"])
+              and np.dtype(entry["dtype"]).kind in "biuf")
+    except (KeyError, TypeError):  # not an object, a key missing, an unknown dtype
+        ok = False
+    if not ok:
+        raise ParseError(f"manifest entry arrays.{name} must be an object with string "
+                         "file, numeric dtype and sha256 and a list shape of sizes",
+                         path=manifest_path)
+    return entry
+
+
 def load_dataset(path) -> Dataset:
     manifest_path = os.path.join(path, "manifest.json")
     manifest = read_json(manifest_path)
@@ -279,7 +297,7 @@ def load_dataset(path) -> Dataset:
             raise ChecksumError(f"{manifest_path}: config does not match its config_hash")
         cfg = SamplingConfig.from_dict(manifest["config"])
         arrays = {name: read_array_bin(os.path.join(path, entry["file"]), entry)
-                  for name, entry in ((n, manifest["arrays"][n])
+                  for name, entry in ((n, _array_entry(manifest, n, manifest_path))
                                       for n in ("params", "clean", "noisy", "split"))}
     except KeyError as exc:
         raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None

@@ -5,6 +5,16 @@ matrices (n_in, n_out), so a layer computes relu(x @ W + b). Hidden layers
 always carry biases; the final affine map has an optional one. Inverted
 dropout multiplies the *input* of each hidden layer by mask / keep_prob in
 training mode, so evaluation mode needs no rescaling.
+
+Every pass runs one kernel, ``_forward_into``, which writes each layer into
+the preallocated buffers of a ``Workspace`` with ``np.matmul(..., out=)``
+and in-place bias, ReLU and dropout. Eval-mode ``forward`` streams its rows
+through one workspace in chunks of ``EVAL_CHUNK`` rows and keeps nothing
+for a backward pass. ``loss_and_grad`` runs the same kernel and writes the
+backward pass into the workspace too; ``train`` keeps one workspace for the
+whole fit, so the gradients of its internal calls alias that workspace and
+are overwritten by the next batch. A dropout mask keeps a unit where its
+32-bit random word lies below round(keep * 2**32), clamped to 2**32 - 1.
 """
 
 import hashlib
@@ -25,6 +35,10 @@ CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
+
+#: Rows per pass of an eval-mode forward; up to this many rows give the same
+#: bytes as one unchunked pass.
+EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -107,23 +121,69 @@ def init_mlp(cfg: MlpConfig) -> MlpModel:
     return MlpModel(config=cfg, weights=weights, biases=biases)
 
 
-def sample_dropout_masks(model: MlpModel, batch_size: int, rng):
-    """Inverted-dropout masks for the input of each hidden layer."""
+class Workspace:
+    """Buffers for passes of up to ``rows`` rows through one model, allocated once.
+
+    ``x`` holds the (dropped-out) network input, ``acts[i]`` the post-ReLU
+    output of hidden layer i, dropped out in place when it feeds a masked
+    layer, and ``out`` the network output, which the backward pass turns
+    into the loss gradient at the output. With ``backward``, ``masks`` (None
+    without dropout), ``deltas[i]`` (the loss gradient at the output of
+    hidden layer i), ``grads`` (shaped like the model's parameters) and a
+    column of ones for the bias gradients are kept as well. A pass of fewer
+    rows uses the leading rows of each buffer.
+    """
+
+    def __init__(self, model: "MlpModel", rows: int, backward=False):
+        cfg = model.config
+        dt = DTYPES[cfg.dtype]
+        widths = list(cfg.hidden_widths)
+        self.rows = rows
+        self.x = np.empty((rows, cfg.input_dim), dt)
+        self.acts = [np.empty((rows, w), dt) for w in widths]
+        self.out = np.empty((rows, cfg.output_dim), dt)
+        self.masks = None
+        if not backward:
+            return
+        if cfg.dropout_rate > 0.0:
+            self.masks = [np.empty((rows, d), dt) for d in [cfg.input_dim, *widths[:-1]]]
+        self.deltas = [np.empty((rows, w), dt) for w in widths]
+        self.grads = {"weights": [np.empty_like(w) for w in model.weights],
+                      "biases": [None if b is None else np.empty_like(b)
+                                 for b in model.biases]}
+        self.ones = np.ones(rows, dt)
+
+
+def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = None):
+    """Inverted-dropout masks for the input of each hidden layer.
+
+    One ``random_raw`` draw supplies a 32-bit word per unit; a unit is kept
+    (value 1/keep) where its word is below round(keep * 2**32), clamped to
+    2**32 - 1, and dropped (value 0) elsewhere. The masks are written into
+    the leading rows of ``ws.masks`` when a workspace is given.
+    """
     p = model.config.dropout_rate
     if p == 0.0:
         return None
     keep = 1.0 - p
     dt = DTYPES[model.config.dtype]
-    masks = []
-    n_hidden = model.n_layers - 1
-    dims = [model.config.input_dim, *model.config.hidden_widths]
-    for i in range(n_hidden):
-        m = (rng.random((batch_size, dims[i])) < keep).astype(dt) / dt(keep)
-        masks.append(m)
+    if ws is None:
+        dims = [model.config.input_dim, *model.config.hidden_widths[:-1]]
+        masks = [np.empty((batch_size, d), dt) for d in dims]
+    else:
+        masks = [m[:batch_size] for m in ws.masks]
+    threshold = np.uint32(min(round(keep * 2.0 ** 32), 2 ** 32 - 1))
+    n_words = sum(m.size for m in masks)
+    words = rng.bit_generator.random_raw((n_words + 1) // 2).view(np.uint32)
+    start = 0
+    for m in masks:
+        np.less(words[start:start + m.size].reshape(m.shape), threshold, out=m)
+        m *= dt(1) / dt(keep)
+        start += m.size
     return masks
 
 
-def _as_batch(x, dt):
+def _as_batch(x, dt=None):
     x = np.asarray(x, dtype=dt)
     if x.ndim == 1:
         return x[None, :], True
@@ -132,91 +192,120 @@ def _as_batch(x, dt):
     raise ValidationError(f"inputs must be 1- or 2-D, got shape {x.shape}")
 
 
+def _check_inputs(model, x, mode):
+    if mode not in ("train", "eval"):
+        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if x.shape[1] != model.config.input_dim:
+        raise ValidationError(
+            f"expected input dim {model.config.input_dim}, got {x.shape[1]}")
+
+
+def _train_masks(model, rows, mode, rng, masks, ws=None):
+    """The dropout masks a pass applies: none in eval mode, else ``masks``,
+    else a fresh draw from ``rng`` when the model has dropout."""
+    if mode != "train":
+        return None
+    if masks is None and model.config.dropout_rate > 0.0:
+        if rng is None:
+            raise ValidationError("train mode with dropout needs an rng or masks")
+        masks = sample_dropout_masks(model, rows, rng, ws)
+    return masks
+
+
+def _forward_into(model, x, ws, masks):
+    """The network on the rows of ``x`` (of the model's dtype), written into
+    the leading rows of ``ws``; ``masks`` drop out each hidden layer's input
+    when given. Returns the view of ``ws.out`` holding the output."""
+    n = x.shape[0]
+    a = x
+    if masks is not None:
+        a = np.multiply(x, masks[0][:n], out=ws.x[:n])
+    n_hidden = model.n_layers - 1
+    for i in range(n_hidden):
+        a = np.matmul(a, model.weights[i], out=ws.acts[i][:n])
+        a += model.biases[i]
+        np.maximum(a, 0.0, out=a)
+        if masks is not None and i + 1 < n_hidden:
+            a *= masks[i + 1][:n]
+    out = np.matmul(a, model.weights[-1], out=ws.out[:n])
+    if model.biases[-1] is not None:
+        out += model.biases[-1]
+    return out
+
+
 def forward(model: MlpModel, x, mode="eval", rng=None, masks=None):
     """Run the network. Inputs are assumed standardized already.
 
     mode='eval' is deterministic; mode='train' applies dropout before each
-    hidden layer using ``masks`` (sampled from ``rng`` when absent).
+    hidden layer using ``masks`` (sampled from ``rng`` when absent). The
+    rows pass through one workspace in chunks of ``EVAL_CHUNK`` rows, so
+    memory stays bounded and nothing is kept for a backward pass; up to
+    ``EVAL_CHUNK`` rows run as a single pass.
     """
-    out, _ = _forward_cached(model, x, mode=mode, rng=rng, masks=masks)
-    return out
+    x, squeeze = _as_batch(x)
+    _check_inputs(model, x, mode)
+    rows = x.shape[0]
+    masks = _train_masks(model, rows, mode, rng, masks)
+    ws = Workspace(model, min(rows, EVAL_CHUNK))
+    out = np.empty((rows, model.config.output_dim), DTYPES[model.config.dtype])
+    for lo in range(0, rows, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, rows)
+        chunk = ws.x[:hi - lo]
+        chunk[...] = x[lo:hi]
+        out[lo:hi] = _forward_into(model, chunk, ws,
+                                   None if masks is None else [m[lo:hi] for m in masks])
+    return out[0] if squeeze else out
 
 
-def _forward_cached(model, x, mode="eval", rng=None, masks=None):
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-    dt = DTYPES[model.config.dtype]
-    x, squeeze = _as_batch(x, dt)
-    if x.shape[1] != model.config.input_dim:
-        raise ValidationError(
-            f"expected input dim {model.config.input_dim}, got {x.shape[1]}")
-    if mode == "train" and model.config.dropout_rate > 0.0 and masks is None:
-        if rng is None:
-            raise ValidationError("train mode with dropout needs an rng or masks")
-        masks = sample_dropout_masks(model, x.shape[0], rng)
-
-    caches = []
-    a = x
-    n_hidden = model.n_layers - 1
-    for i in range(n_hidden):
-        a_in = a
-        if masks is not None and mode == "train":
-            a_in = a_in * masks[i]
-        z = a_in @ model.weights[i] + model.biases[i]
-        a = np.maximum(z, 0.0)
-        caches.append((a_in, z))
-    out = a @ model.weights[-1]
-    if model.biases[-1] is not None:
-        out = out + model.biases[-1]
-    caches.append((a, None))
-    if squeeze:
-        return out[0], caches
-    return out, caches
-
-
-def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None):
+def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None,
+                  ws: Workspace = None):
     """MSE loss and exact gradients for the sampled dropout masks.
 
     Returns (loss, grads) with grads = {"weights": [...], "biases": [...]}
-    mirroring the model arrays (None where there is no bias).
+    mirroring the model arrays (None where there is no bias). The gradients
+    live in ``ws.grads``: without ``ws`` a fresh workspace owns them; with
+    one (``train`` passes its own) the next call on that workspace
+    overwrites them.
     """
     dt = DTYPES[model.config.dtype]
     x, _ = _as_batch(x, dt)
     y, _ = _as_batch(y, dt)
     if x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValidationError("batch inputs and targets must align and be non-empty")
-    if mode == "train" and model.config.dropout_rate > 0.0 and masks is None:
-        if rng is None:
-            raise ValidationError("train mode with dropout needs an rng or masks")
-        masks = sample_dropout_masks(model, x.shape[0], rng)
-
-    out, caches = _forward_cached(model, x, mode=mode, masks=masks)
+    _check_inputs(model, x, mode)
     batch = x.shape[0]
-    diff = out - y
-    loss = float(np.sum(diff * diff) / batch)
+    if ws is None:
+        ws = Workspace(model, batch, backward=True)
+    elif batch > ws.rows:
+        raise ValidationError(f"a batch of {batch} rows exceeds the workspace's {ws.rows}")
+    masks = _train_masks(model, batch, mode, rng, masks, ws)
+
+    out = _forward_into(model, x, ws, masks)
+    delta = np.subtract(out, y, out=out)
+    loss = float(np.sum(delta * delta) / batch)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss}")
+    delta *= 2.0 / batch
 
-    g_w = [None] * model.n_layers
-    g_b = [None] * model.n_layers
-    delta = (2.0 / batch) * diff
-
-    a_last = caches[-1][0]
-    g_w[-1] = a_last.T @ delta
-    if model.biases[-1] is not None:
-        g_b[-1] = delta.sum(axis=0)
-    upstream = delta @ model.weights[-1].T
-
-    for i in range(model.n_layers - 2, -1, -1):
-        a_in, z = caches[i]
-        dz = upstream * (z > 0.0)
-        g_w[i] = a_in.T @ dz
-        g_b[i] = dz.sum(axis=0)
+    g_w, g_b = ws.grads["weights"], ws.grads["biases"]
+    ones = ws.ones[:batch]
+    for i in range(model.n_layers - 1, -1, -1):
         if i > 0:
-            upstream = dz @ model.weights[i].T
-            if masks is not None and mode == "train":
-                upstream = upstream * masks[i]
-    return loss, {"weights": g_w, "biases": g_b}
+            a_in = ws.acts[i - 1][:batch]
+        else:
+            a_in = x if masks is None else ws.x[:batch]
+        np.matmul(a_in.T, delta, out=g_w[i])
+        if g_b[i] is not None:
+            np.matmul(ones, delta, out=g_b[i])
+        if i > 0:
+            upstream = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1][:batch])
+            if masks is not None and i < model.n_layers - 1:
+                upstream *= masks[i][:batch]
+            # a_in is the ReLU output, dropped out where masked: positive
+            # exactly where the unit was both kept and active
+            np.multiply(upstream, a_in > 0.0, out=upstream)
+            delta = upstream
+    return loss, ws.grads
 
 
 @dataclass
@@ -232,6 +321,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(default=None, repr=False)   # one buffer for every update
 
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate=1e-3, beta1=0.9,
@@ -245,19 +335,34 @@ class AdamState:
 
 
 def adam_step(state: AdamState, model: MlpModel, grads):
-    """One bias-corrected Adam update, in place. Returns (model, state)."""
+    """One bias-corrected Adam update, in place. Returns (model, state).
+
+    lr / c1 * m / (sqrt(v / c2) + eps) is computed as
+    (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)), through the
+    state's scratch buffer, so no step allocates.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** state.step
-    corr2 = 1.0 - b2 ** state.step
-    scale = state.learning_rate / corr1
+    root_corr2 = math.sqrt(1.0 - b2 ** state.step)
+    step_size = state.learning_rate * root_corr2 / (1.0 - b1 ** state.step)
+    eps = state.eps * root_corr2
+    if state.scratch is None:
+        state.scratch = np.empty(max(w.size for w in model.weights), model.weights[0].dtype)
 
     def update(param, g, m, v):
+        tmp = state.scratch[:param.size].reshape(param.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        param -= scale * m / (np.sqrt(v / corr2) + state.eps)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        param -= tmp
 
     for i in range(model.n_layers):
         update(model.weights[i], grads["weights"][i], state.m_w[i], state.v_w[i])
@@ -296,15 +401,10 @@ class TrainConfig:
     from_dict = classmethod(config_from_dict)
 
 
-def eval_loss(model: MlpModel, x, y, chunk=8192):
-    """Eval-mode MSE over a whole array, chunked to bound memory."""
-    total = 0.0
-    n = x.shape[0]
-    for lo in range(0, n, chunk):
-        out = forward(model, x[lo:lo + chunk], mode="eval")
-        d = out - y[lo:lo + chunk]
-        total += float(np.sum(d * d))
-    return total / n
+def eval_loss(model: MlpModel, x, y):
+    """Eval-mode MSE over a whole array."""
+    d = forward(model, x, mode="eval") - y
+    return float(np.sum(d * d)) / x.shape[0]
 
 
 def train(model: MlpModel, x_train, y_train, x_val, y_val,
@@ -314,7 +414,8 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     Shuffling and dropout masks derive from (cfg.seed, epoch), so a run is a
     pure function of its inputs. Returns (model, history) where the model
     carries the parameters of the best validation epoch and history is a
-    list of dicts with epoch / train_loss / val_loss.
+    list of dicts with epoch / train_loss / val_loss. One workspace serves
+    every batch; the short last batch of an epoch uses its leading rows.
     """
     cfg.validate()
     dt = DTYPES[model.config.dtype]
@@ -333,6 +434,7 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     best_params = model.copy_parameters()
 
     n = len(x_train)
+    ws = Workspace(model, min(cfg.batch_size, n), backward=True)
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(epoch,)))
@@ -342,7 +444,7 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
             idx = perm[lo:lo + cfg.batch_size]
             try:
                 loss, grads = loss_and_grad(model, x_train[idx], y_train[idx],
-                                            mode="train", rng=rng)
+                                            mode="train", rng=rng, ws=ws)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}, batch at {lo}: {exc}") from None

@@ -100,6 +100,27 @@ class TestTrain:
                     "--epochs", 2, "--resume"]) == 1
         assert "refusing to resume" in capsys.readouterr().err
 
+    def test_resume_refuses_a_dataset_with_other_frequencies(self, workspace, tmp_path,
+                                                              capsys):
+        # same sampling config and frequency count, other (u, v) points
+        manifest = json.loads((workspace["ds"] / "manifest.json").read_text())
+        freq_path = tmp_path / "f.csv"
+        freq_path.write_text("u,v\n" + "".join(f"{1.1 * u!r},{1.1 * v!r}\n"
+                                               for u, v in manifest["frequencies"]))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"frequencies": {"file": str(freq_path)}}))
+        other = tmp_path / "other_ds"
+        assert run(["gen-dataset", "--scenario", "simple", "--seed", "21", "--config", cfg,
+                    "--n-train", 150, "--n-val", 40, "--n-test", 40, "--out", other]) == 0
+        out = tmp_path / "r.ckpt"
+        base = ["--kind", "naive", "--seed", "4", "--width", 8, "--depth", 1,
+                "--epochs", 1, "--out", out]
+        assert run(["train", "--dataset", workspace["ds"], *base]) == 0
+        capsys.readouterr()
+        assert run(["train", "--dataset", other, *base, "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "refusing to resume" in err
+
     def test_resume_is_a_fit_from_the_stored_weights(self, workspace, tmp_path):
         from looptopo import regularizer
         from looptopo.data import load_dataset
@@ -263,6 +284,15 @@ def _vis_forward_with_frequencies(path):
     return ["vis-forward", "--theta", "0,0,1000,8,5,0,0.05", "--config", cfg]
 
 
+def _with_array_entry(text, name, key, value):
+    manifest = json.loads(text)
+    if key is None:
+        manifest["arrays"][name] = value
+    else:
+        manifest["arrays"][name][key] = value
+    return json.dumps(manifest)
+
+
 NOT_UTF8 = b"\xff\xfe0.1,0.2\n"
 
 UNREADABLE_INPUTS = {
@@ -290,6 +320,20 @@ UNREADABLE_INPUTS = {
         ws, tmp, lambda text: json.dumps({**json.loads(text), "mode": "text"})),
     "edited_manifest_config": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: text.replace('"n_test": 40', '"n_test": 41')),
+    "manifest_arrays_not_an_object": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: json.dumps({**json.loads(text), "arrays": [1, 2]})),
+    "array_entry_not_an_object": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "params", None, 5)),
+    "array_file_not_a_string": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "clean", "file", 5)),
+    "array_dtype_not_a_string": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "noisy", "dtype", 8)),
+    "array_dtype_unknown": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "noisy", "dtype", "bogus")),
+    "array_sha256_not_a_string": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "split", "sha256", ["ab"])),
+    "array_shape_not_a_list": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "params", "shape", 5)),
 }
 
 

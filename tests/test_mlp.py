@@ -4,12 +4,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from looptopo.data import StandardizationStats
 from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
                              TrainingDivergedError, ValidationError)
-from looptopo.mlp import (AdamState, MlpConfig, TrainConfig,
+from looptopo.mlp import (EVAL_CHUNK, AdamState, MlpConfig, TrainConfig, Workspace,
                           adam_step, eval_loss, forward, init_mlp,
                           load_checkpoint, loss_and_grad,
                           sample_dropout_masks, save_checkpoint,
@@ -22,6 +22,29 @@ def tiny_model(seed=0, dtype="float64", **kw):
                     output_dim=kw.pop("output_dim", 4),
                     seed=seed, dtype=dtype, **kw)
     return init_mlp(cfg)
+
+
+def reference_forward(model, x):
+    """Eval-mode network over all rows at once, one fresh array per layer:
+    the unchunked algorithm the chunked ``forward`` must reproduce."""
+    a = np.asarray(x, dtype=model.weights[0].dtype)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+    out = a @ model.weights[-1]
+    return out if model.biases[-1] is None else out + model.biases[-1]
+
+
+def copy_grads(grads):
+    return {k: [None if g is None else g.copy() for g in v] for k, v in grads.items()}
+
+
+def assert_grads_equal(a, b):
+    for key in ("weights", "biases"):
+        for ga, gb in zip(a[key], b[key]):
+            if ga is None:
+                assert gb is None
+            else:
+                np.testing.assert_array_equal(ga, gb)
 
 
 class TestInit:
@@ -120,6 +143,92 @@ class TestForward:
         m = init_mlp(cfg)
         masks = sample_dropout_masks(m, 4, np.random.default_rng(0))
         assert [mk.shape for mk in masks] == [(4, 6), (4, 16)]
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           dims=st.tuples(st.integers(1, 12), st.integers(1, 8)),
+           rows=st.integers(1, 3000), dtype=st.sampled_from(["float32", "float64"]),
+           final_bias=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(widths=[7, 5], dims=(3, 2), rows=2 * EVAL_CHUNK + 1, dtype="float32",
+             final_bias=True, seed=1)
+    def test_chunked_eval_matches_unchunked_reference(self, widths, dims, rows, dtype,
+                                                      final_bias, seed):
+        m = init_mlp(MlpConfig(input_dim=dims[0], hidden_widths=tuple(widths),
+                               output_dim=dims[1], final_bias=final_bias, seed=seed,
+                               dtype=dtype))
+        rng = np.random.default_rng(seed)
+        for b in m.biases:
+            if b is not None:
+                b[:] = rng.normal(size=b.shape)
+        x = rng.normal(size=(rows, dims[0]))
+        got, ref = forward(m, x), reference_forward(m, x)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        if rows <= EVAL_CHUNK:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            # another row blocking in the matmuls: the sums round differently
+            eps = np.finfo(ref.dtype).eps
+            np.testing.assert_allclose(got, ref, rtol=64 * eps,
+                                       atol=64 * eps * max(1.0, np.abs(ref).max()))
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        m = init_mlp(MlpConfig(input_dim=12, hidden_widths=(32, 24, 16), output_dim=5,
+                               dropout_rate=0.2, seed=11))
+        data = np.random.default_rng(11)
+        batches = [(data.normal(size=(n, 12)), data.normal(size=(n, 5)))
+                   for n in (256, 52, 256)]
+        ws = Workspace(m, 256, backward=True)
+        reused_rng, fresh_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for x, y in batches:
+            loss_ws, grads_ws = loss_and_grad(m, x, y, mode="train", rng=reused_rng, ws=ws)
+            loss, grads = loss_and_grad(m, x, y, mode="train", rng=fresh_rng)
+            assert loss_ws == loss
+            assert grads_ws is ws.grads
+            assert_grads_equal(grads_ws, grads)
+        with pytest.raises(ValidationError):
+            loss_and_grad(m, *[np.zeros((257, k)) for k in (12, 5)], mode="eval", ws=ws)
+
+    def test_returned_gradients_survive_a_second_call(self):
+        m = tiny_model(seed=12, dtype="float32", dropout_rate=0.1)
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(16, 8)), rng.normal(size=(16, 4))
+        _, first = loss_and_grad(m, x, y, mode="train", rng=rng)
+        kept = copy_grads(first)
+        loss_and_grad(m, 2 * x, -y, mode="train", rng=rng)
+        assert_grads_equal(first, kept)
+
+
+class TestDropoutMasks:
+    @staticmethod
+    def _masks(p, rows=2000, dtype="float32", seed=0):
+        m = init_mlp(MlpConfig(input_dim=10, hidden_widths=(30, 20), output_dim=2,
+                               dropout_rate=p, dtype=dtype, seed=0))
+        return sample_dropout_masks(m, rows, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_kept_fraction_is_binomial(self, p):
+        masks = self._masks(p)
+        units = sum(mk.size for mk in masks)
+        kept = sum(int(np.count_nonzero(mk)) for mk in masks)
+        sigma = np.sqrt(units * p * (1 - p))
+        assert abs(kept - units * (1 - p)) < 5 * sigma
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_mask_values_are_zero_or_inverse_keep(self, p, dtype):
+        dt = np.dtype(dtype).type
+        for mk in self._masks(p, rows=300, dtype=dtype):
+            assert mk.dtype == dt
+            assert set(np.unique(mk).tolist()) == {0.0, float(dt(1) / dt(1.0 - p))}
+
+    def test_tiny_rate_keeps_every_unit(self):
+        # round(keep * 2**32) is 2**32 here, one past the largest uint32: the
+        # threshold must be clamped
+        assert round((1.0 - 1e-12) * 2.0 ** 32) == 2 ** 32
+        for mk in self._masks(1e-12):
+            assert np.all(mk == 1.0)
 
 
 class TestGradients:
@@ -224,6 +333,26 @@ class TestAdam:
         adam_step(st, m, grads)
         step = np.abs(m.weights[0] - before)
         np.testing.assert_allclose(step, 1e-3 / (1 + 1e-8), rtol=1e-10)
+
+    def test_matches_textbook_update(self):
+        m = tiny_model(seed=13)
+        st = AdamState.for_model(m, learning_rate=1e-2)
+        params = [p.copy() for p in m.weights + m.biases]
+        mom = [np.zeros_like(p) for p in params]
+        vel = [np.zeros_like(p) for p in params]
+        rng = np.random.default_rng(13)
+        for t in range(1, 6):
+            grads = {"weights": [rng.normal(size=w.shape) for w in m.weights],
+                     "biases": [rng.normal(size=b.shape) for b in m.biases]}
+            adam_step(st, m, grads)
+            for k, g in enumerate(grads["weights"] + grads["biases"]):
+                mom[k] = 0.9 * mom[k] + 0.1 * g
+                vel[k] = 0.999 * vel[k] + 0.001 * g * g
+                m_hat = mom[k] / (1 - 0.9 ** t)
+                v_hat = vel[k] / (1 - 0.999 ** t)
+                params[k] = params[k] - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, ref in zip(m.weights + m.biases, params):
+            np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0)
 
     def test_trajectory_determinism(self):
         runs = []
