@@ -26,11 +26,6 @@ def circular_error(pred, truth):
     return np.minimum(d, 2 * np.pi - d)
 
 
-def moebius_error(pred, truth):
-    """Strip distance between (alpha, c) pairs; identified pairs score zero."""
-    return moebius_distance(pred, truth)
-
-
 def moebius_error_scaled(pred_params, truth_params):
     """Complete-task orientation/curvature error in eccentricity-scaled
     strip coordinates: || eps_p * gamma(a_p, c_p) - eps_t * gamma(a_t, c_t) ||.
@@ -150,7 +145,7 @@ class MetricReport:
 _ERRORS = {"raw": lambda p, t, iv: np.abs(p - t),
            "circular": lambda p, t, iv: circular_error(p, t),
            "norm": lambda p, t, iv: normalized_abs_error(p, t, iv),
-           "moebius": lambda p, t, iv: moebius_error(p, t),
+           "moebius": lambda p, t, iv: moebius_distance(p, t),
            "moebius_scaled": lambda p, t, iv: moebius_error_scaled(p, t)}
 
 

@@ -84,15 +84,11 @@ def _build_config(cfg):
 
 def _nn_config(args, cfg, input_dim, out_dim, seed):
     section = _section(cfg, "nn")
-    if getattr(args, "width", None) is not None and getattr(args, "depth", None) is not None:
-        section["hidden_widths"] = [args.width] * args.depth
-    elif getattr(args, "width", None) is not None or getattr(args, "depth", None) is not None:
-        width = args.width if args.width is not None else 256
-        depth = args.depth if args.depth is not None else 4
-        section["hidden_widths"] = [width] * depth
-    if getattr(args, "dropout", None) is not None:
+    if args.width is not None or args.depth is not None:
+        section["hidden_widths"] = [256 if args.width is None else args.width] * (
+            4 if args.depth is None else args.depth)
+    if args.dropout is not None:
         section["dropout_rate"] = args.dropout
-    section.setdefault("hidden_widths", [256, 256, 256, 256])
     section["input_dim"] = input_dim
     section["output_dim"] = out_dim
     section.setdefault("seed", seed)

@@ -24,9 +24,9 @@ from .errors import ChecksumError, FormatVersionError, ParseError, ValidationErr
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
-from .serialization import (config_from_dict, config_hash, is_finite_number, is_integer,
-                            make_dir, read_array_bin, read_json, write_array_bin,
-                            write_json)
+from .serialization import (config_from_dict, config_hash, config_to_dict,
+                            is_finite_number, make_dir, read_array_bin, read_json,
+                            write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
@@ -97,9 +97,8 @@ class SamplingConfig:
         return base
 
     def to_dict(self):
-        return {"scenario": self.scenario, "n_train": self.n_train,
-                "n_val": self.n_val, "n_test": self.n_test, "seed": self.seed,
-                "noise": self.noise, "circular_fraction": self.circular_fraction,
+        """``config_to_dict`` with the intervals resolved."""
+        return {**config_to_dict(self),
                 "intervals": {k: list(v) for k, v in self.resolved_intervals().items()}}
 
     from_dict = classmethod(config_from_dict)
@@ -263,20 +262,14 @@ def save_dataset(ds: Dataset, path):
 
 
 def _array_entry(manifest, name, manifest_path):
-    """The manifest entry of one array, checked to hold what read_array_bin reads."""
+    """The manifest entry of one array, checked to name its file and checksum;
+    read_array_bin checks its dtype and shape."""
     entries = manifest["arrays"]
     entry = entries.get(name) if isinstance(entries, dict) else None
-    try:
-        ok = (all(isinstance(entry[k], str) for k in ("file", "dtype", "sha256"))
-              and isinstance(entry["shape"], list)
-              and all(is_integer(d) and d >= 0 for d in entry["shape"])
-              and np.dtype(entry["dtype"]).kind in "biuf")
-    except (KeyError, TypeError):  # not an object, a key missing, an unknown dtype
-        ok = False
-    if not ok:
+    if not (isinstance(entry, dict)
+            and all(isinstance(entry.get(k), str) for k in ("file", "sha256"))):
         raise ParseError(f"manifest entry arrays.{name} must be an object with string "
-                         "file, numeric dtype and sha256 and a list shape of sizes",
-                         path=manifest_path)
+                         "file and sha256", path=manifest_path)
     return entry
 
 

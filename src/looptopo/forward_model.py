@@ -34,7 +34,7 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .embeddings import LoopParams
 from .errors import ParseError, ValidationError
-from .serialization import config_from_dict, parse_csv, read_bytes
+from .serialization import config_from_dict, config_to_dict, parse_csv, read_bytes
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -71,10 +71,7 @@ class LoopBuildConfig:
         if self.exponent_mode not in EXPONENT_MODES:
             raise ValidationError(f"exponent_mode must be one of {EXPONENT_MODES}")
 
-    def to_dict(self):
-        return {"n_components": self.n_components, "span_factor": self.span_factor,
-                "exponent_mode": self.exponent_mode}
-
+    to_dict = config_to_dict
     from_dict = classmethod(config_from_dict)
 
 

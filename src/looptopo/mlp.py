@@ -1,20 +1,20 @@
 """From-scratch multilayer perceptron: ReLU layers, dropout, MSE, backprop, Adam.
 
-Shapes follow the row-batch convention: inputs are (batch, n_in), weight
+Shapes follow the row-batch convention: inputs are (rows, n_in), weight
 matrices (n_in, n_out), so a layer computes relu(x @ W + b). Hidden layers
-always carry biases; the final affine map has an optional one. Inverted
-dropout multiplies the *input* of each hidden layer by mask / keep_prob in
-training mode, so evaluation mode needs no rescaling.
+always carry biases; the final affine map has an optional one.
 
 Every pass runs one kernel, ``_forward_into``, which writes each layer into
 the preallocated buffers of a ``Workspace`` with ``np.matmul(..., out=)``
-and in-place bias, ReLU and dropout. Eval-mode ``forward`` streams its rows
-through one workspace in chunks of ``EVAL_CHUNK`` rows and keeps nothing
-for a backward pass. ``loss_and_grad`` runs the same kernel and writes the
-backward pass into the workspace too; ``train`` keeps one workspace for the
-whole fit, so the gradients of its internal calls alias that workspace and
-are overwritten by the next batch. A dropout mask keeps a unit where its
-32-bit random word lies below round(keep * 2**32), clamped to 2**32 - 1.
+and in-place bias, ReLU and dropout. ``forward`` runs it without dropout,
+streaming its rows through one workspace in chunks of ``EVAL_CHUNK`` rows.
+``loss_and_grad`` runs it with the dropout masks it is given and writes the
+backward pass into the workspace too. ``train`` draws each batch's masks
+from the epoch's generator (inverted dropout: a mask scales the input of a
+hidden layer by 1/keep where kept, so ``forward`` needs no rescaling) and
+keeps one workspace for the whole fit, whose masks and gradients the next
+batch overwrites. A unit is kept where its 32-bit random word lies below
+round(keep * 2**32), clamped to 2**32 - 1.
 """
 
 import hashlib
@@ -26,17 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import StandardizationStats
-from .errors import (ChecksumError, FormatVersionError, TrainingDivergedError,
-                     ValidationError)
-from .serialization import (config_from_dict, format_csv, is_integer, read_bytes,
-                            write_bytes)
+from .errors import (ChecksumError, FormatVersionError, ParseError,
+                     TrainingDivergedError, ValidationError)
+from .serialization import (config_from_dict, config_to_dict, decode_array, format_csv,
+                            is_integer, read_bytes, write_bytes)
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
-#: Rows per pass of an eval-mode forward; up to this many rows give the same
+#: Rows per pass of ``forward``; up to this many rows give the same
 #: bytes as one unchunked pass.
 EVAL_CHUNK = 1024
 
@@ -64,11 +64,7 @@ class MlpConfig:
         if self.dtype not in DTYPES:
             raise ValidationError(f"dtype must be one of {sorted(DTYPES)}")
 
-    def to_dict(self):
-        return {"input_dim": self.input_dim, "hidden_widths": list(self.hidden_widths),
-                "output_dim": self.output_dim, "dropout_rate": self.dropout_rate,
-                "final_bias": self.final_bias, "seed": self.seed, "dtype": self.dtype}
-
+    to_dict = config_to_dict
     from_dict = classmethod(config_from_dict)
 
 
@@ -155,7 +151,8 @@ class Workspace:
 
 
 def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = None):
-    """Inverted-dropout masks for the input of each hidden layer.
+    """Inverted-dropout masks for the input of each hidden layer of a batch of
+    ``batch_size`` rows, as ``loss_and_grad`` applies them; None without dropout.
 
     One ``random_raw`` draw supplies a 32-bit word per unit; a unit is kept
     (value 1/keep) where its word is below round(keep * 2**32), clamped to
@@ -183,83 +180,58 @@ def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = 
     return masks
 
 
-def _as_batch(x, dt=None):
-    x = np.asarray(x, dtype=dt)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ValidationError(f"inputs must be 1- or 2-D, got shape {x.shape}")
-
-
-def _check_inputs(model, x, mode):
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.shape[1] != model.config.input_dim:
-        raise ValidationError(
-            f"expected input dim {model.config.input_dim}, got {x.shape[1]}")
-
-
-def _train_masks(model, rows, mode, rng, masks, ws=None):
-    """The dropout masks a pass applies: none in eval mode, else ``masks``,
-    else a fresh draw from ``rng`` when the model has dropout."""
-    if mode != "train":
-        return None
-    if masks is None and model.config.dropout_rate > 0.0:
-        if rng is None:
-            raise ValidationError("train mode with dropout needs an rng or masks")
-        masks = sample_dropout_masks(model, rows, rng, ws)
-    return masks
+def _rows(arr, width, what, dt):
+    """``arr`` as a (rows, width) array of dtype ``dt``; else ValidationError."""
+    arr = np.asarray(arr, dtype=dt)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValidationError(f"{what} must be (rows, {width}), got shape {arr.shape}")
+    return arr
 
 
 def _forward_into(model, x, ws, masks):
     """The network on the rows of ``x`` (of the model's dtype), written into
-    the leading rows of ``ws``; ``masks`` drop out each hidden layer's input
-    when given. Returns the view of ``ws.out`` holding the output."""
+    the leading rows of ``ws``; ``masks``, of x's rows, drop out each hidden
+    layer's input when given. Returns the view of ``ws.out`` holding the output."""
     n = x.shape[0]
     a = x
     if masks is not None:
-        a = np.multiply(x, masks[0][:n], out=ws.x[:n])
+        a = np.multiply(x, masks[0], out=ws.x[:n])
     n_hidden = model.n_layers - 1
     for i in range(n_hidden):
         a = np.matmul(a, model.weights[i], out=ws.acts[i][:n])
         a += model.biases[i]
         np.maximum(a, 0.0, out=a)
         if masks is not None and i + 1 < n_hidden:
-            a *= masks[i + 1][:n]
+            a *= masks[i + 1]
     out = np.matmul(a, model.weights[-1], out=ws.out[:n])
     if model.biases[-1] is not None:
         out += model.biases[-1]
     return out
 
 
-def forward(model: MlpModel, x, mode="eval", rng=None, masks=None):
-    """Run the network. Inputs are assumed standardized already.
+def forward(model: MlpModel, x):
+    """The network on (rows, input_dim) inputs, assumed standardized already.
 
-    mode='eval' is deterministic; mode='train' applies dropout before each
-    hidden layer using ``masks`` (sampled from ``rng`` when absent). The
-    rows pass through one workspace in chunks of ``EVAL_CHUNK`` rows, so
-    memory stays bounded and nothing is kept for a backward pass; up to
-    ``EVAL_CHUNK`` rows run as a single pass.
+    No dropout is applied. The rows pass through one workspace in chunks of
+    ``EVAL_CHUNK`` rows, so memory stays bounded and nothing is kept for a
+    backward pass; up to ``EVAL_CHUNK`` rows run as a single pass.
     """
-    x, squeeze = _as_batch(x)
-    _check_inputs(model, x, mode)
+    x = _rows(x, model.config.input_dim, "inputs", None)
     rows = x.shape[0]
-    masks = _train_masks(model, rows, mode, rng, masks)
     ws = Workspace(model, min(rows, EVAL_CHUNK))
     out = np.empty((rows, model.config.output_dim), DTYPES[model.config.dtype])
     for lo in range(0, rows, EVAL_CHUNK):
         hi = min(lo + EVAL_CHUNK, rows)
         chunk = ws.x[:hi - lo]
         chunk[...] = x[lo:hi]
-        out[lo:hi] = _forward_into(model, chunk, ws,
-                                   None if masks is None else [m[lo:hi] for m in masks])
-    return out[0] if squeeze else out
+        out[lo:hi] = _forward_into(model, chunk, ws, None)
+    return out
 
 
-def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None,
-                  ws: Workspace = None):
-    """MSE loss and exact gradients for the sampled dropout masks.
+def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
+    """MSE loss and exact gradients of (rows, input_dim) inputs against
+    (rows, output_dim) targets; ``masks``, as ``sample_dropout_masks`` draws
+    them, drop out each hidden layer's input when given.
 
     Returns (loss, grads) with grads = {"weights": [...], "biases": [...]}
     mirroring the model arrays (None where there is no bias). The gradients
@@ -267,18 +239,20 @@ def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None,
     one (``train`` passes its own) the next call on that workspace
     overwrites them.
     """
-    dt = DTYPES[model.config.dtype]
-    x, _ = _as_batch(x, dt)
-    y, _ = _as_batch(y, dt)
-    if x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValidationError("batch inputs and targets must align and be non-empty")
-    _check_inputs(model, x, mode)
+    cfg = model.config
+    dt = DTYPES[cfg.dtype]
+    x = _rows(x, cfg.input_dim, "inputs", dt)
+    y = _rows(y, cfg.output_dim, "targets", dt)
     batch = x.shape[0]
+    if y.shape[0] != batch or batch == 0:
+        raise ValidationError("batch inputs and targets must align and be non-empty")
+    if masks is not None and [m.shape for m in masks] != [
+            (batch, d) for d in [cfg.input_dim, *cfg.hidden_widths[:-1]]]:
+        raise ValidationError("dropout masks must be one (rows, n_in) array per hidden layer")
     if ws is None:
         ws = Workspace(model, batch, backward=True)
     elif batch > ws.rows:
         raise ValidationError(f"a batch of {batch} rows exceeds the workspace's {ws.rows}")
-    masks = _train_masks(model, batch, mode, rng, masks, ws)
 
     out = _forward_into(model, x, ws, masks)
     delta = np.subtract(out, y, out=out)
@@ -300,7 +274,7 @@ def loss_and_grad(model: MlpModel, x, y, mode="train", rng=None, masks=None,
         if i > 0:
             upstream = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1][:batch])
             if masks is not None and i < model.n_layers - 1:
-                upstream *= masks[i][:batch]
+                upstream *= masks[i]
             # a_in is the ReLU output, dropped out where masked: positive
             # exactly where the unit was both kept and active
             np.multiply(upstream, a_in > 0.0, out=upstream)
@@ -335,7 +309,7 @@ class AdamState:
 
 
 def adam_step(state: AdamState, model: MlpModel, grads):
-    """One bias-corrected Adam update, in place. Returns (model, state).
+    """One bias-corrected Adam update of ``model`` and ``state``, in place.
 
     lr / c1 * m / (sqrt(v / c2) + eps) is computed as
     (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)), through the
@@ -368,7 +342,6 @@ def adam_step(state: AdamState, model: MlpModel, grads):
         update(model.weights[i], grads["weights"][i], state.m_w[i], state.v_w[i])
         if model.biases[i] is not None and grads["biases"][i] is not None:
             update(model.biases[i], grads["biases"][i], state.m_b[i], state.v_b[i])
-    return model, state
 
 
 @dataclass(frozen=True)
@@ -392,18 +365,13 @@ class TrainConfig:
         if self.patience < 0:
             raise ValidationError("patience must be >= 0")
 
-    def to_dict(self):
-        return {"epochs": self.epochs, "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate, "patience": self.patience,
-                "seed": self.seed, "beta1": self.beta1, "beta2": self.beta2,
-                "adam_eps": self.adam_eps}
-
+    to_dict = config_to_dict
     from_dict = classmethod(config_from_dict)
 
 
 def eval_loss(model: MlpModel, x, y):
-    """Eval-mode MSE over a whole array."""
-    d = forward(model, x, mode="eval") - y
+    """MSE of the network without dropout over a whole array."""
+    d = forward(model, x) - y
     return float(np.sum(d * d)) / x.shape[0]
 
 
@@ -411,11 +379,13 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
           cfg: TrainConfig) -> tuple:
     """Mini-batch Adam with early stopping on the validation loss.
 
-    Shuffling and dropout masks derive from (cfg.seed, epoch), so a run is a
+    Each epoch's generator, keyed on (cfg.seed, epoch), shuffles the rows
+    and then draws the dropout masks of each batch in turn, so a run is a
     pure function of its inputs. Returns (model, history) where the model
     carries the parameters of the best validation epoch and history is a
     list of dicts with epoch / train_loss / val_loss. One workspace serves
-    every batch; the short last batch of an epoch uses its leading rows.
+    every batch, masks included; the short last batch of an epoch uses its
+    leading rows.
     """
     cfg.validate()
     dt = DTYPES[model.config.dtype]
@@ -442,9 +412,10 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
         running = 0.0
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
+            xb, yb = x_train[idx], y_train[idx]
+            masks = sample_dropout_masks(model, len(idx), rng, ws)
             try:
-                loss, grads = loss_and_grad(model, x_train[idx], y_train[idx],
-                                            mode="train", rng=rng, ws=ws)
+                loss, grads = loss_and_grad(model, xb, yb, masks=masks, ws=ws)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}, batch at {lo}: {exc}") from None
@@ -474,79 +445,79 @@ def save_history_csv(history, path):
     write_bytes(path, format_csv(columns, [[row[c] for c in columns] for row in history]))
 
 
-def _header_dict(model: MlpModel):
+def _header(cfg: MlpConfig, metadata, has_stats):
+    """The JSON header of a checkpoint of ``cfg``. Its array entries list each
+    layer's weights and bias, then the standardization stats, in file order."""
+    dtype = np.dtype(DTYPES[cfg.dtype]).newbyteorder("<").str
+    dims = [cfg.input_dim, *cfg.hidden_widths, cfg.output_dim]
     arrays = []
-    for name, arr in model.parameter_arrays():
-        arrays.append({"name": name, "dtype": arr.dtype.newbyteorder("<").str,
-                       "shape": list(arr.shape)})
-    stats = None
-    if model.stats is not None:
-        arrays.append({"name": "stats_mean", "dtype": "<f8",
-                       "shape": list(model.stats.mean.shape)})
-        arrays.append({"name": "stats_std", "dtype": "<f8",
-                       "shape": list(model.stats.std.shape)})
-        stats = True
-    return {"format_version": CHECKPOINT_VERSION, "config": model.config.to_dict(),
-            "metadata": model.metadata, "has_stats": bool(stats), "arrays": arrays}
+    for i in range(len(dims) - 1):
+        arrays.append({"name": f"W{i}", "dtype": dtype, "shape": [dims[i], dims[i + 1]]})
+        if i < len(dims) - 2 or cfg.final_bias:
+            arrays.append({"name": f"b{i}", "dtype": dtype, "shape": [dims[i + 1]]})
+    if has_stats:
+        arrays += [{"name": name, "dtype": "<f8", "shape": [cfg.input_dim]}
+                   for name in ("stats_mean", "stats_std")]
+    return {"format_version": CHECKPOINT_VERSION, "config": cfg.to_dict(),
+            "metadata": metadata, "has_stats": has_stats, "arrays": arrays}
 
 
 def save_checkpoint(model: MlpModel, path):
     """Single-file binary checkpoint: magic, version, JSON header, raw
     little-endian arrays, sha256 trailer over everything before it."""
-    header = _header_dict(model)
+    has_stats = model.stats is not None
+    header = _header(model.config, model.metadata, has_stats)
+    named = model.parameter_arrays()
+    if has_stats:
+        named += [("stats_mean", model.stats.mean), ("stats_std", model.stats.std)]
+    if [(n, np.shape(a)) for n, a in named] != [(e["name"], tuple(e["shape"]))
+                                                for e in header["arrays"]]:
+        raise ValidationError("the model's arrays do not have the shapes its config implies")
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-               struct.pack("<Q", len(header_bytes)), header_bytes]
-    named = dict(model.parameter_arrays())
-    if model.stats is not None:
-        named["stats_mean"] = model.stats.mean.astype(np.float64)
-        named["stats_std"] = model.stats.std.astype(np.float64)
-    for entry in header["arrays"]:
-        arr = np.ascontiguousarray(named[entry["name"]])
-        payload.append(arr.astype(np.dtype(entry["dtype"]), copy=False).tobytes())
+    payload = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
+               header_bytes]
+    payload += [np.asarray(a, dtype=e["dtype"]).tobytes()
+                for (_, a), e in zip(named, header["arrays"])]
     body = b"".join(payload)
     write_bytes(path, body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path) -> MlpModel:
+    """The model saved at ``path``. A header other than the one
+    ``save_checkpoint`` writes for its config, or bytes past the arrays it
+    lists, are a ``ParseError``."""
     blob = read_bytes(path)
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8 + 32:
         raise ChecksumError(f"{path}: file truncated")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise ChecksumError(f"{path}: checkpoint checksum mismatch")
-    if body[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatVersionError(f"{path}: not a checkpoint file")
-    version = struct.unpack("<I", body[4:8])[0]
+    version, header_len = struct.unpack_from("<IQ", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatVersionError(
             f"{path}: checkpoint version {version} not supported "
             f"(this build reads version {CHECKPOINT_VERSION})")
-    header_len = struct.unpack("<Q", body[8:16])[0]
-    header = json.loads(body[16:16 + header_len].decode())
-    cfg = MlpConfig.from_dict(header["config"])
-
     offset = 16 + header_len
+    try:
+        header = json.loads(body[16:offset].tobytes())
+        cfg = MlpConfig.from_dict(header["config"])
+        metadata, has_stats = header["metadata"], header["has_stats"]
+        if not (isinstance(metadata, dict) and isinstance(has_stats, bool)
+                and header == _header(cfg, metadata, has_stats)):
+            raise ValidationError("not the header of a checkpoint of its config")
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise ParseError(f"bad checkpoint header: {exc}", path=path) from None
     named = {}
     for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ChecksumError(f"{path}: array {entry['name']} truncated")
-        named[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(
-            entry["shape"]).copy()
-        offset += nbytes
-
-    dims = [cfg.input_dim, *cfg.hidden_widths, cfg.output_dim]
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        weights.append(named[f"W{i}"])
-        key = f"b{i}"
-        biases.append(named[key] if key in named else None)
+        named[entry["name"]], offset = decode_array(body, entry, offset, path)
+    if offset != len(body):
+        raise ParseError(f"{len(body) - offset} bytes past the arrays", path=path)
+    n_layers = len(cfg.hidden_widths) + 1
     stats = None
-    if header.get("has_stats"):
+    if has_stats:
         stats = StandardizationStats(mean=named["stats_mean"], std=named["stats_std"])
-    return MlpModel(config=cfg, weights=weights, biases=biases, stats=stats,
-                    metadata=header.get("metadata", {}))
+    return MlpModel(config=cfg, weights=[named[f"W{i}"] for i in range(n_layers)],
+                    biases=[named.get(f"b{i}") for i in range(n_layers)], stats=stats,
+                    metadata=metadata)

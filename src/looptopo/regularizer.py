@@ -157,7 +157,7 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     single = v.ndim == 1
     batch = v[None, :] if single else v
     x = apply_standardization(model.stats, batch)
-    out = np.asarray(forward(model, x, mode="eval"), dtype=float)
+    out = np.asarray(forward(model, x), dtype=float)
 
     out = _invert_transform(model.metadata.get("target_transform"), out)
     intervals = model.metadata.get("intervals", {})

@@ -1,6 +1,11 @@
 """Shared on-disk helpers, the one module that opens files and creates
-directories: checksums, config objects and their hashes, the flat binary
-arrays of the dataset format, and the package's one CSV dialect.
+directories: checksums, config objects and their hashes, the package's one
+array codec, and its one CSV dialect.
+
+An array is stored as raw bytes described by an entry with a numeric
+``dtype`` string (``"<f8"``) and a ``shape`` list of sizes: one file per array
+in a dataset, whose manifest entry adds ``file`` and ``sha256``, and back to
+back after the header in a checkpoint. Both read through ``decode_array``.
 
 Every CSV file the package writes or reads (frequency sets, parameter
 tables, scatter and image exports, training histories, ``predict --input``)
@@ -68,6 +73,13 @@ _FIELD_TYPES = {
 }
 
 
+def config_to_dict(cfg) -> dict:
+    """The JSON object of the config dataclass ``cfg``, the inverse of
+    ``config_from_dict``: tuples become lists, nothing else is converted."""
+    return {f.name: list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v
+            for f in dataclasses.fields(cfg)}
+
+
 def config_from_dict(cls, d):
     """Build and validate the config dataclass ``cls`` from a JSON object.
 
@@ -131,15 +143,39 @@ def write_array_bin(arr: np.ndarray, path) -> dict:
             "shape": list(arr.shape), "sha256": sha256_bytes(data)}
 
 
+def decode_array(buf, entry, offset=0, path=None):
+    """The array ``entry`` describes, copied out of ``buf`` from byte ``offset``.
+
+    Returns (array, offset past its bytes). Raises ``ParseError`` naming
+    ``path`` unless ``entry`` holds a numeric ``dtype`` string and a ``shape``
+    list of sizes and ``buf`` holds the array's bytes.
+    """
+    try:
+        dtype = np.dtype(entry["dtype"]) if isinstance(entry["dtype"], str) else None
+        shape = entry["shape"]
+    except (KeyError, TypeError, ValueError):  # not an object, a key missing, no dtype
+        dtype = shape = None
+    if (dtype is None or dtype.kind not in "biuf" or not isinstance(shape, list)
+            or not all(is_integer(d) and d >= 0 for d in shape)):
+        raise ParseError("an array entry must hold a numeric dtype string and a list "
+                         "shape of sizes", path=path)
+    count = math.prod(shape)
+    end = offset + count * dtype.itemsize
+    if end > len(buf):
+        raise ParseError(f"array of shape {shape} needs {end - offset} bytes, "
+                         f"{len(buf) - offset} left", path=path)
+    return np.frombuffer(buf, dtype, count, offset).reshape(shape).copy(), end
+
+
 def read_array_bin(path, entry: dict) -> np.ndarray:
+    """The array a dataset manifest entry describes, read from ``path``."""
     data = read_bytes(path)
     if sha256_bytes(data) != entry["sha256"]:
         raise ChecksumError(f"checksum mismatch for {path}")
-    dtype = np.dtype(entry["dtype"])
-    expected = int(np.prod(entry["shape"])) * dtype.itemsize
-    if len(data) != expected:
-        raise ChecksumError(f"{path}: expected {expected} bytes, found {len(data)}")
-    return np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
+    arr, end = decode_array(data, entry, path=path)
+    if end != len(data):
+        raise ParseError(f"expected {end} bytes, found {len(data)}", path=path)
+    return arr
 
 
 def format_csv(header, rows, digits=17, comment=None) -> bytes:

@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from looptopo.analysis import (circular_error, moebius_error,
-                               nearest_rank_quantile, normalized_abs_error,
-                               pca_fit)
+from looptopo.analysis import (circular_error, nearest_rank_quantile,
+                               normalized_abs_error, pca_fit)
 from looptopo.cli import main as cli_main
 from looptopo.data import (TEST, SamplingConfig, generate_dataset,
                            internal_intervals)
 from looptopo.embeddings import (EPS_TOL, gamma, gamma_g,
-                                 gamma_g_inv, gamma_inv)
+                                 gamma_g_inv, gamma_inv, moebius_distance)
 from looptopo.forward_model import (FrequencySet, default_frequencies,
                                     visibilities_closed_form,
                                     visibilities_quadrature_oracle)
@@ -148,16 +147,16 @@ def test_gradient_correctness():
         model = init_mlp(cfg)
         x = rng.normal(size=(8, cfg.input_dim))
         y = rng.normal(size=(8, cfg.output_dim))
-        _, grads = loss_and_grad(model, x, y, mode="eval")
+        _, grads = loss_and_grad(model, x, y)
         h = 1e-5
         for li in range(model.n_layers):
             flat = model.weights[li].reshape(-1)
             for k in np.linspace(0, flat.size - 1, 5).astype(int):
                 orig = flat[k]
                 flat[k] = orig + h
-                lp, _ = loss_and_grad(model, x, y, mode="eval")
+                lp, _ = loss_and_grad(model, x, y)
                 flat[k] = orig - h
-                lm, _ = loss_and_grad(model, x, y, mode="eval")
+                lm, _ = loss_and_grad(model, x, y)
                 flat[k] = orig
                 fd = (lp - lm) / (2 * h)
                 bp = grads["weights"][li].reshape(-1)[k]
@@ -227,12 +226,12 @@ def test_simple_scenario():
     pred_emb = predict(emb, x)
     pred_nai = predict(nai, x)
 
-    q95_all = nearest_rank_quantile(moebius_error(pred_emb, truth), 0.95)
+    q95_all = nearest_rank_quantile(moebius_distance(pred_emb, truth), 0.95)
 
     alpha_deg = np.degrees(truth[:, 0])
     band = (alpha_deg <= 2.0) | (alpha_deg >= 178.0)
     naive_band_max = float(np.max(np.abs(pred_nai[band][:, 0] - truth[band][:, 0])))
-    emb_band_q95 = nearest_rank_quantile(moebius_error(pred_emb[band], truth[band]),
+    emb_band_q95 = nearest_rank_quantile(moebius_distance(pred_emb[band], truth[band]),
                                          0.95)
 
     elapsed = time.time() - started

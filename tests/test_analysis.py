@@ -5,9 +5,10 @@ import pytest
 
 from looptopo.analysis import (boxplot_stats, circular_error,
                                evaluate_predictions, export_scatter,
-                               moebius_error, moebius_error_scaled,
+                               moebius_error_scaled,
                                nearest_rank_quantile, normalized_abs_error,
                                pca_fit, pca_project, quantile_summary)
+from looptopo.embeddings import moebius_distance
 from looptopo.errors import ValidationError
 
 PI = math.pi
@@ -49,14 +50,14 @@ class TestCircularError:
 
 class TestMoebiusError:
     def test_identified_pair(self):
-        assert moebius_error((0.0, 0.03), (PI - 1e-9, -0.03)) < 1e-6
+        assert moebius_distance((0.0, 0.03), (PI - 1e-9, -0.03)) < 1e-6
 
     def test_identical(self):
-        assert moebius_error((1.0, 0.02), (1.0, 0.02)) == 0.0
+        assert moebius_distance((1.0, 0.02), (1.0, 0.02)) == 0.0
 
     def test_opposite_curvature(self):
         # gamma(0, +/-c) = (1, 0, +/-c): distance 2|c|
-        assert abs(moebius_error((0.0, 0.05), (0.0, -0.05)) - 0.1) < 1e-12
+        assert abs(moebius_distance((0.0, 0.05), (0.0, -0.05)) - 0.1) < 1e-12
 
     def test_scaled_variant_collapses_with_eps(self):
         a = np.array([0, 0, 1000, 8, 0.0, 0.0, 0.0])
@@ -66,7 +67,7 @@ class TestMoebiusError:
     def test_scaled_variant_matches_plain_at_eps_one(self):
         a = np.array([0, 0, 1000, 8, 1.0, 0.3, 0.01])
         b = np.array([0, 0, 1000, 8, 1.0, 2.1, -0.03])
-        expected = moebius_error((0.3, 0.01), (2.1, -0.03))
+        expected = moebius_distance((0.3, 0.01), (2.1, -0.03))
         assert abs(moebius_error_scaled(a, b) - expected) < 1e-12
 
 

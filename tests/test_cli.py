@@ -1,11 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptopo.cli import build_parser, main
+from looptopo.errors import LoopTopoError, ParseError
+from looptopo.mlp import load_checkpoint
 
 
 def run(argv):
@@ -358,6 +365,87 @@ def test_out_naming_a_file_is_an_error(workspace, tmp_path, capsys, command):
 def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def resigned(blob, edit):
+    """The checkpoint ``blob`` with its JSON header passed through ``edit``,
+    which changes the dict in place, and its checksum recomputed."""
+    header_len = struct.unpack_from("<Q", blob, 8)[0]
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    body = blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _entry(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+#: Header edits that a valid checksum used to let through: a traceback or a
+#: silent load at worst.
+HEADER_EDITS = {
+    "config_missing": lambda h: h.pop("config"),
+    "arrays_not_a_list": lambda h: h.update(arrays={e["name"]: e for e in h["arrays"]}),
+    "b1_dropped": lambda h: h["arrays"].remove(_entry(h, "b1")),
+    "W0_shape_transposed": lambda h: _entry(h, "W0")["shape"].reverse(),
+    "W0_dtype_float64": lambda h: _entry(h, "W0").update(dtype="<f8"),
+    "has_stats_false": lambda h: h.update(has_stats=False),
+    "config_width_changed": lambda h: h["config"].update(hidden_widths=[24, 23]),
+}
+
+
+class TestCheckpointHeader:
+    @pytest.fixture(scope="class")
+    def blob(self, workspace):
+        blob = workspace["emb"].read_bytes()
+        assert resigned(blob, lambda h: None) == blob
+        return blob
+
+    @pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+    def test_edited_header_is_a_parse_error(self, workspace, tmp_path, capsys, blob, case):
+        path = _written(tmp_path / "m.ckpt", resigned(blob, HEADER_EDITS[case]))
+        with pytest.raises(ParseError, match="header"):
+            load_checkpoint(path)
+        assert run(["predict", "--model", path, "--input", tmp_path / "v.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_trailing_bytes_are_a_parse_error(self, tmp_path, blob):
+        body = blob[:-32] + bytes(8)
+        path = _written(tmp_path / "m.ckpt", body + hashlib.sha256(body).digest())
+        with pytest.raises(ParseError, match="past the arrays"):
+            load_checkpoint(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_resigned_header_edit_is_rejected(self, workspace, blob, data):
+        def edit(h):
+            arrays = h["arrays"]
+            entry = data.draw(st.sampled_from(arrays))
+            what = data.draw(st.sampled_from(
+                ["drop key", "drop entry key", "shape", "drop array", "add array"]))
+            if what == "drop key":
+                h.pop(data.draw(st.sampled_from(sorted(h))))
+            elif what == "drop entry key":
+                entry.pop(data.draw(st.sampled_from(sorted(entry))))
+            elif what == "shape":
+                shape = entry["shape"]
+                i = data.draw(st.integers(0, len(shape) - 1))
+                shape[i] = data.draw(st.integers(0, 100).filter(lambda n: n != shape[i]))
+            elif what == "drop array":
+                arrays.remove(entry)
+            else:
+                name = data.draw(st.sampled_from([e["name"] for e in arrays] + ["W9", "x"]))
+                arrays.insert(data.draw(st.integers(0, len(arrays))), {**entry, "name": name})
+
+        path = workspace["root"] / "edited.ckpt"
+        path.write_bytes(resigned(blob, edit))
+        with pytest.raises(LoopTopoError):
+            load_checkpoint(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["predict", "--model", path, "--input", workspace["root"] / "v.csv"]) == 1
+        assert err.getvalue().startswith("error:")
 
 
 BAD_CONFIGS = {

@@ -14,7 +14,7 @@ from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
                            sample_params_external, save_dataset, to_internal_params)
 from looptopo.diagnostics import Diagnostics
 from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
-                             ValidationError)
+                             ParseError, ValidationError)
 from looptopo.forward_model import vis_to_reals, visibilities_closed_form_batch
 from looptopo.tasks import TASKS
 
@@ -251,6 +251,17 @@ class TestDiskFormat:
         target = tmp_path / "ds" / "params.bin"
         target.write_bytes(target.read_bytes()[:64])
         with pytest.raises(ChecksumError):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("shape, message", [([200, 6], "expected"), ([200, 8], "needs")])
+    def test_manifest_shape_must_describe_the_file(self, tmp_path, shape, message):
+        # the file still matches its checksum; the entry describing it does not
+        save_dataset(generate_dataset(small_cfg("simple")), tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["arrays"]["params"]["shape"] = shape
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=message):
             load_dataset(tmp_path / "ds")
 
     def test_future_version_rejected(self, tmp_path):

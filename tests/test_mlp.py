@@ -24,11 +24,14 @@ def tiny_model(seed=0, dtype="float64", **kw):
     return init_mlp(cfg)
 
 
-def reference_forward(model, x):
-    """Eval-mode network over all rows at once, one fresh array per layer:
-    the unchunked algorithm the chunked ``forward`` must reproduce."""
+def reference_forward(model, x, masks=None):
+    """The network over all rows at once, one fresh array per layer: the
+    unchunked algorithm the chunked ``forward`` must reproduce. ``masks``,
+    when given, multiply the input of each hidden layer (inverted dropout)."""
     a = np.asarray(x, dtype=model.weights[0].dtype)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+    for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
+        if masks is not None:
+            a = a * masks[i]
         a = np.maximum(a @ w + b, 0.0)
     out = a @ model.weights[-1]
     return out if model.biases[-1] is None else out + model.biases[-1]
@@ -86,14 +89,16 @@ class TestForward:
         for w in m.weights:
             w[:] = 0.0
         m.biases[-1][:] = [1.0, -2.0, 3.0, 4.0]
-        np.testing.assert_array_equal(forward(m, np.ones(8)), [1.0, -2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(forward(m, np.ones((1, 8)))[0], [1.0, -2.0, 3.0, 4.0])
 
     def test_no_dropout_train_equals_eval(self):
+        # without dropout the masks a training step draws are None, and its
+        # pass reproduces forward bit for bit: the loss against forward is 0
         m = tiny_model()
         x = np.random.default_rng(1).normal(size=(5, 8))
-        np.testing.assert_array_equal(
-            forward(m, x, mode="train", rng=np.random.default_rng(0)),
-            forward(m, x, mode="eval"))
+        masks = sample_dropout_masks(m, 5, np.random.default_rng(0))
+        assert masks is None
+        assert loss_and_grad(m, x, forward(m, x), masks)[0] == 0.0
 
     def test_dead_unit_contributes_nothing(self):
         m = tiny_model(seed=2)
@@ -101,10 +106,10 @@ class TestForward:
         pre = x @ m.weights[0] + m.biases[0]
         dead = int(np.argmin(pre))
         assert pre[dead] < 0
-        base = forward(m, x)
+        base = forward(m, x[None])
         # rewiring a dead unit downstream cannot change the output
         m.weights[1][dead, :] *= 100.0
-        np.testing.assert_array_equal(forward(m, x), base)
+        np.testing.assert_array_equal(forward(m, x[None]), base)
         # a sign-flipped duplicate with zero downstream weight is inert too
         m2 = tiny_model(seed=2)
         w0 = np.concatenate([m2.weights[0], -m2.weights[0][:, dead:dead + 1]], axis=1)
@@ -113,11 +118,34 @@ class TestForward:
         m2.weights[0], m2.biases[0], m2.weights[1] = w0, b0, w1
         m2.config = MlpConfig(input_dim=8, hidden_widths=(17, 16), output_dim=4,
                               seed=2, dtype="float64")
-        np.testing.assert_array_equal(forward(m2, x), base)
+        np.testing.assert_array_equal(forward(m2, x[None]), base)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            forward(tiny_model(), np.ones(9))
+            forward(tiny_model(), np.ones((1, 9)))
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 1, 8), (1, 2, 8)])
+    def test_inputs_not_rows_rejected(self, shape):
+        with pytest.raises(ValidationError, match="rows"):
+            forward(tiny_model(), np.ones(shape))
+        with pytest.raises(ValidationError, match="rows"):
+            loss_and_grad(tiny_model(), np.ones(shape), np.ones((shape[0], 4)))
+
+    @pytest.mark.parametrize("rows, shape", [(1, (4,)), (5, (5, 1)), (5, (5, 3)),
+                                             (5, (5, 5)), (5, (5, 4, 1))])
+    def test_targets_not_rows_of_output_dim_rejected(self, rows, shape):
+        # (5, 1) targets used to broadcast against the 4 outputs into a loss
+        x = np.random.default_rng(0).normal(size=(rows, 8))
+        with pytest.raises(ValidationError, match="targets must be"):
+            loss_and_grad(tiny_model(), x, np.zeros(shape))
+
+    def test_masks_of_other_shapes_rejected(self):
+        m = tiny_model(dropout_rate=0.5)
+        x, y = np.ones((5, 8)), np.ones((5, 4))
+        masks = sample_dropout_masks(m, 6, np.random.default_rng(0))
+        for bad in (masks, [mk[:5] for mk in masks[:1]], [mk[:5, :3] for mk in masks]):
+            with pytest.raises(ValidationError, match="masks"):
+                loss_and_grad(m, x, y, bad)
 
     def test_dropout_expectation_matches_eval(self):
         # positive weights + positive inputs keep every unit active for every
@@ -128,13 +156,11 @@ class TestForward:
         m = init_mlp(cfg)
         for i in range(m.n_layers):
             m.weights[i] = np.abs(m.weights[i])
-        x = np.abs(np.random.default_rng(0).normal(size=6))
-        reference = forward(m, x, mode="eval")
-        rng = np.random.default_rng(42)
-        total = np.zeros(2)
+        x = np.abs(np.random.default_rng(0).normal(size=(1, 6)))
+        reference = forward(m, x)[0]
         n = 10000
-        for _ in range(n):
-            total += forward(m, x, mode="train", rng=rng)
+        masks = sample_dropout_masks(m, n, np.random.default_rng(42))
+        total = reference_forward(m, np.repeat(x, n, axis=0), masks).sum(axis=0)
         np.testing.assert_allclose(total / n, reference, rtol=0.01)
 
     def test_dropout_masks_shapes(self):
@@ -182,21 +208,22 @@ class TestKernel:
         ws = Workspace(m, 256, backward=True)
         reused_rng, fresh_rng = np.random.default_rng(5), np.random.default_rng(5)
         for x, y in batches:
-            loss_ws, grads_ws = loss_and_grad(m, x, y, mode="train", rng=reused_rng, ws=ws)
-            loss, grads = loss_and_grad(m, x, y, mode="train", rng=fresh_rng)
+            loss_ws, grads_ws = loss_and_grad(
+                m, x, y, sample_dropout_masks(m, len(x), reused_rng, ws), ws=ws)
+            loss, grads = loss_and_grad(m, x, y, sample_dropout_masks(m, len(x), fresh_rng))
             assert loss_ws == loss
             assert grads_ws is ws.grads
             assert_grads_equal(grads_ws, grads)
         with pytest.raises(ValidationError):
-            loss_and_grad(m, *[np.zeros((257, k)) for k in (12, 5)], mode="eval", ws=ws)
+            loss_and_grad(m, *[np.zeros((257, k)) for k in (12, 5)], ws=ws)
 
     def test_returned_gradients_survive_a_second_call(self):
         m = tiny_model(seed=12, dtype="float32", dropout_rate=0.1)
         rng = np.random.default_rng(12)
         x, y = rng.normal(size=(16, 8)), rng.normal(size=(16, 4))
-        _, first = loss_and_grad(m, x, y, mode="train", rng=rng)
+        _, first = loss_and_grad(m, x, y, sample_dropout_masks(m, 16, rng))
         kept = copy_grads(first)
-        loss_and_grad(m, 2 * x, -y, mode="train", rng=rng)
+        loss_and_grad(m, 2 * x, -y, sample_dropout_masks(m, 16, rng))
         assert_grads_equal(first, kept)
 
 
@@ -236,7 +263,7 @@ class TestGradients:
         m = tiny_model(seed=4)
         x = np.random.default_rng(4).normal(size=(6, 8))
         y = forward(m, x)
-        loss, grads = loss_and_grad(m, x, y, mode="eval")
+        loss, grads = loss_and_grad(m, x, y)
         assert loss == 0.0
         for g in grads["weights"] + [g for g in grads["biases"] if g is not None]:
             assert np.all(g == 0)
@@ -247,7 +274,7 @@ class TestGradients:
         rng = np.random.default_rng(100 + seed)
         x = rng.normal(size=(8, 8))
         y = rng.normal(size=(8, 4))
-        _, grads = loss_and_grad(m, x, y, mode="eval")
+        _, grads = loss_and_grad(m, x, y)
         h = 1e-5
         for li in range(m.n_layers):
             w = m.weights[li]
@@ -256,9 +283,9 @@ class TestGradients:
             for k in probe:
                 orig = flat[k]
                 flat[k] = orig + h
-                lp, _ = loss_and_grad(m, x, y, mode="eval")
+                lp, _ = loss_and_grad(m, x, y)
                 flat[k] = orig - h
-                lm, _ = loss_and_grad(m, x, y, mode="eval")
+                lm, _ = loss_and_grad(m, x, y)
                 flat[k] = orig
                 fd = (lp - lm) / (2 * h)
                 bp = grads["weights"][li].reshape(-1)[k]
@@ -272,15 +299,15 @@ class TestGradients:
         x = rng.normal(size=(8, 8))
         y = rng.normal(size=(8, 4))
         masks = sample_dropout_masks(m, 8, np.random.default_rng(9))
-        _, grads = loss_and_grad(m, x, y, mode="train", masks=masks)
+        _, grads = loss_and_grad(m, x, y, masks=masks)
         h = 1e-5
         w = m.weights[1]
         for k in (0, 37, 100):
             orig = w.reshape(-1)[k]
             w.reshape(-1)[k] = orig + h
-            lp, _ = loss_and_grad(m, x, y, mode="train", masks=masks)
+            lp, _ = loss_and_grad(m, x, y, masks=masks)
             w.reshape(-1)[k] = orig - h
-            lm, _ = loss_and_grad(m, x, y, mode="train", masks=masks)
+            lm, _ = loss_and_grad(m, x, y, masks=masks)
             w.reshape(-1)[k] = orig
             fd = (lp - lm) / (2 * h)
             bp = grads["weights"][1].reshape(-1)[k]
@@ -291,9 +318,8 @@ class TestGradients:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 8))
         y = rng.normal(size=(1, 4))
-        l1, g1 = loss_and_grad(m, x, y, mode="eval")
-        lk, gk = loss_and_grad(m, np.repeat(x, 5, axis=0), np.repeat(y, 5, axis=0),
-                               mode="eval")
+        l1, g1 = loss_and_grad(m, x, y)
+        lk, gk = loss_and_grad(m, np.repeat(x, 5, axis=0), np.repeat(y, 5, axis=0))
         assert abs(l1 - lk) < 1e-12
         for a, b in zip(g1["weights"], gk["weights"]):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -309,7 +335,7 @@ class TestGradients:
         y = np.zeros((2, 4))
         m.weights[0][:] = 1e200
         with pytest.raises(TrainingDivergedError):
-            loss_and_grad(m, x, y, mode="eval")
+            loss_and_grad(m, x, y)
 
 
 class TestAdam:
@@ -363,7 +389,7 @@ class TestAdam:
             x = rng.normal(size=(16, 8))
             y = rng.normal(size=(16, 4))
             for _ in range(5):
-                _, g = loss_and_grad(m, x, y, mode="eval")
+                _, g = loss_and_grad(m, x, y)
                 adam_step(st, m, g)
             runs.append([w.copy() for w in m.weights])
         for a, b in zip(*runs):
@@ -447,10 +473,10 @@ class TestLipschitzContinuity:
             lip *= np.linalg.svd(w, compute_uv=False)[0]
         rng = np.random.default_rng(9)
         x = rng.normal(size=8)
-        base = forward(m, x)
+        base = forward(m, x[None])[0]
         for _ in range(100):
             delta = rng.normal(size=8) * 10 ** rng.uniform(-6, 0)
-            out = forward(m, x + delta)
+            out = forward(m, (x + delta)[None])[0]
             assert np.linalg.norm(out - base) <= lip * np.linalg.norm(delta) + 1e-12
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from looptopo.errors import ParseError, ValidationError
 from looptopo.forward_model import LoopBuildConfig
-from looptopo.mlp import MlpConfig
-from looptopo.serialization import config_from_dict, format_csv, parse_csv
+from looptopo.mlp import MlpConfig, TrainConfig
+from looptopo.serialization import (config_from_dict, config_hash, config_to_dict,
+                                    format_csv, parse_csv)
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
@@ -90,6 +92,25 @@ class TestCsvRejects:
         with pytest.raises(ParseError) as err:
             parse_csv(b"u,v\n\xff,1\n", "latin.csv")
         assert "latin.csv" in str(err.value)
+
+
+class TestConfigToDict:
+    @pytest.mark.parametrize("cfg", [MlpConfig(hidden_widths=(16, 8), dropout_rate=0.1),
+                                     TrainConfig(epochs=3, patience=0),
+                                     LoopBuildConfig(n_components=5)])
+    def test_inverse_of_config_from_dict(self, cfg):
+        d = config_to_dict(cfg)
+        assert json.loads(json.dumps(d)) == d  # lists where the fields hold tuples
+        assert type(cfg).from_dict(d) == cfg
+        assert cfg.to_dict() == d
+
+    @pytest.mark.parametrize("cls, digest", [
+        (MlpConfig, "9ad8695bdeb4eea593ccfdafdef1173a881586e2cc6d6477977d9e8f35e89674"),
+        (TrainConfig, "75d1c858e7cf3ee9608668be790d1fdb921c72fa86c592afc7a6b2b5b93bac84"),
+        (LoopBuildConfig, "2ee8c3eb8de1b59a725df2ffbecccd522e048124ff72c1b77b961c788a88a160")])
+    def test_default_hashes_unchanged(self, cls, digest):
+        # run-config hashes and checkpoints must keep their bytes
+        assert config_hash(config_to_dict(cls())) == digest
 
 
 class TestConfigFromDict:
