@@ -53,10 +53,10 @@ def nearest_rank_quantile(values, q):
     return float(a[min(rank, a.size) - 1])
 
 
-def quantile_summary(values, levels=QUANTILE_LEVELS):
+def quantile_summary(values):
     out = {"min": float(np.min(values)), "max": float(np.max(values)),
            "mean": float(np.mean(values)), "count": int(np.size(values))}
-    for q in levels:
+    for q in QUANTILE_LEVELS:
         out[f"q{int(round(q * 100)):02d}"] = nearest_rank_quantile(values, q)
     return out
 

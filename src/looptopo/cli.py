@@ -16,7 +16,7 @@ from .embeddings import LoopParams
 from .errors import LoopTopoError, ValidationError
 from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       default_frequencies, eval_image, load_frequencies,
-                      visibilities_closed_form, visibilities_quadrature_oracle)
+                      visibilities_closed_form_batch, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
 from .serialization import (config_hash, format_csv, is_integer, make_dir, parse_csv,
@@ -84,10 +84,11 @@ def _build_config(cfg):
 
 def _nn_config(args, cfg, input_dim, out_dim, seed):
     section = _section(cfg, "nn")
-    if args.width is not None or args.depth is not None:
-        section["hidden_widths"] = [256 if args.width is None else args.width] * (
-            4 if args.depth is None else args.depth)
-    if args.dropout is not None:
+    width, depth = getattr(args, "width", None), getattr(args, "depth", None)
+    if width is not None or depth is not None:
+        section["hidden_widths"] = [256 if width is None else width] * (
+            4 if depth is None else depth)
+    if getattr(args, "dropout", None) is not None:
         section["dropout_rate"] = args.dropout
     section["input_dim"] = input_dim
     section["output_dim"] = out_dim
@@ -150,15 +151,24 @@ def cmd_train(args):
                 "refusing to resume: stored run config hash "
                 f"{stored} != current {run_hash}")
     diag = Diagnostics()
-    trainer = regularizer.train_naive if args.kind == "naive" else regularizer.train_embedded
-    model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg, diag=diag, init=init)
-    model.metadata["run_config_hash"] = run_hash
-    save_checkpoint(model, args.out)
-    history_path = args.history or (os.path.splitext(args.out)[0] + "_history.csv")
-    save_history_csv(history, history_path)
+    _, history = _fit_and_save(args.kind, ds, nn_cfg, train_cfg, args.out, args.history,
+                               diag=diag, init=init, run_hash=run_hash)
     _emit_diagnostics(diag)
     print(f"wrote checkpoint {args.out} ({len(history)} epochs)", file=sys.stderr)
     return 0
+
+
+def _fit_and_save(kind, ds, nn_cfg, train_cfg, out, history_path=None, diag=None,
+                  init=None, run_hash=None):
+    """Fit a ``kind`` model on ``ds``; write its checkpoint to ``out`` and its
+    history to ``history_path`` (default: next to the checkpoint)."""
+    trainer = regularizer.train_naive if kind == "naive" else regularizer.train_embedded
+    model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg, diag=diag, init=init)
+    if run_hash is not None:
+        model.metadata["run_config_hash"] = run_hash
+    save_checkpoint(model, out)
+    save_history_csv(history, history_path or os.path.splitext(out)[0] + "_history.csv")
+    return model, history
 
 
 def cmd_evaluate(args):
@@ -195,30 +205,21 @@ def cmd_evaluate(args):
 def cmd_demo_circle(args):
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
-    sampling = SamplingConfig.default("circle", seed, **_section(cfg, "dataset"))
+    # the shared config path, under the demo's defaults
+    cfg = {**cfg, "dataset": {"scenario": "circle", **_section(cfg, "dataset")},
+           "nn": {"hidden_widths": [64, 64, 64], **_section(cfg, "nn")},
+           "train": {"epochs": 100, "patience": 0, **_section(cfg, "train")}}
+    sampling = _sampling_config(args, cfg, seed)
+    if sampling.scenario != "circle":
+        raise ValidationError(f"demo-circle runs the circle scenario, not {sampling.scenario}")
+    nn_cfgs = {kind: _nn_config(args, cfg, 2, regularizer.output_dim(kind, "circle"), seed)
+               for kind in ("naive", "embedded")}
+    train_cfg = _train_config(args, cfg, seed)
     ds = generate_dataset(sampling)
     make_dir(args.out)
-
-    nn_section = _section(cfg, "nn")
-    nn_section.setdefault("hidden_widths", [64, 64, 64])
-    train_section = _section(cfg, "train")
-    if args.epochs is not None:
-        train_section["epochs"] = args.epochs
-    train_section.setdefault("epochs", 100)
-    train_section.setdefault("patience", 0)
-    train_section.setdefault("seed", seed)
-
-    models = {}
-    for kind in ("naive", "embedded"):
-        nn_cfg = MlpConfig.from_dict({**nn_section, "input_dim": 2,
-                                      "output_dim": regularizer.output_dim(kind, "circle"),
-                                      "seed": seed})
-        train_cfg = TrainConfig.from_dict(train_section)
-        trainer = regularizer.train_naive if kind == "naive" else regularizer.train_embedded
-        model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg)
-        save_checkpoint(model, os.path.join(args.out, f"{kind}.ckpt"))
-        save_history_csv(history, os.path.join(args.out, f"{kind}_history.csv"))
-        models[kind] = model
+    models = {kind: _fit_and_save(kind, ds, nn_cfg, train_cfg,
+                                  os.path.join(args.out, f"{kind}.ckpt"))[0]
+              for kind, nn_cfg in nn_cfgs.items()}
 
     # dense uniform sweep plus a magnified look at the seam
     thetas = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
@@ -237,8 +238,9 @@ def cmd_demo_circle(args):
     naive_band = regularizer.predict(models["naive"], band_pts)[:, 0]
     embedded_band = regularizer.predict(models["embedded"], band_pts)[:, 0]
     summary = {
-        "config_hash": config_hash({"dataset": sampling.to_dict(), "nn": nn_section,
-                                    "train": train_section}),
+        "config_hash": config_hash({"dataset": sampling.to_dict(), "nn": cfg["nn"],
+                                    "train": {**cfg["train"], "epochs": train_cfg.epochs,
+                                              "seed": train_cfg.seed}}),
         "naive_seam_max_raw_error_rad": float(np.max(np.abs(naive_band - band))),
         "embedded_seam_max_circular_error_rad":
             float(np.max(analysis.circular_error(embedded_band, band))),
@@ -329,16 +331,15 @@ def cmd_vis_forward(args):
         ext = [float(v) for v in values]
     except ValueError as exc:
         raise ValidationError(f"bad --theta value: {exc}") from None
-    theta = LoopParams(x_c=ext[0], y_c=ext[1], flux=ext[2], sigma=ext[3],
-                       eps=ext[4], alpha=math.radians(ext[5]), c=ext[6])
-    theta.validate()
+    theta = np.array(ext)
+    theta[5] = math.radians(ext[5])
     freqs = _frequencies(cfg)
     build = _build_config(cfg)
     diag = Diagnostics()
     if args.oracle:
         vis = visibilities_quadrature_oracle(theta, freqs, cfg=build, diag=diag)
     else:
-        vis = visibilities_closed_form(theta, freqs, cfg=build)
+        vis = visibilities_closed_form_batch(theta[None], freqs, build)[0]
 
     header, rows = ["u", "v", "re", "im"], np.column_stack([freqs.uv, vis.real, vis.imag])
     if args.out:

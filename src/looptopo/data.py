@@ -295,12 +295,15 @@ def load_dataset(path) -> Dataset:
     except KeyError as exc:
         raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None
     ext = arrays["params"]
-    freqs = manifest.get("frequencies")
-    build = manifest.get("build")
+    freqs, build = manifest.get("frequencies"), manifest.get("build")
+    visibilities = get_task(cfg.scenario).visibilities
+    if (freqs is not None, build is not None) != (visibilities, visibilities):
+        raise ParseError("manifest frequencies and build must both be given for a "
+                         "visibility dataset and both be null otherwise", path=manifest_path)
     return Dataset(config=cfg,
                    params_disk=ext,
                    params=to_internal_params(cfg.scenario, ext),
                    clean=arrays["clean"], noisy=arrays["noisy"],
                    split=arrays["split"].astype(np.int8).reshape(-1),
-                   frequencies=None if freqs is None else FrequencySet(np.array(freqs)),
-                   build=None if build is None else LoopBuildConfig.from_dict(build))
+                   frequencies=FrequencySet(freqs) if visibilities else None,
+                   build=LoopBuildConfig.from_dict(build) if visibilities else None)

@@ -59,28 +59,26 @@ class LoopParams:
             raise ValidationError(f"expected 7 parameters, got shape {a.shape}")
         return cls(*(float(v) for v in a))
 
-    def validate(self, canonical=False):
-        """Physical checks always; canonical adds the sampling-domain rules.
+    def validate(self):
+        """``validate_param_rows`` on this one row."""
+        validate_param_rows(self.as_array()[None])
 
-        Forward evaluation accepts any finite rotation angle; the canonical
-        domain (alpha in [0, pi), alpha = c = 0 when eps = 0) is enforced
-        where parameters act as inverse-problem unknowns.
-        """
-        a = self.as_array()
-        if not np.all(np.isfinite(a)):
-            raise ValidationError(f"non-finite parameter in {a}")
-        if self.flux <= 0:
-            raise ValidationError(f"flux must be positive, got {self.flux}")
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.eps < 0:
-            raise ValidationError(f"eps must be nonnegative, got {self.eps}")
-        if canonical:
-            if not (0.0 <= self.alpha < np.pi):
-                raise ValidationError(f"alpha must be in [0, pi), got {self.alpha}")
-            if self.eps == 0.0 and (self.alpha != 0.0 or self.c != 0.0):
-                raise ValidationError(
-                    "circular shapes (eps = 0) must carry alpha = 0 and c = 0")
+
+def validate_param_rows(thetas):
+    """The parameter rules: every value finite, flux > 0, sigma > 0, eps >= 0.
+
+    thetas is (S, 7); the first row that breaks a rule raises
+    ``ValidationError`` naming the row and the rule.
+    """
+    rules = (("parameters must be finite", ~np.isfinite(thetas).all(axis=1)),
+             ("flux must be positive", thetas[:, 2] <= 0),
+             ("sigma must be positive", thetas[:, 3] <= 0),
+             ("eps must be nonnegative", thetas[:, 4] < 0))
+    bad = np.logical_or.reduce([mask for _, mask in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        rule = next(name for name, mask in rules if mask[i])
+        raise ValidationError(f"row {i}: {rule}, got {thetas[i].tolist()}")
 
 
 def _coords(x):
@@ -163,10 +161,10 @@ def gamma_g(theta):
     return np.concatenate([a[..., :5], t], axis=-1)
 
 
-def gamma_g_inv(p, eps_tol=EPS_TOL, floors=None, diag: Diagnostics | None = None):
+def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
     """Invert the 8-vector embedding into parameter vectors, totally.
 
-    When the predicted eccentricity (component 5) is below ``eps_tol`` the
+    When the predicted eccentricity (component 5) is below ``EPS_TOL`` the
     strip factor is treated as collapsed and alpha = c = 0 is returned;
     otherwise the last three components are divided by it and fed to
     ``gamma_inv``. Negative flux / sigma / eps are clamped to ``floors``
@@ -188,7 +186,7 @@ def gamma_g_inv(p, eps_tol=EPS_TOL, floors=None, diag: Diagnostics | None = None
 
     alpha = np.zeros(len(flat))
     c = np.zeros(len(flat))
-    live = eps >= eps_tol
+    live = eps >= EPS_TOL
     if np.any(live):
         a_live, c_live = gamma_inv(t[live] / eps[live, None], diag=diag)
         alpha[live] = np.atleast_1d(a_live)

@@ -20,9 +20,17 @@ and phi = 2 pi (x_c u + y_c v), the weighted sum of component phases is
 
     exp(i phi) [w_0 + 2 sum_{k=1..h} w_k cos(2 pi x_k p) exp(2 pi i y_k q)]
 
-which ``visibilities_closed_form_batch`` evaluates in real arithmetic. The
-scalar ``visibilities_closed_form`` sums one complex phase per component and
-is the reference the batch kernel is tested against; the two agree to
+which ``visibilities_closed_form_batch`` evaluates in real arithmetic.
+
+Each decision of the model is made in one place. ``_loop_half`` is the one
+layout: it places the positive half of the components (x_k, w_k) for rows of
+parameters, for the batch kernel and for ``build_loop_components`` (and
+through it ``eval_image`` and the quadrature oracle). ``_component_mass_var``
+is the one exponent-mode formula: the mass and variance of a component, from
+which both closed forms take their envelope and ``eval_image`` its
+normalization. The parameter rules are ``embeddings.validate_param_rows``.
+The scalar ``visibilities_closed_form`` sums one complex phase per component
+and is the reference the batch kernel is tested against; the two agree to
 rounding, not bit for bit.
 """
 
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .embeddings import LoopParams
+from .embeddings import LoopParams, validate_param_rows
 from .errors import ParseError, ValidationError
 from .serialization import config_from_dict, config_to_dict, parse_csv, read_bytes
 
@@ -109,7 +117,10 @@ class FrequencySet:
     uv: np.ndarray
 
     def __post_init__(self):
-        uv = np.asarray(self.uv, dtype=float)
+        try:
+            uv = np.asarray(self.uv, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"uv must be numeric, got {self.uv!r:.60}") from None
         if uv.ndim != 2 or uv.shape[1] != 2:
             raise ValidationError(f"uv must be (n, 2), got shape {uv.shape}")
         if uv.shape[0] < 1:
@@ -204,12 +215,10 @@ class LoopGeometry:
 def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGeometry:
     """Place the Gaussian components of one loop.
 
-    Components sit at equal arc-length steps on y = c x^2 in the loop frame,
-    symmetric about the vertex, out to half arc-span L = span_factor * eps *
-    sigma on each side. Weights fall off with arc distance d from the vertex
-    as exp(-d^2 / (2 (L/2 + s)^2)) and are normalized to sum to one. The
-    configuration is rotated by alpha about the vertex and moved to the
-    center. eps = 0 returns the single circular component.
+    The positive half comes from ``_loop_half``; it is mirrored about the
+    vertex, the weights are normalized to sum to one, and the configuration
+    is rotated by alpha about the vertex and moved to the center. eps = 0
+    returns the single circular component.
     """
     if not isinstance(theta, LoopParams):
         theta = LoopParams.from_array(theta)
@@ -221,19 +230,12 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
         return LoopGeometry(centers=np.array([[theta.x_c, theta.y_c]]),
                             weights=np.array([1.0]), comp_std=s, params=theta)
 
-    half = (cfg.n_components - 1) // 2
-    span = cfg.span_factor * theta.eps * theta.sigma
-    d_pos = np.arange(1, half + 1) * (span / half)
-    x_pos = _batch_x_at_arc(d_pos[None, :], np.array([theta.c]))[0]
-
+    x_pos, w_pos = (a[0] for a in _loop_half(theta.as_array()[None], cfg))
     # mirror the positive side so the layout is exactly symmetric
     xs = np.concatenate([-x_pos[::-1], [0.0], x_pos])
-    arc = np.concatenate([-d_pos[::-1], [0.0], d_pos])
-    local = np.stack([xs, theta.c * xs * xs], axis=1)
-
-    width = 0.5 * span + s
-    w = np.exp(-arc * arc / (2.0 * width * width))
+    w = np.concatenate([w_pos[::-1], [1.0], w_pos])
     w = w / w.sum()
+    local = np.stack([xs, theta.c * xs * xs], axis=1)
 
     cos_a, sin_a = math.cos(theta.alpha), math.sin(theta.alpha)
     rot = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
@@ -241,42 +243,52 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGe
     return LoopGeometry(centers=centers, weights=w, comp_std=s, params=theta)
 
 
-def _mode_amp_env(flux, sigma, comp_std, uv2, mode):
-    """Amplitude and Fourier envelope for the configured exponent mode."""
+def _loop_half(thetas, cfg: LoopBuildConfig):
+    """The positive half of the loop layout of (S, 7) rows, in the loop frame.
+
+    Components sit at equal arc-length steps d_k = k L / h (k = 1..h, h the
+    number of pairs) on y = c x^2, out to the half arc-span
+    L = span_factor * eps * sigma. Their weights, relative to the vertex's 1,
+    fall off as exp(-d^2 / (2 (L/2 + s)^2)) with s the component std.
+    Returns the x positions and the weights, both (S, h); needs h >= 1.
+    """
+    half = (cfg.n_components - 1) // 2
+    sigma, eps, c = thetas[:, 3], thetas[:, 4], thetas[:, 6]
+    span = cfg.span_factor * eps * sigma
+    d_pos = (span / half)[:, None] * np.arange(1, half + 1)
+    width = 0.5 * span + fwhm_to_std(sigma)
+    w = np.exp(-d_pos * d_pos / (2.0 * width * width)[:, None])
+    return _batch_x_at_arc(d_pos, c), w
+
+
+def _component_mass_var(flux, sigma, mode):
+    """Mass and variance of each circular Gaussian component in ``mode``.
+
+    'fwhm': sigma is the FWHM, so the variance is fwhm_to_std(sigma)^2 and the
+    components carry the flux. 'verbatim': exp(-r^2 / (2 sigma)) components
+    scaled to the peak flux / (2 pi sigma^2), so the variance is sigma and the
+    mass flux / sigma.
+    """
     if mode == "fwhm":
-        return flux, np.exp(-2.0 * math.pi ** 2 * comp_std ** 2 * uv2)
-    # verbatim: exp(-r^2 / (2 sigma)) components, variance sigma, mass 2*pi*sigma
-    return flux / sigma, np.exp(-2.0 * math.pi ** 2 * sigma * uv2)
+        return flux, fwhm_to_std(sigma) ** 2
+    return flux / sigma, sigma
 
 
 def visibilities_closed_form(theta, freqs: FrequencySet,
                              cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:
     """Analytic visibilities of one loop at the given frequencies (complex).
 
-    The reference definition: a plain weighted sum of one complex phase per
-    component. ``visibilities_closed_form_batch`` is tested against it.
+    The reference definition, for the tests and perfbench: a plain weighted
+    sum of one complex phase per component. The program computes
+    visibilities with ``visibilities_closed_form_batch``.
     """
     geo = build_loop_components(theta, cfg)
     u, v = freqs.u, freqs.v
     phase = np.exp(2j * math.pi * (geo.centers[:, 0:1] * u[None, :]
                                    + geo.centers[:, 1:2] * v[None, :]))
     shape_sum = geo.weights @ phase
-    amp, env = _mode_amp_env(geo.params.flux, geo.params.sigma, geo.comp_std,
-                             u * u + v * v, cfg.exponent_mode)
-    return amp * shape_sum * env
-
-
-def _validate_rows(thetas):
-    """Reject the rows that ``LoopParams.validate`` rejects, naming the first."""
-    rules = (("parameters must be finite", ~np.isfinite(thetas).all(axis=1)),
-             ("flux must be positive", thetas[:, 2] <= 0),
-             ("sigma must be positive", thetas[:, 3] <= 0),
-             ("eps must be nonnegative", thetas[:, 4] < 0))
-    bad = np.logical_or.reduce([mask for _, mask in rules])
-    if bad.any():
-        i = int(np.argmax(bad))
-        rule = next(name for name, mask in rules if mask[i])
-        raise ValidationError(f"row {i}: {rule}, got {thetas[i].tolist()}")
+    mass, var = _component_mass_var(geo.params.flux, geo.params.sigma, cfg.exponent_mode)
+    return mass * shape_sum * np.exp(-2.0 * math.pi ** 2 * var * (u * u + v * v))
 
 
 def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
@@ -284,18 +296,18 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
                                    chunk=2048) -> np.ndarray:
     """Vectorized closed form over an (S, 7) parameter array -> (S, n) complex.
 
-    Same component layout as the scalar path, summed in mirrored pairs (see
-    the module docstring) with real cos/sin on (chunk, half, n) arrays, one
-    chunk of rows at a time. Rows are checked as ``LoopParams.validate``
-    checks them; the first bad row raises ``ValidationError``. The result
-    agrees with ``visibilities_closed_form`` to rounding (a few 1e-15 of the
-    flux), not bit for bit, because the sums run in another order.
+    The layout of ``_loop_half``, summed in mirrored pairs (see the module
+    docstring) with real cos/sin on (chunk, half, n) arrays, one chunk of
+    rows at a time. Rows are checked by ``validate_param_rows``; the first
+    bad row raises ``ValidationError``. The result agrees with
+    ``visibilities_closed_form`` to rounding (a few 1e-15 of the flux), not
+    bit for bit, because the sums run in another order.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
         raise ValidationError(f"expected (S, 7) parameters, got {thetas.shape}")
     cfg.validate()
-    _validate_rows(thetas)
+    validate_param_rows(thetas)
     half = (cfg.n_components - 1) // 2
     u, v = freqs.u, freqs.v
     uv2 = u * u + v * v
@@ -303,14 +315,10 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     out = np.empty((thetas.shape[0], len(freqs)), dtype=complex)
 
     for lo in range(0, thetas.shape[0], chunk):
-        x_c, y_c, flux, sigma, eps, alpha, c = thetas[lo:lo + chunk].T
-        s = fwhm_to_std(sigma)
+        rows = thetas[lo:lo + chunk]
+        x_c, y_c, flux, sigma, _, alpha, c = rows.T
         if half:
-            span = cfg.span_factor * eps * sigma
-            d_pos = (span / half)[:, None] * np.arange(1, half + 1)
-            x_pos = _batch_x_at_arc(d_pos, c)
-            width = 0.5 * span + s
-            w = np.exp(-d_pos * d_pos / (2.0 * width * width)[:, None])
+            x_pos, w = _loop_half(rows, cfg)
             w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
             w *= 2.0 * w0[:, None]  # each pair carries twice its weight
 
@@ -326,12 +334,11 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
 
         phi = two_pi * (x_c[:, None] * u + y_c[:, None] * v)
         cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-        amp, env = _mode_amp_env(flux[:, None], sigma[:, None], s[:, None], uv2,
-                                 cfg.exponent_mode)
-        scale = amp * env
-        rows = out[lo:lo + chunk]
-        rows.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
-        rows.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
+        mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
+        scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
+        block = out[lo:lo + chunk]
+        block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
+        block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
     return out
 
 
@@ -368,28 +375,13 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     geo = build_loop_components(theta, cfg)
     xs, ys = grid.xs(), grid.ys()
     img = np.zeros((grid.ny, grid.nx))
-    if cfg.exponent_mode == "fwhm":
-        two_var = 2.0 * geo.comp_std ** 2
-        norm = geo.params.flux / (2.0 * math.pi * geo.comp_std ** 2)
-    else:
-        two_var = 2.0 * geo.params.sigma
-        norm = geo.params.flux / (2.0 * math.pi * geo.params.sigma ** 2)
+    mass, var = _component_mass_var(geo.params.flux, geo.params.sigma, cfg.exponent_mode)
+    two_var, norm = 2.0 * var, mass / (2.0 * math.pi * var)
     for (cx, cy), w in zip(geo.centers, geo.weights):
         dx2 = (xs - cx) ** 2
         dy2 = (ys - cy) ** 2
         img += (w * norm) * np.exp(-(dy2[:, None] + dx2[None, :]) / two_var)
     return img
-
-
-def quadrature_grid_for(theta, cfg: LoopBuildConfig = DEFAULT_BUILD,
-                        pad_sigmas=10.0, n=1024) -> GridSpec:
-    """Grid covering the component bounding box plus pad_sigmas * sigma."""
-    geo = build_loop_components(theta, cfg)
-    pad = pad_sigmas * geo.params.sigma
-    return GridSpec(float(geo.centers[:, 0].min() - pad),
-                    float(geo.centers[:, 0].max() + pad),
-                    float(geo.centers[:, 1].min() - pad),
-                    float(geo.centers[:, 1].max() + pad), n, n)
 
 
 def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = None,
@@ -398,13 +390,16 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     """Trapezoid-rule Fourier transform of the rendered image. Test oracle.
 
     Independent of the closed form: integrates eval_image numerically. The
-    separable phase exp(2 pi i (xu + yv)) factorizes, so each frequency costs
-    one bilinear form in the image.
+    default grid has 1024 x 1024 points over the components' bounding box
+    padded by 10 sigma. The separable phase exp(2 pi i (xu + yv)) factorizes,
+    so each frequency costs one bilinear form in the image.
     """
-    if grid is None:
-        grid = quadrature_grid_for(theta, cfg)
-    grid.validate()
     geo = build_loop_components(theta, cfg)
+    if grid is None:
+        pad = 10.0 * geo.params.sigma
+        lo, hi = geo.centers.min(axis=0) - pad, geo.centers.max(axis=0) + pad
+        grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), 1024, 1024)
+    grid.validate()
     step = max(grid.dx, grid.dy)
     if step > geo.comp_std / 2.0 and diag is not None:
         diag.warn("coarse_grid",

@@ -121,7 +121,8 @@ def train_embedded(dataset: Dataset, nn_cfg: MlpConfig = None,
 
 
 def check_model_consistency(model: MlpModel):
-    """Reject checkpoints whose declared kind/task disagrees with the head."""
+    """Reject checkpoints whose declared kind/task disagrees with the head, and
+    checkpoints without the standardization stats that predict applies."""
     kind = model.metadata.get("kind")
     task = model.metadata.get("task")
     try:
@@ -133,6 +134,8 @@ def check_model_consistency(model: MlpModel):
         raise ValidationError(
             f"{kind}/{task} checkpoint must have output_dim {expected}, "
             f"found {model.config.output_dim}")
+    if model.stats is None:
+        raise ValidationError("checkpoint has no standardization stats")
     return kind, task
 
 

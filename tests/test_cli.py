@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo.cli import build_parser, main
 from looptopo.errors import LoopTopoError, ParseError
-from looptopo.mlp import load_checkpoint
+from looptopo.mlp import load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -300,6 +300,10 @@ def _with_array_entry(text, name, key, value):
     return json.dumps(manifest)
 
 
+def _with_manifest_key(text, key, value):
+    return json.dumps({**json.loads(text), key: value})
+
+
 NOT_UTF8 = b"\xff\xfe0.1,0.2\n"
 
 UNREADABLE_INPUTS = {
@@ -341,6 +345,14 @@ UNREADABLE_INPUTS = {
         ws, tmp, lambda text: _with_array_entry(text, "split", "sha256", ["ab"])),
     "array_shape_not_a_list": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: _with_array_entry(text, "params", "shape", 5)),
+    "frequencies_a_string": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_manifest_key(text, "frequencies", "x")),
+    "frequencies_not_numbers": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_manifest_key(text, "frequencies", [["a", "b"]])),
+    "frequencies_an_object": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_manifest_key(text, "frequencies", {"u": 1})),
+    "frequencies_null_on_visibilities": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_manifest_key(text, "frequencies", None)),
 }
 
 
@@ -365,6 +377,20 @@ def test_out_naming_a_file_is_an_error(workspace, tmp_path, capsys, command):
 def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_checkpoint_without_stats_is_an_error(workspace, tmp_path, capsys):
+    model = load_checkpoint(workspace["emb"])
+    model.stats = None
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    vis = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+    for argv in (["predict", "--model", path, "--input", vis],
+                 ["evaluate", "--dataset", workspace["ds"], "--model", path,
+                  "--out", tmp_path / "e"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "standardization" in err
 
 
 def resigned(blob, edit):
@@ -554,6 +580,18 @@ class TestVisForward:
         expected = 1000 * np.exp(-2 * math.pi ** 2 * s ** 2 * (fs.u ** 2 + fs.v ** 2))
         np.testing.assert_allclose(data[:, 2], expected, atol=1e-9 * 1000)
 
+    def test_writes_the_batch_kernel_row(self, tmp_path):
+        from looptopo.forward_model import (default_frequencies,
+                                            visibilities_closed_form_batch)
+        out = tmp_path / "vis.csv"
+        assert run(["vis-forward", "--theta", "3,-2,1200,10,3,140,-0.03",
+                    "--out", out]) == 0
+        theta = np.array([3, -2, 1200, 10, 3, np.radians(140.0), -0.03])
+        expected = visibilities_closed_form_batch(theta[None], default_frequencies())[0]
+        data = np.loadtxt(out, delimiter=",", skiprows=2)
+        np.testing.assert_array_equal(data[:, 2], expected.real)
+        np.testing.assert_array_equal(data[:, 3], expected.imag)
+
     def test_bad_theta_rejected(self, capsys):
         assert run(["vis-forward", "--theta", "1,2,3"]) == 1
         assert "7" in capsys.readouterr().err
@@ -591,3 +629,31 @@ class TestDemoCircle:
                (tmp_path / "d2" / "seam_summary.json").read_bytes()
         assert (tmp_path / "d1" / "scatter.csv").read_bytes() == \
                (tmp_path / "d2" / "scatter.csv").read_bytes()
+
+    @staticmethod
+    def _demo(tmp_path, name, **sections):
+        cfg = tmp_path / f"{name}.json"
+        dataset = {"n_train": 40, "n_val": 10, "n_test": 10, **sections.pop("dataset", {})}
+        cfg.write_text(json.dumps({"seed": 3, "dataset": dataset,
+                                   "nn": {"hidden_widths": [8], **sections.pop("nn", {})}}))
+        return run(["demo-circle", "--config", cfg, "--epochs", 1, "--out", tmp_path / name])
+
+    def test_scenario_circle_accepted(self, tmp_path):
+        assert self._demo(tmp_path, "d", dataset={"scenario": "circle"}) == 0
+
+    def test_n_samples_accepted(self, tmp_path, capsys):
+        assert self._demo(tmp_path, "d", dataset={"n_samples": 60}) == 0
+        assert self._demo(tmp_path, "e", dataset={"n_samples": 61}) == 1
+        assert "n_samples" in capsys.readouterr().err
+
+    def test_nn_seed_honoured(self, tmp_path):
+        for seed in (5, 9):
+            assert self._demo(tmp_path, f"s{seed}", nn={"seed": seed}) == 0
+        assert (tmp_path / "s5" / "naive.ckpt").read_bytes() != \
+               (tmp_path / "s9" / "naive.ckpt").read_bytes()
+
+    def test_other_scenario_rejected(self, tmp_path, capsys):
+        assert self._demo(tmp_path, "d", dataset={"scenario": "simple"}) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "circle" in err
+        assert not (tmp_path / "d").exists()

@@ -264,6 +264,19 @@ class TestDiskFormat:
         with pytest.raises(ParseError, match=message):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("simple", "build", None), ("circle", "build", {}),
+        ("circle", "frequencies", [[0.0, 0.01]])])
+    def test_frequencies_and_build_match_the_task(self, tmp_path, scenario, key, value):
+        # visibility datasets carry both, the others neither
+        save_dataset(generate_dataset(small_cfg(scenario)), tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="frequencies and build"):
+            load_dataset(tmp_path / "ds")
+
     def test_future_version_rejected(self, tmp_path):
         ds = generate_dataset(small_cfg("simple"))
         save_dataset(ds, tmp_path / "ds")

@@ -247,14 +247,6 @@ class TestTypes:
         with pytest.raises(ValidationError):
             LoopParams(0, 0, float("nan"), 8, 5, 0.3, 0.01).validate()
 
-    def test_loop_params_canonical_validation(self):
-        # the collapse convention only binds in canonical mode
-        LoopParams(0, 0, 1000, 8, 0, 0.4, 0.01).validate()
-        with pytest.raises(ValidationError):
-            LoopParams(0, 0, 1000, 8, 0, 0.4, 0.01).validate(canonical=True)
-        with pytest.raises(ValidationError):
-            LoopParams(0, 0, 1000, 8, 5, PI, 0.01).validate(canonical=True)
-
     def test_round_trip_array(self):
         theta = LoopParams(1, 2, 3, 4, 5, 0.6, 0.007)
         assert LoopParams.from_array(theta.as_array()) == theta
