@@ -1,6 +1,11 @@
-"""Command-line entry point. All angles at this boundary are degrees."""
+"""Command-line entry point. All angles at this boundary are degrees.
+
+One parser per process; ``main`` looks each handler up by subcommand name at call
+time (``vis-forward`` -> ``cmd_vis_forward``), so module-level rebinding takes effect.
+"""
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -288,6 +293,8 @@ def _full_params(spec, pred, intervals):
 
 
 def cmd_predict(args):
+    if args.render_n < 2:
+        raise ValidationError(f"--render-n must be at least 2, got {args.render_n}")
     model = load_checkpoint(args.model)
     kind, task = regularizer.check_model_consistency(model)
     spec = TASKS[task]
@@ -354,6 +361,7 @@ def cmd_vis_forward(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="looptopo",
                                      description="Topology-aware parametric inversion toolkit")
@@ -372,7 +380,6 @@ def build_parser():
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-val", type=int, dest="n_val")
     p.add_argument("--n-test", type=int, dest="n_test")
-    p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train a naive or embedded model")
     common(p)
@@ -389,24 +396,20 @@ def build_parser():
     p.add_argument("--resume", action="store_true",
                    help="start from the weights in --out (same run config); fresh "
                         "optimizer, epochs from 0, history rewritten")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run a checkpoint over a dataset's test split")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("demo-circle", help="end-to-end circle example with both models")
     common(p)
     p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_demo_circle)
 
     p = sub.add_parser("pca", help="project a visibility dataset on principal axes")
     common(p, seed=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--components", type=int)
-    p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("predict", help="apply a checkpoint to visibilities from a CSV")
     p.add_argument("--model", required=True)
@@ -416,7 +419,6 @@ def build_parser():
     p.add_argument("--out", help="optional CSV of predicted parameters")
     p.add_argument("--render", help="write an image CSV of the first prediction")
     p.add_argument("--render-n", type=int, default=128, dest="render_n")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("vis-forward", help="visibilities of a given parameter vector")
     common(p, seed=False, out_required=False)
@@ -425,15 +427,13 @@ def build_parser():
     p.add_argument("--out", help="output CSV (stdout when omitted)")
     p.add_argument("--oracle", action="store_true",
                    help="use the quadrature oracle instead of the closed form")
-    p.set_defaults(func=cmd_vis_forward)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except LoopTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

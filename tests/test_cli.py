@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looptopo import cli
 from looptopo.cli import build_parser, main
 from looptopo.errors import LoopTopoError, ParseError
 from looptopo.mlp import load_checkpoint, save_checkpoint
@@ -239,6 +241,18 @@ class TestPredict:
         assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
                     "--render", img_path, "--render-n", 32]) == 0
         assert read_csv_header(img_path) == ["x", "y", "value"]
+
+    @pytest.mark.parametrize("render_n", [-3, 0, 1])
+    def test_render_n_below_two_rejected_before_any_output(self, workspace, tmp_path,
+                                                          capsys, render_n):
+        vis_path = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+        out_path, img_path = tmp_path / "pred.csv", tmp_path / "img.csv"
+        assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
+                    "--out", out_path, "--render", img_path, "--render-n", render_n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--render-n" in captured.err
+        assert not out_path.exists() and not img_path.exists()
 
     def test_non_finite_value_rejected(self, workspace, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
@@ -534,6 +548,66 @@ def test_removed_option_rejected(case):
     build_parser().parse_args(argv)
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + removed)
+
+
+class TestOneParserPerProcess:
+    @pytest.fixture
+    def vis_path(self, workspace, tmp_path):
+        from looptopo.data import load_dataset
+        path = tmp_path / "v.csv"
+        np.savetxt(path, load_dataset(workspace["ds"]).clean[:2], delimiter=",")
+        return path
+
+    def test_handler_is_looked_up_at_call_time(self, workspace, vis_path, monkeypatch):
+        argv = ["predict", "--model", workspace["emb"], "--input", vis_path]
+        assert run(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: calls.append(args.input) or 7)
+        assert run(argv) == 7
+        assert calls == [str(vis_path)]
+
+    def test_calls_in_one_process_match_fresh_parsers(self, workspace, vis_path, tmp_path,
+                                                      capsys, monkeypatch):
+        pred, img, img_default = tmp_path / "pred.csv", tmp_path / "img.csv", tmp_path / "d.csv"
+        predict = ["predict", "--model", workspace["emb"], "--input", vis_path]
+        calls = [["predict", "--model", workspace["emb"]],
+                 predict + ["--out", pred],
+                 predict + ["--render", img, "--render-n", 16],
+                 predict,
+                 predict + ["--render", img_default]]
+
+        def outcome(argv):
+            for path in (pred, img, img_default):
+                path.unlink(missing_ok=True)
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err, {
+                p.name: p.read_bytes() for p in (pred, img, img_default) if p.exists()}
+
+        prog_of_each_parser = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            prog_of_each_parser.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert prog_of_each_parser.count("looptopo") == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [rc for rc, *_ in shared] == [2, 0, 0, 0, 0]
+        assert [sorted(files) for *_, files in shared] == [[], ["pred.csv"], ["img.csv"], [],
+                                                           ["d.csv"]]
+        rows = len(shared[-1][3]["d.csv"].splitlines()) - 1
+        assert rows == 128 * 128
 
 
 class TestVisForward:
