@@ -293,11 +293,16 @@ def _full_params(spec, pred, intervals):
 
 
 def cmd_predict(args):
-    if args.render_n < 2:
-        raise ValidationError(f"--render-n must be at least 2, got {args.render_n}")
+    if args.render:
+        try:
+            GridSpec.centered(1.0, args.render_n).validate()
+        except ValidationError as exc:
+            raise ValidationError(f"--render-n {args.render_n}: {exc}") from None
     model = load_checkpoint(args.model)
     kind, task = regularizer.check_model_consistency(model)
     spec = TASKS[task]
+    if args.render and spec.params != LOOP_PARAMS:
+        raise ValidationError("--render needs a loop-parameter model")
     _, x = parse_csv(read_bytes(args.input), args.input, width=model.config.input_dim)
     diag = Diagnostics()
     pred = _full_params(spec, regularizer.predict(model, x, diag=diag),
@@ -316,8 +321,6 @@ def cmd_predict(args):
         analysis.export_scatter(printable, spec.header, args.out,
                                 comment=f"config_hash: {run_hash}")
     if args.render:
-        if spec.params != LOOP_PARAMS:
-            raise ValidationError("--render needs a loop-parameter model")
         theta = LoopParams.from_array(pred[0])
         half = abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma
         grid = GridSpec.centered(half, args.render_n)

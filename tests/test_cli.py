@@ -254,6 +254,27 @@ class TestPredict:
         assert captured.err.startswith("error:") and "--render-n" in captured.err
         assert not out_path.exists() and not img_path.exists()
 
+    def test_render_n_unused_without_render(self, workspace, tmp_path):
+        vis_path = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+        assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
+                    "--render-n", 1]) == 0
+
+    def test_render_of_non_loop_model_rejected_before_any_output(self, tmp_path, capsys):
+        ds, model = tmp_path / "cds", tmp_path / "c.ckpt"
+        assert run(["gen-dataset", "--scenario", "circle", "--seed", "5",
+                    "--n-train", 30, "--n-val", 10, "--n-test", 10, "--out", ds]) == 0
+        assert run(["train", "--dataset", ds, "--kind", "naive", "--seed", "5",
+                    "--width", 8, "--depth", 1, "--epochs", 1, "--out", model]) == 0
+        vis_path = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+        out_path, img_path = tmp_path / "pred.csv", tmp_path / "img.csv"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--input", vis_path,
+                    "--out", out_path, "--render", img_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "loop-parameter model" in captured.err
+        assert not out_path.exists() and not img_path.exists()
+
     def test_non_finite_value_rejected(self, workspace, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
         bad.write_text(",".join(["1.0"] * 59 + ["nan"]) + "\n")
