@@ -79,10 +79,6 @@ class PcaModel:
     singular_values: np.ndarray         # (k,)
     explained_variance_ratio: np.ndarray  # (k,), non-increasing
 
-    @property
-    def k(self):
-        return self.axes.shape[0]
-
 
 def pca_fit(x, k=3) -> PcaModel:
     """Principal axes via the d x d covariance eigendecomposition.
@@ -165,6 +161,8 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     pred = np.asarray(pred, dtype=float)
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
+    if not truth.size:
+        raise ValidationError("no rows to evaluate")
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])
     truth, pred = _free_columns(spec, truth), _free_columns(spec, pred)
     for m in spec.metrics:

@@ -7,17 +7,15 @@ time (``vis-forward`` -> ``cmd_vis_forward``), so module-level rebinding takes e
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, regularizer
-from .data import (TEST, SamplingConfig, generate_dataset,
-                   internal_intervals, load_dataset, save_dataset)
+from .data import (TEST, SamplingConfig, generate_dataset, internal_intervals,
+                   load_dataset, save_dataset, to_internal_params)
 from .diagnostics import Diagnostics
-from .embeddings import LoopParams
 from .errors import LoopTopoError, ValidationError
 from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       default_frequencies, eval_image, load_frequencies,
@@ -183,10 +181,12 @@ def cmd_evaluate(args):
     if task != ds.config.scenario:
         raise ValidationError(
             f"model was trained for the {task} task, dataset is {ds.config.scenario}")
+    mask = ds.mask(TEST)
+    if not mask.any():
+        raise ValidationError(f"{args.dataset}: the test split is empty")
     make_dir(args.out)
 
     diag = Diagnostics()
-    mask = ds.mask(TEST)
     pred = regularizer.predict(model, ds.inputs(TEST), diag=diag)
     spec = TASKS[task]
     truth = ds.params[mask][:, spec.free_columns]
@@ -321,11 +321,10 @@ def cmd_predict(args):
         analysis.export_scatter(printable, spec.header, args.out,
                                 comment=f"config_hash: {run_hash}")
     if args.render:
-        theta = LoopParams.from_array(pred[0])
-        half = abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma
-        grid = GridSpec.centered(half, args.render_n)
+        x_c, y_c, _, sigma, _, _, _ = pred[0]
+        grid = GridSpec.centered(abs(x_c) + abs(y_c) + 8.0 * sigma, args.render_n)
         xs, ys = np.meshgrid(grid.xs(), grid.ys())
-        pixels = np.column_stack([xs.ravel(), ys.ravel(), eval_image(theta, grid).ravel()])
+        pixels = np.column_stack([xs.ravel(), ys.ravel(), eval_image(pred[0], grid).ravel()])
         write_bytes(args.render, format_csv(["x", "y", "value"], pixels, digits=10))
     _emit_diagnostics(diag)
     return 0
@@ -341,8 +340,7 @@ def cmd_vis_forward(args):
         ext = [float(v) for v in values]
     except ValueError as exc:
         raise ValidationError(f"bad --theta value: {exc}") from None
-    theta = np.array(ext)
-    theta[5] = math.radians(ext[5])
+    theta = to_internal_params("complete", ext)
     freqs = _frequencies(cfg)
     build = _build_config(cfg)
     diag = Diagnostics()

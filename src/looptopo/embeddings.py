@@ -12,7 +12,6 @@ CLI and file boundaries only.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .diagnostics import Diagnostics
 from .errors import ValidationError
@@ -26,42 +25,6 @@ C_MAX_DEFAULT = 0.05
 EPS_TOL = 1e-3
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class LoopParams:
-    """The 7 parameters of a loop-shaped source.
-
-    x_c, y_c   center, arcsec
-    flux       total integral of the shape, positive
-    sigma      FWHM of the circular components, arcsec, positive
-    eps        eccentricity, >= 0 (0 collapses the loop to one Gaussian)
-    alpha      orientation, radians in [0, pi)
-    c          curvature of the supporting parabola y = c x^2
-    """
-
-    x_c: float
-    y_c: float
-    flux: float
-    sigma: float
-    eps: float
-    alpha: float
-    c: float
-
-    def as_array(self):
-        return np.array([self.x_c, self.y_c, self.flux, self.sigma,
-                         self.eps, self.alpha, self.c])
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (7,):
-            raise ValidationError(f"expected 7 parameters, got shape {a.shape}")
-        return cls(*(float(v) for v in a))
-
-    def validate(self):
-        """``validate_param_rows`` on this one row."""
-        validate_param_rows(self.as_array()[None])
 
 
 def validate_param_rows(thetas):
@@ -86,15 +49,6 @@ def _coords(x):
     a = np.asarray(x, dtype=float)
     if a.shape[-1] != 2:
         raise ValidationError(f"expected (alpha, c) pairs, got shape {a.shape}")
-    return a
-
-
-def _params_array(theta):
-    if isinstance(theta, LoopParams):
-        return theta.as_array()
-    a = np.asarray(theta, dtype=float)
-    if a.shape[-1] != 7:
-        raise ValidationError(f"expected 7-parameter vectors, got shape {a.shape}")
     return a
 
 
@@ -153,9 +107,11 @@ def gamma_inv(p, diag: Diagnostics | None = None):
 def gamma_g(theta):
     """Embed full parameter vectors: (x_c, y_c, flux, sigma, eps, eps*gamma(alpha, c)).
 
-    Accepts LoopParams or (..., 7) arrays, returns (..., 8).
+    Accepts (..., 7) arrays, returns (..., 8).
     """
-    a = _params_array(theta)
+    a = np.asarray(theta, dtype=float)
+    if a.shape[-1:] != (7,):
+        raise ValidationError(f"expected 7-parameter vectors, got shape {a.shape}")
     eps = a[..., 4]
     t = eps[..., None] * gamma(a[..., 5], a[..., 6])
     return np.concatenate([a[..., :5], t], axis=-1)
@@ -188,9 +144,7 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
     c = np.zeros(len(flat))
     live = eps >= EPS_TOL
     if np.any(live):
-        a_live, c_live = gamma_inv(t[live] / eps[live, None], diag=diag)
-        alpha[live] = np.atleast_1d(a_live)
-        c[live] = np.atleast_1d(c_live)
+        alpha[live], c[live] = gamma_inv(t[live] / eps[live, None], diag=diag)
 
     # flux and sigma must end up strictly positive, eps nonnegative
     for col, floor, name, strict in ((2, flux_floor, "flux", True),

@@ -1,5 +1,10 @@
 """Loop-shape forward model: image-plane evaluation and Fourier visibilities.
 
+One loop is a (7,) row in internal units, columns as in ``tasks.LOOP_PARAMS``
+(alpha in radians); many loops are an (S, 7) array. The batch kernel takes
+arrays; ``build_loop_components``, ``visibilities_closed_form``, ``eval_image``
+and ``visibilities_quadrature_oracle`` take one row.
+
 A loop is a weighted superposition of identical circular Gaussians whose
 centers sit on the parabola y = c x^2 (rotated by alpha, translated to the
 source center). Visibilities are samples of the 2-D Fourier transform with
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics
-from .embeddings import LoopParams, validate_param_rows
+from .embeddings import validate_param_rows
 from .errors import ParseError, ValidationError
 from .serialization import config_from_dict, config_to_dict, parse_csv, read_bytes
 
@@ -202,45 +207,36 @@ class GridSpec:
         return (self.y_max - self.y_min) / (self.ny - 1)
 
 
-@dataclass(frozen=True)
-class LoopGeometry:
-    """Resolved component layout of one loop."""
-
-    centers: np.ndarray          # (n, 2), sky frame
-    weights: np.ndarray          # (n,), sums to 1
-    comp_std: float              # std of each circular Gaussian
-    params: LoopParams
-
-
-def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD) -> LoopGeometry:
-    """Place the Gaussian components of one loop.
+def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
+    """Place the Gaussian components of one loop, a (7,) row.
 
     The positive half comes from ``_loop_half``; it is mirrored about the
     vertex, the weights are normalized to sum to one, and the configuration
     is rotated by alpha about the vertex and moved to the center. eps = 0
-    returns the single circular component.
+    returns the single circular component. Returns (centers, weights): the
+    (n, 2) sky-frame centers and the (n,) weights.
     """
-    if not isinstance(theta, LoopParams):
-        theta = LoopParams.from_array(theta)
-    theta.validate()
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (7,):
+        raise ValidationError(f"expected 7 parameters, got shape {theta.shape}")
+    validate_param_rows(theta[None])
     cfg.validate()
 
-    s = fwhm_to_std(theta.sigma)
-    if theta.eps == 0.0 or cfg.n_components == 1:
-        return LoopGeometry(centers=np.array([[theta.x_c, theta.y_c]]),
-                            weights=np.array([1.0]), comp_std=s, params=theta)
+    x_c, y_c, _, _, eps, alpha, c = theta
+    if eps == 0.0 or cfg.n_components == 1:
+        return np.array([[x_c, y_c]]), np.array([1.0])
 
-    x_pos, w_pos = (a[0] for a in _loop_half(theta.as_array()[None], cfg))
+    x_pos, w_pos = (a[0] for a in _loop_half(theta[None], cfg))
     # mirror the positive side so the layout is exactly symmetric
     xs = np.concatenate([-x_pos[::-1], [0.0], x_pos])
     w = np.concatenate([w_pos[::-1], [1.0], w_pos])
     w = w / w.sum()
-    local = np.stack([xs, theta.c * xs * xs], axis=1)
+    local = np.stack([xs, c * xs * xs], axis=1)
 
-    cos_a, sin_a = math.cos(theta.alpha), math.sin(theta.alpha)
+    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     rot = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-    centers = local @ rot.T + np.array([theta.x_c, theta.y_c])
-    return LoopGeometry(centers=centers, weights=w, comp_std=s, params=theta)
+    centers = local @ rot.T + np.array([x_c, y_c])
+    return centers, w
 
 
 def _loop_half(thetas, cfg: LoopBuildConfig):
@@ -282,12 +278,13 @@ def visibilities_closed_form(theta, freqs: FrequencySet,
     sum of one complex phase per component. The program computes
     visibilities with ``visibilities_closed_form_batch``.
     """
-    geo = build_loop_components(theta, cfg)
+    centers, weights = build_loop_components(theta, cfg)
+    _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
     u, v = freqs.u, freqs.v
-    phase = np.exp(2j * math.pi * (geo.centers[:, 0:1] * u[None, :]
-                                   + geo.centers[:, 1:2] * v[None, :]))
-    shape_sum = geo.weights @ phase
-    mass, var = _component_mass_var(geo.params.flux, geo.params.sigma, cfg.exponent_mode)
+    phase = np.exp(2j * math.pi * (centers[:, 0:1] * u[None, :]
+                                   + centers[:, 1:2] * v[None, :]))
+    shape_sum = weights @ phase
+    mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
     return mass * shape_sum * np.exp(-2.0 * math.pi ** 2 * var * (u * u + v * v))
 
 
@@ -372,12 +369,13 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     pixel area approximates the flux.
     """
     grid.validate()
-    geo = build_loop_components(theta, cfg)
+    centers, weights = build_loop_components(theta, cfg)
+    _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
     xs, ys = grid.xs(), grid.ys()
     img = np.zeros((grid.ny, grid.nx))
-    mass, var = _component_mass_var(geo.params.flux, geo.params.sigma, cfg.exponent_mode)
+    mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
     two_var, norm = 2.0 * var, mass / (2.0 * math.pi * var)
-    for (cx, cy), w in zip(geo.centers, geo.weights):
+    for (cx, cy), w in zip(centers, weights):
         dx2 = (xs - cx) ** 2
         dy2 = (ys - cy) ** 2
         img += (w * norm) * np.exp(-(dy2[:, None] + dx2[None, :]) / two_var)
@@ -394,17 +392,19 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     padded by 10 sigma. The separable phase exp(2 pi i (xu + yv)) factorizes,
     so each frequency costs one bilinear form in the image.
     """
-    geo = build_loop_components(theta, cfg)
+    centers, _ = build_loop_components(theta, cfg)
+    _, _, _, sigma, _, _, _ = np.asarray(theta, dtype=float)
     if grid is None:
-        pad = 10.0 * geo.params.sigma
-        lo, hi = geo.centers.min(axis=0) - pad, geo.centers.max(axis=0) + pad
+        pad = 10.0 * sigma
+        lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
         grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), 1024, 1024)
     grid.validate()
     step = max(grid.dx, grid.dy)
-    if step > geo.comp_std / 2.0 and diag is not None:
+    comp_std = fwhm_to_std(sigma)
+    if step > comp_std / 2.0 and diag is not None:
         diag.warn("coarse_grid",
                   f"grid step {step:.3g} exceeds half the component std "
-                  f"{geo.comp_std:.3g}; quadrature may be inaccurate")
+                  f"{comp_std:.3g}; quadrature may be inaccurate")
     img = eval_image(theta, grid, cfg)
     xs, ys = grid.xs(), grid.ys()
     wx = np.full(grid.nx, grid.dx)

@@ -140,7 +140,7 @@ def check_model_consistency(model: MlpModel):
 
 
 def predict(model: MlpModel, v, diag: Diagnostics | None = None):
-    """Raw data vectors -> parameter estimates, total on finite inputs.
+    """Raw data vectors -> parameter estimates.
 
     Naive models return the network output clamped into the training
     intervals (no angle wrapping: wrapping would smuggle in exactly the
@@ -151,7 +151,7 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     would clamp it and record a ``clamped`` event.
 
     Accepts (M,) or (B, M); returns (P,) or (B, P) in internal units.
-    Non-finite inputs are rejected.
+    Non-finite inputs, and inputs whose network output overflows, are rejected.
     """
     kind, task = check_model_consistency(model)
     v = np.asarray(v, dtype=float)
@@ -159,8 +159,12 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
         raise ValidationError("input holds non-finite values")
     single = v.ndim == 1
     batch = v[None, :] if single else v
-    x = apply_standardization(model.stats, batch)
-    out = np.asarray(forward(model, x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(forward(model, apply_standardization(model.stats, batch)),
+                         dtype=float)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"row {int(np.argmax(bad))}: input too large for the model")
 
     out = _invert_transform(model.metadata.get("target_transform"), out)
     intervals = model.metadata.get("intervals", {})

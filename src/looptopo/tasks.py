@@ -25,6 +25,13 @@ from .errors import ValidationError
 
 KINDS = ("naive", "embedded")
 
+#: The 7 parameters of a loop, the columns of every (7,) row and (S, 7) array:
+#:   x_c, y_c   center, arcsec
+#:   flux       total integral of the shape, positive
+#:   sigma      FWHM of the circular components, arcsec, positive
+#:   eps        eccentricity, >= 0 (0 collapses the loop to one Gaussian)
+#:   alpha      orientation, radians in [0, pi) (degrees at the CLI and on disk)
+#:   c          curvature of the supporting parabola y = c x^2
 SCALE_PARAMS = ("x_c", "y_c", "flux", "sigma", "eps")
 LOOP_PARAMS = SCALE_PARAMS + ("alpha", "c")
 LOOP_UNITS = ("arcsec", "arcsec", "counts", "arcsec", "", "deg", "")
@@ -118,8 +125,7 @@ def _report_out_of_domain(c, intervals, diag):
 
 
 def _strip_inv(out, intervals, diag):
-    alpha, c = gamma_inv(out, diag=diag)
-    result = np.stack([np.atleast_1d(alpha), np.atleast_1d(c)], axis=1)
+    result = np.stack(gamma_inv(out, diag=diag), axis=1)
     _report_out_of_domain(result[:, 1], intervals, diag)
     return result
 
@@ -143,7 +149,7 @@ TASKS = {t.name: t for t in (
          noise=False, circular_fraction=0.0, collapses=False, data_header=("x", "y"),
          embedding="circle", embedded_dim=2,
          embed=lambda params: circle_embed(params[:, 0]),
-         invert=lambda out, intervals, diag: np.atleast_1d(circle_inv(out, diag=diag))[:, None],
+         invert=lambda out, intervals, diag: circle_inv(out, diag=diag)[:, None],
          transforms={},
          metrics=(Metric("circular", "theta", "circular_error_rad"),
                   Metric("raw", "theta", "raw_error_rad"))),

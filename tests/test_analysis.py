@@ -203,6 +203,12 @@ class TestEvaluatePredictions:
             evaluate_predictions("circle", "naive", np.zeros((3, 1)),
                                  np.zeros((4, 1)), {})
 
+    @pytest.mark.parametrize("task, width", [("circle", 1), ("simple", 2), ("complete", 7)])
+    def test_zero_rows_rejected(self, task, width):
+        with pytest.raises(ValidationError, match="no rows"):
+            evaluate_predictions(task, "naive", np.zeros((0, width)),
+                                 np.zeros((0, width)), {})
+
 
 class TestScatterExport:
     HEADER = ["a", "b", "c"]

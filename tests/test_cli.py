@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,18 @@ class TestEvaluate:
                     "--model", workspace["emb"],
                     "--out", tmp_path / "e"]) == 1
 
+    def test_empty_test_split_rejected_before_any_output(self, workspace, tmp_path, capsys):
+        ds, out = tmp_path / "ds", tmp_path / "e"
+        assert run(["gen-dataset", "--scenario", "simple", "--seed", "5",
+                    "--n-train", 30, "--n-val", 10, "--n-test", 0, "--out", ds]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--dataset", ds, "--model", workspace["emb"],
+                    "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "test split is empty" in captured.err
+        assert not out.exists()
+
 
 class TestPca:
     def test_projection_export(self, workspace, tmp_path):
@@ -284,9 +297,23 @@ class TestPredict:
         assert captured.err.startswith("error:")
         assert f"{bad}:1" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e300, 1e40])
+    def test_input_too_large_for_the_model_rejected_before_any_output(
+            self, workspace, tmp_path, capsys, scale):
+        from looptopo.data import load_dataset
+        vis_path, out_path = tmp_path / "v.csv", tmp_path / "pred.csv"
+        np.savetxt(vis_path, load_dataset(workspace["ds"]).clean[:3] * scale, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert run(["predict", "--model", workspace["emb"], "--input", vis_path,
+                        "--out", out_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 0: input too large for the model\n"
+        assert not out_path.exists()
+
     def test_render_complete_model_in_radians(self, tmp_path):
         from looptopo.data import load_dataset
-        from looptopo.embeddings import LoopParams
         from looptopo.forward_model import GridSpec, eval_image
         from looptopo.mlp import load_checkpoint
         from looptopo.regularizer import predict
@@ -300,8 +327,9 @@ class TestPredict:
         np.savetxt(vis_path, row, delimiter=",")
         assert run(["predict", "--model", ckpt, "--input", vis_path,
                     "--render", img_path, "--render-n", 16]) == 0
-        theta = LoopParams.from_array(predict(load_checkpoint(ckpt), row)[0])
-        grid = GridSpec.centered(abs(theta.x_c) + abs(theta.y_c) + 8.0 * theta.sigma, 16)
+        theta = predict(load_checkpoint(ckpt), row)[0]
+        x_c, y_c, _, sigma, _, _, _ = theta
+        grid = GridSpec.centered(abs(x_c) + abs(y_c) + 8.0 * sigma, 16)
         written = np.loadtxt(img_path, delimiter=",", skiprows=1)[:, 2]
         np.testing.assert_allclose(written, eval_image(theta, grid).ravel(),
                                    rtol=1e-9, atol=1e-12)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from looptopo.diagnostics import Diagnostics
-from looptopo.embeddings import (EPS_TOL, LoopParams, circle_embed, circle_inv,
+from looptopo.embeddings import (EPS_TOL, circle_embed, circle_inv,
                                  gamma, gamma_g, gamma_g_inv, gamma_inv,
                                  moebius_distance)
 from looptopo.errors import ValidationError
+from looptopo.forward_model import build_loop_components
 
 PI = math.pi
 
@@ -155,13 +156,18 @@ class TestMoebiusDistance:
 
 class TestGammaG:
     def test_collapsed_shape(self):
-        theta = LoopParams(0, 0, 1000, 8, 0, 0, 0)
+        theta = np.array([0, 0, 1000, 8, 0, 0, 0])
         np.testing.assert_array_equal(gamma_g(theta), [0, 0, 1000, 8, 0, 0, 0, 0])
 
     def test_eccentric_shape(self):
-        theta = LoopParams(0, 0, 1000, 8, 5, 0, 0.05)
+        theta = np.array([0, 0, 1000, 8, 5, 0, 0.05])
         np.testing.assert_allclose(gamma_g(theta), [0, 0, 1000, 8, 5, 5, 0, 0.25],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [5.0, np.zeros(6), np.zeros((3, 8))])
+    def test_rows_of_seven_only(self, theta):
+        with pytest.raises(ValidationError, match="expected 7-parameter vectors"):
+            gamma_g(theta)
 
     def test_seam_limit(self):
         t_a = np.array([1, 2, 900, 6, 3, PI - 1e-9, 0.04])
@@ -237,16 +243,12 @@ class TestCircle:
 
 class TestTypes:
     def test_loop_params_physical_validation(self):
-        LoopParams(0, 0, 1000, 8, 5, 0.3, 0.01).validate()
+        build_loop_components(np.array([0, 0, 1000, 8, 5, 0.3, 0.01]))
         with pytest.raises(ValidationError):
-            LoopParams(0, 0, -1, 8, 5, 0.3, 0.01).validate()
+            build_loop_components(np.array([0, 0, -1, 8, 5, 0.3, 0.01]))
         with pytest.raises(ValidationError):
-            LoopParams(0, 0, 1000, 0, 5, 0.3, 0.01).validate()
+            build_loop_components(np.array([0, 0, 1000, 0, 5, 0.3, 0.01]))
         with pytest.raises(ValidationError):
-            LoopParams(0, 0, 1000, 8, -1, 0.3, 0.01).validate()
+            build_loop_components(np.array([0, 0, 1000, 8, -1, 0.3, 0.01]))
         with pytest.raises(ValidationError):
-            LoopParams(0, 0, float("nan"), 8, 5, 0.3, 0.01).validate()
-
-    def test_round_trip_array(self):
-        theta = LoopParams(1, 2, 3, 4, 5, 0.6, 0.007)
-        assert LoopParams.from_array(theta.as_array()) == theta
+            build_loop_components(np.array([0, 0, float("nan"), 8, 5, 0.3, 0.01]))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looptopo.diagnostics import Diagnostics
-from looptopo.embeddings import LoopParams
 from looptopo.errors import ParseError, ValidationError
 from looptopo.forward_model import (DEFAULT_BUILD, EXPONENT_MODES, FrequencyConfig,
                                     FrequencySet, GridSpec, LoopBuildConfig,
@@ -28,8 +27,8 @@ def random_loop(rng, eps_min=0.0):
         alpha, c = 0.0, 0.0
     else:
         alpha, c = rng.uniform(0, PI), rng.uniform(-0.05, 0.05)
-    return LoopParams(rng.uniform(-50, 50), rng.uniform(-50, 50),
-                      rng.uniform(500, 5000), rng.uniform(4, 20), eps, alpha, c)
+    return np.array([rng.uniform(-50, 50), rng.uniform(-50, 50),
+                     rng.uniform(500, 5000), rng.uniform(4, 20), eps, alpha, c])
 
 
 class TestFrequencies:
@@ -76,60 +75,102 @@ class TestFrequencies:
 
 class TestLoopGeometry:
     def test_circular_collapse(self):
-        geo = build_loop_components(LoopParams(3.0, -2.0, 1000, 8, 0, 0, 0))
-        assert geo.centers.shape == (1, 2)
-        np.testing.assert_array_equal(geo.centers[0], [3.0, -2.0])
-        assert geo.weights[0] == 1.0
+        centers, weights = build_loop_components(np.array([3.0, -2.0, 1000, 8, 0, 0, 0]))
+        assert centers.shape == (1, 2)
+        np.testing.assert_array_equal(centers[0], [3.0, -2.0])
+        assert weights[0] == 1.0
 
     def test_straight_loop_on_axis(self):
-        geo = build_loop_components(LoopParams(5.0, 1.0, 1000, 8, 5, 0, 0))
-        assert geo.centers.shape == (11, 2)
-        np.testing.assert_allclose(geo.centers[:, 1], 1.0, atol=1e-12)
-        np.testing.assert_allclose(geo.centers + geo.centers[::-1],
+        centers, weights = build_loop_components(np.array([5.0, 1.0, 1000, 8, 5, 0, 0]))
+        assert centers.shape == (11, 2)
+        np.testing.assert_allclose(centers[:, 1], 1.0, atol=1e-12)
+        np.testing.assert_allclose(centers + centers[::-1],
                                    [[10.0, 2.0]] * 11, atol=1e-9)
-        np.testing.assert_allclose(geo.weights, geo.weights[::-1], atol=1e-15)
-        assert abs(geo.weights.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(weights, weights[::-1], atol=1e-15)
+        assert abs(weights.sum() - 1.0) < 1e-12
 
     def test_weights_decrease_with_arc_distance(self):
-        geo = build_loop_components(LoopParams(0, 0, 1000, 8, 5, 0.7, 0.03))
-        mid = len(geo.weights) // 2
-        assert np.all(np.diff(geo.weights[:mid + 1]) > 0)
-        assert np.all(np.diff(geo.weights[mid:]) < 0)
+        _, weights = build_loop_components(np.array([0, 0, 1000, 8, 5, 0.7, 0.03]))
+        mid = len(weights) // 2
+        assert np.all(np.diff(weights[:mid + 1]) > 0)
+        assert np.all(np.diff(weights[mid:]) < 0)
 
     def test_centers_on_parabola_in_loop_frame(self):
-        theta = LoopParams(7.0, -4.0, 1000, 8, 5, 1.1, 0.05)
-        geo = build_loop_components(theta)
-        rot = np.array([[math.cos(-theta.alpha), -math.sin(-theta.alpha)],
-                        [math.sin(-theta.alpha), math.cos(-theta.alpha)]])
-        local = (geo.centers - [theta.x_c, theta.y_c]) @ rot.T
-        np.testing.assert_allclose(local[:, 1], theta.c * local[:, 0] ** 2, atol=1e-9)
+        x_c, y_c, alpha, c = 7.0, -4.0, 1.1, 0.05
+        centers, _ = build_loop_components(np.array([x_c, y_c, 1000, 8, 5, alpha, c]))
+        rot = np.array([[math.cos(-alpha), -math.sin(-alpha)],
+                        [math.sin(-alpha), math.cos(-alpha)]])
+        local = (centers - [x_c, y_c]) @ rot.T
+        np.testing.assert_allclose(local[:, 1], c * local[:, 0] ** 2, atol=1e-9)
 
     def test_arc_spacing_against_numeric_integration(self):
         # oracle: cumulative trapezoid of sqrt(1 + (2 c x)^2), inverted by
         # linear interpolation
-        theta = LoopParams(0, 0, 1000, 8, 5, 0, 0.05)
-        geo = build_loop_components(theta)
+        sigma, eps, c = 8, 5, 0.05
+        centers, _ = build_loop_components(np.array([0, 0, 1000, sigma, eps, 0, c]))
         xs = np.linspace(0.0, 40.0, 400001)
-        integrand = np.sqrt(1.0 + (2 * theta.c * xs) ** 2)
+        integrand = np.sqrt(1.0 + (2 * c * xs) ** 2)
         arc = np.concatenate([[0.0], np.cumsum((integrand[1:] + integrand[:-1]) / 2
                                                * np.diff(xs))])
-        span = DEFAULT_BUILD.span_factor * theta.eps * theta.sigma
+        span = DEFAULT_BUILD.span_factor * eps * sigma
         targets = np.arange(1, 6) * (span / 5)
         x_oracle = np.interp(targets, arc, xs)
-        np.testing.assert_allclose(geo.centers[6:, 0], x_oracle, atol=1e-6)
+        np.testing.assert_allclose(centers[6:, 0], x_oracle, atol=1e-6)
         # vertex sits exactly at the center
-        np.testing.assert_array_equal(geo.centers[5], [0.0, 0.0])
+        np.testing.assert_array_equal(centers[5], [0.0, 0.0])
 
     def test_even_component_count_rejected(self):
         with pytest.raises(ValidationError):
-            build_loop_components(LoopParams(0, 0, 1000, 8, 5, 0, 0),
+            build_loop_components(np.array([0, 0, 1000, 8, 5, 0, 0]),
                                   LoopBuildConfig(n_components=10))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
-            build_loop_components(LoopParams(0, 0, -1000, 8, 5, 0, 0))
+            build_loop_components(np.array([0, 0, -1000, 8, 5, 0, 0]))
         with pytest.raises(ValidationError):
-            build_loop_components(LoopParams(0, 0, 1000, 8, float("inf"), 0, 0))
+            build_loop_components(np.array([0, 0, 1000, 8, float("inf"), 0, 0]))
+
+
+SCALAR_ENTRY_POINTS = {
+    "build_loop_components": build_loop_components,
+    "visibilities_closed_form": lambda theta: visibilities_closed_form(theta, FREQS),
+    "eval_image": lambda theta: eval_image(theta, GridSpec.centered(60.0, 16)),
+    "visibilities_quadrature_oracle": lambda theta: visibilities_quadrature_oracle(
+        theta, FREQS, GridSpec.centered(60.0, 16)),
+}
+GOOD_ROW = [3.0, -7.0, 1000.0, 8.0, 5.0, 0.3, 0.01]
+
+
+def _with(column, value):
+    row = list(GOOD_ROW)
+    row[column] = value
+    return row
+
+
+class TestScalarEntryPoints:
+    """Each one-loop entry point refuses what ``validate_param_rows`` refuses,
+    and any shape but (7,)."""
+
+    @pytest.mark.parametrize("entry", list(SCALAR_ENTRY_POINTS))
+    @pytest.mark.parametrize("theta, message", [
+        (GOOD_ROW[:6], r"expected 7 parameters, got shape \(6,\)"),
+        (GOOD_ROW + [0.0], r"expected 7 parameters, got shape \(8,\)"),
+        ([GOOD_ROW], r"expected 7 parameters, got shape \(1, 7\)"),
+        (5.0, r"expected 7 parameters, got shape \(\)"),
+        (_with(0, float("nan")), "row 0: parameters must be finite"),
+        (_with(6, float("inf")), "row 0: parameters must be finite"),
+        (_with(2, 0.0), "row 0: flux must be positive"),
+        (_with(2, -1000.0), "row 0: flux must be positive"),
+        (_with(3, 0.0), "row 0: sigma must be positive"),
+        (_with(3, -8.0), "row 0: sigma must be positive"),
+        (_with(4, -1e-300), "row 0: eps must be nonnegative")])
+    def test_refuses_bad_rows(self, entry, theta, message):
+        with pytest.raises(ValidationError, match=message):
+            SCALAR_ENTRY_POINTS[entry](np.array(theta))
+
+    @pytest.mark.parametrize("entry", list(SCALAR_ENTRY_POINTS))
+    def test_accepts_good_row(self, entry):
+        SCALAR_ENTRY_POINTS[entry](np.array(GOOD_ROW))
 
 
 class TestClosedForm:
@@ -139,37 +180,34 @@ class TestClosedForm:
         for _ in range(20):
             theta = random_loop(rng)
             v = visibilities_closed_form(theta, zero)[0]
-            assert abs(v - theta.flux) <= 1e-9 * theta.flux
+            assert abs(v - theta[2]) <= 1e-9 * theta[2]
 
     def test_shift_theorem(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             theta = random_loop(rng, eps_min=0.5)
             dx, dy = rng.uniform(-20, 20, 2)
-            shifted = LoopParams(theta.x_c + dx, theta.y_c + dy, theta.flux,
-                                 theta.sigma, theta.eps, theta.alpha, theta.c)
+            shifted = theta + [dx, dy, 0, 0, 0, 0, 0]
             v = visibilities_closed_form(theta, FREQS)
             vs = visibilities_closed_form(shifted, FREQS)
             phase = np.exp(2j * PI * (dx * FREQS.u + dy * FREQS.v))
-            assert np.max(np.abs(vs - v * phase)) / theta.flux < 1e-12
+            assert np.max(np.abs(vs - v * phase)) / theta[2] < 1e-12
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            base = random_loop(rng, eps_min=0.5)
-            theta = LoopParams(0.0, 0.0, base.flux, base.sigma, base.eps,
-                               base.alpha, base.c)
+            theta = random_loop(rng, eps_min=0.5)
+            theta[:2] = 0.0
             a0 = rng.uniform(0, PI)
-            alpha2, c2 = theta.alpha + a0, theta.c
+            alpha2, c2 = theta[5] + a0, theta[6]
             if alpha2 >= PI:  # identified representative
                 alpha2, c2 = alpha2 - PI, -c2
-            rotated = LoopParams(0.0, 0.0, theta.flux, theta.sigma, theta.eps,
-                                 alpha2, c2)
+            rotated = np.concatenate([theta[:5], [alpha2, c2]])
             rot = np.array([[math.cos(-a0), -math.sin(-a0)],
                             [math.sin(-a0), math.cos(-a0)]])
             v_rot = visibilities_closed_form(rotated, FREQS)
             v_base = visibilities_closed_form(theta, FrequencySet(FREQS.uv @ rot.T))
-            assert np.max(np.abs(v_rot - v_base)) / theta.flux < 1e-10
+            assert np.max(np.abs(v_rot - v_base)) / theta[2] < 1e-10
 
     def test_eps_zero_ignores_orientation(self):
         v0 = visibilities_closed_form(np.array([2, 3, 1500, 10, 0, 0, 0]), FREQS)
@@ -177,23 +215,23 @@ class TestClosedForm:
         assert np.max(np.abs(v0 - v1)) / 1500 < 1e-12
 
     def test_eps_zero_matches_single_gaussian_formula(self):
-        theta = LoopParams(4.0, -6.0, 1200, 9, 0, 0, 0)
-        v = visibilities_closed_form(theta, FREQS)
-        s = fwhm_to_std(theta.sigma)
-        expected = theta.flux * np.exp(
-            2j * PI * (theta.x_c * FREQS.u + theta.y_c * FREQS.v)
+        x_c, y_c, flux, sigma = 4.0, -6.0, 1200, 9
+        v = visibilities_closed_form(np.array([x_c, y_c, flux, sigma, 0, 0, 0]), FREQS)
+        s = fwhm_to_std(sigma)
+        expected = flux * np.exp(
+            2j * PI * (x_c * FREQS.u + y_c * FREQS.v)
             - 2 * PI ** 2 * s ** 2 * (FREQS.u ** 2 + FREQS.v ** 2))
-        np.testing.assert_allclose(v, expected, atol=1e-12 * theta.flux)
+        np.testing.assert_allclose(v, expected, atol=1e-12 * flux)
 
     def test_seam_identification_in_data_space(self):
-        v_a = visibilities_closed_form(LoopParams(3, -7, 1000, 8, 5, 0.0, 0.05), FREQS)
+        v_a = visibilities_closed_form(np.array([3, -7, 1000, 8, 5, 0.0, 0.05]), FREQS)
         v_b = visibilities_closed_form(
             np.array([3, -7, 1000, 8, 5, PI, -0.05]), FREQS)
         assert np.max(np.abs(v_a - v_b)) / 1000 < 1e-12
 
     def test_seam_convergence_from_below(self):
         v_ref = visibilities_closed_form(
-            LoopParams(3, -7, 1000, 8, 5, 0.0, 0.05), FREQS)
+            np.array([3, -7, 1000, 8, 5, 0.0, 0.05]), FREQS)
         gaps = []
         for delta in (1e-2, 1e-4, 1e-6):
             v = visibilities_closed_form(
@@ -203,14 +241,14 @@ class TestClosedForm:
         assert gaps[2] < 1e-6
 
     def test_conjugate_symmetry(self):
-        theta = LoopParams(5, 5, 1000, 8, 4, 0.9, -0.02)
+        theta = np.array([5, 5, 1000, 8, 4, 0.9, -0.02])
         both = FrequencySet(np.vstack([FREQS.uv, -FREQS.uv]))
         v = visibilities_closed_form(theta, both)
         np.testing.assert_allclose(v[:30], np.conj(v[30:]), atol=1e-12 * 1000)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
-        thetas = np.array([random_loop(rng).as_array() for _ in range(20)])
+        thetas = np.array([random_loop(rng) for _ in range(20)])
         thetas[0, 4] = 0.0
         thetas[0, 5:7] = 0.0
         batch = visibilities_closed_form_batch(thetas, FREQS)
@@ -268,7 +306,7 @@ class TestClosedFormBatch:
         (4, -5.0, "eps must be nonnegative")])
     def test_rejects_what_scalar_rejects(self, column, value, rule):
         rng = np.random.default_rng(5)
-        thetas = np.array([random_loop(rng).as_array() for _ in range(9)])
+        thetas = np.array([random_loop(rng) for _ in range(9)])
         thetas[4, column] = value
         with pytest.raises(ValidationError):
             visibilities_closed_form(thetas[4], FREQS)
@@ -278,7 +316,7 @@ class TestClosedFormBatch:
 
 class TestQuadratureOracle:
     def test_circular_gaussian_zero_frequency(self):
-        theta = LoopParams(0, 0, 1000, 8, 0, 0, 0)
+        theta = np.array([0, 0, 1000, 8, 0, 0, 0])
         zero = FrequencySet(np.array([[0.0, 0.0]]))
         v = visibilities_quadrature_oracle(theta, zero)
         assert abs(v[0].real - 1000) / 1000 < 1e-8
@@ -294,7 +332,7 @@ class TestQuadratureOracle:
             assert np.max(np.abs(cf - q)) / np.max(np.abs(cf)) < 1e-5
 
     def test_coarse_grid_warns(self):
-        theta = LoopParams(0, 0, 1000, 4, 0, 0, 0)
+        theta = np.array([0, 0, 1000, 4, 0, 0, 0])
         diag = Diagnostics()
         grid = GridSpec.centered(80.0, 32)
         visibilities_quadrature_oracle(theta, FREQS, grid=grid, diag=diag)
@@ -303,25 +341,27 @@ class TestQuadratureOracle:
     def test_verbatim_mode_consistency(self):
         # the audit variant changes the formula; both routes must track it
         cfg = LoopBuildConfig(exponent_mode="verbatim")
-        theta = LoopParams(0, 0, 1000, 8, 2, 0.4, 0.01)
+        flux, sigma = 1000, 8
+        theta = np.array([0, 0, flux, sigma, 2, 0.4, 0.01])
         cf = visibilities_closed_form(theta, FREQS, cfg)
         q = visibilities_quadrature_oracle(theta, FREQS, cfg=cfg)
         assert np.max(np.abs(cf - q)) / np.max(np.abs(cf)) < 1e-5
         zero = FrequencySet(np.array([[0.0, 0.0]]))
         v0 = visibilities_closed_form(theta, zero, cfg)[0]
-        assert abs(v0 - theta.flux / theta.sigma) < 1e-9 * theta.flux
+        assert abs(v0 - flux / sigma) < 1e-9 * flux
 
 
 class TestEvalImage:
     def test_riemann_sum_recovers_flux(self):
-        theta = LoopParams(0, 0, 1000, 8, 3, 0.5, 0.02)
+        flux = 1000
+        theta = np.array([0, 0, flux, 8, 3, 0.5, 0.02])
         grid = GridSpec.centered(80.0, 161)  # step 1 arcsec = sigma / 8
         img = eval_image(theta, grid)
         total = img.sum() * grid.dx * grid.dy
-        assert abs(total - theta.flux) / theta.flux < 1e-3
+        assert abs(total - flux) / flux < 1e-3
 
     def test_peak_at_center_when_circular(self):
-        theta = LoopParams(6.0, -10.0, 1000, 8, 0, 0, 0)
+        theta = np.array([6.0, -10.0, 1000, 8, 0, 0, 0])
         grid = GridSpec(-20, 30, -35, 15, 101, 101)
         img = eval_image(theta, grid)
         i, j = np.unravel_index(np.argmax(img), img.shape)
@@ -330,14 +370,14 @@ class TestEvalImage:
 
     def test_seam_identified_pair_pixelwise(self):
         grid = GridSpec.centered(60.0, 128)
-        i_a = eval_image(LoopParams(3, -7, 1000, 8, 5, 0.0, 0.05), grid)
+        i_a = eval_image(np.array([3, -7, 1000, 8, 5, 0.0, 0.05]), grid)
         i_b = eval_image(np.array([3, -7, 1000, 8, 5, PI, -0.05]), grid)
         assert np.max(np.abs(i_a - i_b)) < 1e-9
 
 
 class TestNoise:
     def test_deterministic_given_seed(self):
-        v = vis_to_reals(visibilities_closed_form(LoopParams(0, 0, 1000, 8, 5, 0, 0.05),
+        v = vis_to_reals(visibilities_closed_form(np.array([0, 0, 1000, 8, 5, 0, 0.05]),
                                                   FREQS))
         a = add_noise(v, 1000, np.random.default_rng(11))
         b = add_noise(v, 1000, np.random.default_rng(11))
@@ -367,7 +407,7 @@ class TestNoise:
         assert abs(std.std() - 1) < 0.05
 
     def test_complex_input_rejected(self):
-        v = visibilities_closed_form(LoopParams(0, 0, 1000, 8, 5, 0, 0.05), FREQS)
+        v = visibilities_closed_form(np.array([0, 0, 1000, 8, 5, 0, 0.05]), FREQS)
         with pytest.raises(ValidationError):
             add_noise(v, 1000, np.random.default_rng(0))  # real-coded rows only
 

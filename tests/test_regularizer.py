@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,24 @@ class TestPredictTotality:
         row[3] = np.inf
         with pytest.raises(ValidationError):
             predict(model, row)
+
+    @pytest.mark.parametrize("kind", ["naive", "embedded"])
+    def test_input_too_large_for_the_network_rejected(self, kind):
+        # finite, but standardized past float32's range: the network's cast
+        # overflows and its matmul turns the row into NaN
+        ds = tiny_dataset("complete")
+        trainer = train_naive if kind == "naive" else train_embedded
+        model, _ = trainer(ds, nn_cfg=tiny_nn(ds, kind), train_cfg=TINY_TRAIN)
+        for scale, row in ((1e300, 2), (1e40, 0)):
+            x = ds.inputs(TEST)[:4].copy()
+            x[row] *= scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=f"row {row}: input too large"):
+                    predict(model, x)
+                with pytest.raises(ValidationError, match="row 0: input too large"):
+                    predict(model, x[row])
+                assert np.all(np.isfinite(predict(model, np.delete(x, row, axis=0))))
 
 
 class TestConsistency:
