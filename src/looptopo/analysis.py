@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import gamma, moebius_distance
+from .embeddings import gamma_g, moebius_distance
 from .errors import ValidationError
 from .serialization import format_csv, is_integer, write_bytes
 from .tasks import get_task
@@ -33,11 +33,8 @@ def moebius_error_scaled(pred_params, truth_params):
     Collapsed shapes (both eps near 0) score near zero regardless of angles,
     matching the rotation invariance of circular sources.
     """
-    p = np.asarray(pred_params, dtype=float)
-    t = np.asarray(truth_params, dtype=float)
-    tp = p[..., 4, None] * gamma(p[..., 5], p[..., 6])
-    tt = t[..., 4, None] * gamma(t[..., 5], t[..., 6])
-    return np.linalg.norm(tp - tt, axis=-1)
+    return np.linalg.norm(gamma_g(pred_params)[..., 5:] - gamma_g(truth_params)[..., 5:],
+                          axis=-1)
 
 
 def nearest_rank_quantile(values, q):

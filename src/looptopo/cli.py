@@ -27,12 +27,17 @@ from .serialization import (config_hash, format_csv, is_integer, make_dir, parse
 from .tasks import LOOP_PARAMS, TASKS
 
 
+_CONFIG_KEYS = {"seed", "dataset", "frequencies", "loop_build", "nn", "train", "pca"}
+
+
 def _read_config(path):
     if path is None:
         return {}
     cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must contain a JSON object")
+    if set(cfg) - _CONFIG_KEYS:
+        raise ValidationError(f"unknown config keys {sorted(set(cfg) - _CONFIG_KEYS)}")
     return cfg
 
 

@@ -47,9 +47,21 @@ def validate_param_rows(thetas):
 def _coords(x):
     """Accept pairs or (..., 2) arrays."""
     a = np.asarray(x, dtype=float)
-    if a.shape[-1] != 2:
+    if a.shape[-1:] != (2,):
         raise ValidationError(f"expected (alpha, c) pairs, got shape {a.shape}")
     return a
+
+
+def _direction(x, y, name, diag):
+    """The angle of (x, y) in [0, 2pi). (0, 0) has none: 0 is returned, and a
+    ``degenerate_direction`` event is recorded when a Diagnostics is given."""
+    degenerate = (x == 0.0) & (y == 0.0)
+    n_deg = int(np.count_nonzero(degenerate))
+    if n_deg and diag is not None:
+        diag.warn("degenerate_direction",
+                  f"(x, y) = (0, 0): angle undefined, {name} set to 0", n_deg)
+    angle = np.arctan2(y, x)
+    return np.where(degenerate, 0.0, np.where(angle < 0.0, angle + TWO_PI, angle))
 
 
 def gamma(alpha, c):
@@ -86,17 +98,10 @@ def gamma_inv(p, diag: Diagnostics | None = None):
     Returns (alpha, c) as floats for a single point, arrays for batches.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 3:
+    if p.shape[-1:] != (3,):
         raise ValidationError(f"expected 3-space points, got shape {p.shape}")
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    degenerate = (x == 0.0) & (y == 0.0)
-    n_deg = int(np.count_nonzero(degenerate))
-    if n_deg and diag is not None:
-        diag.warn("degenerate_direction",
-                  "(x, y) = (0, 0): angle undefined, alpha set to 0", n_deg)
-    angle = np.arctan2(y, x)
-    angle = np.where(angle < 0.0, angle + TWO_PI, angle)
-    alpha = np.where(degenerate, 0.0, 0.5 * angle)
+    alpha = 0.5 * _direction(x, y, "alpha", diag)
     r = np.hypot(x, y)
     c = z * np.cos(alpha) + (r - 1.0) * np.sin(alpha)
     if p.ndim == 1:
@@ -129,7 +134,7 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
     Accepts (..., 8) arrays, returns (..., 7).
     """
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 8:
+    if p.shape[-1:] != (8,):
         raise ValidationError(f"expected 8-vectors, got shape {p.shape}")
     if floors is None:
         floors = (1e-9, 1e-9, 0.0)
@@ -173,17 +178,9 @@ def circle_inv(p, diag: Diagnostics | None = None):
     The zero vector has no direction: returns 0 with a warning event.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 2:
+    if p.shape[-1:] != (2,):
         raise ValidationError(f"expected 2-space points, got shape {p.shape}")
-    x, y = p[..., 0], p[..., 1]
-    degenerate = (x == 0.0) & (y == 0.0)
-    n_deg = int(np.count_nonzero(degenerate))
-    if n_deg and diag is not None:
-        diag.warn("degenerate_direction",
-                  "(x, y) = (0, 0): angle undefined, theta set to 0", n_deg)
-    angle = np.arctan2(y, x)
-    angle = np.where(angle < 0.0, angle + TWO_PI, angle)
-    angle = np.where(degenerate, 0.0, angle)
+    angle = _direction(p[..., 0], p[..., 1], "theta", diag)
     if p.ndim == 1:
         return float(angle)
     return angle

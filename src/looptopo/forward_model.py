@@ -54,6 +54,11 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 EXPONENT_MODES = ("fwhm", "verbatim")
 
+#: Rows per pass of ``visibilities_closed_form_batch``; a row's result is the same at any size.
+CLOSED_FORM_CHUNK = 2048
+#: Newton on the arc length: the relative step that freezes an entry, and the cap.
+_ARC_TOL, _ARC_MAX_ITER = 1e-13, 60
+
 
 def fwhm_to_std(sigma):
     """Standard deviation of a Gaussian whose FWHM is sigma."""
@@ -235,11 +240,10 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
 
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     rot = np.array([[cos_a, -sin_a], [sin_a, cos_a]])
-    centers = local @ rot.T + np.array([x_c, y_c])
-    return centers, w
+    return local @ rot.T + np.array([x_c, y_c]), w
 
 
-def _loop_half(thetas, cfg: LoopBuildConfig):
+def _loop_half(thetas, cfg: LoopBuildConfig, first_row=0):
     """The positive half of the loop layout of (S, 7) rows, in the loop frame.
 
     Components sit at equal arc-length steps d_k = k L / h (k = 1..h, h the
@@ -254,7 +258,7 @@ def _loop_half(thetas, cfg: LoopBuildConfig):
     d_pos = (span / half)[:, None] * np.arange(1, half + 1)
     width = 0.5 * span + fwhm_to_std(sigma)
     w = np.exp(-d_pos * d_pos / (2.0 * width * width)[:, None])
-    return _batch_x_at_arc(d_pos, c), w
+    return _batch_x_at_arc(d_pos, c, first_row), w
 
 
 def _component_mass_var(flux, sigma, mode):
@@ -289,16 +293,17 @@ def visibilities_closed_form(theta, freqs: FrequencySet,
 
 
 def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
-                                   cfg: LoopBuildConfig = DEFAULT_BUILD,
-                                   chunk=2048) -> np.ndarray:
+                                   cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:
     """Vectorized closed form over an (S, 7) parameter array -> (S, n) complex.
 
     The layout of ``_loop_half``, summed in mirrored pairs (see the module
-    docstring) with real cos/sin on (chunk, half, n) arrays, one chunk of
+    docstring) with real cos/sin on (chunk, half, n) arrays, ``CLOSED_FORM_CHUNK``
     rows at a time. Rows are checked by ``validate_param_rows``; the first
     bad row raises ``ValidationError``. The result agrees with
     ``visibilities_closed_form`` to rounding (a few 1e-15 of the flux), not
-    bit for bit, because the sums run in another order.
+    bit for bit, because the sums run in another order. A row's result does
+    not depend on its batch: ``_batch_x_at_arc`` solves each entry on its own,
+    and all else is elementwise or a sum within the row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
@@ -311,11 +316,11 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     two_pi = 2.0 * math.pi
     out = np.empty((thetas.shape[0], len(freqs)), dtype=complex)
 
-    for lo in range(0, thetas.shape[0], chunk):
-        rows = thetas[lo:lo + chunk]
+    for lo in range(0, thetas.shape[0], CLOSED_FORM_CHUNK):
+        rows = thetas[lo:lo + CLOSED_FORM_CHUNK]
         x_c, y_c, flux, sigma, _, alpha, c = rows.T
         if half:
-            x_pos, w = _loop_half(rows, cfg)
+            x_pos, w = _loop_half(rows, cfg, first_row=lo)
             w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
             w *= 2.0 * w0[:, None]  # each pair carries twice its weight
 
@@ -323,7 +328,8 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
             p = cos_a * u + sin_a * v  # frequency along the loop axis
             q = cos_a * v - sin_a * u  # frequency across it
             along = np.cos((two_pi * x_pos)[:, :, None] * p[:, None, :])
-            across = (two_pi * c[:, None] * x_pos * x_pos)[:, :, None] * q[:, None, :]
+            y_pos = c[:, None] * x_pos * x_pos  # c x^2 first: 2 pi c may overflow
+            across = (two_pi * y_pos)[:, :, None] * q[:, None, :]
             pair_re = w0[:, None] + np.einsum("sk,skj->sj", w, along * np.cos(across))
             pair_im = np.einsum("sk,skj->sj", w, along * np.sin(across))
         else:
@@ -333,33 +339,42 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
         cos_phi, sin_phi = np.cos(phi), np.sin(phi)
         mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
         scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
-        block = out[lo:lo + chunk]
+        block = out[lo:lo + CLOSED_FORM_CHUNK]
         block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
         block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
     return out
 
 
-def _batch_x_at_arc(s, c, max_iter=60, tol=1e-13):
-    """Invert the arc length of y = c x^2 row by row: x >= 0 with arclen(x) = s.
+def _batch_x_at_arc(s, c, first_row=0):
+    """Invert the arc length of y = c x^2 entry by entry: x >= 0 with arclen(x) = s.
 
-    s is (S, k) and nonnegative, c is (S,). Newton from x = s converges
-    monotonically (the arc length is increasing and convex for x > 0 and
-    arclen(x) >= x).
+    s is (S, k), nonnegative, and c is (S,). Newton runs on each entry alone
+    until its step is at most ``_ARC_TOL`` x, so x depends on (s, c) only; at
+    ``_ARC_MAX_ITER`` steps a moving entry of row i raises naming first_row + i.
+    arclen(x) >= max(x, |c| x^2), as the integrand sqrt(1 + 4 c^2 t^2) is at
+    least max(1, 2 |c| t): the start min(s, sqrt(s / |c|)) lies at or right of
+    the root, and Newton on the increasing, convex arc length descends from it.
+    Where |c| s <= 2^-27 the root s (1 - 2/3 (c s)^2 + ...) rounds to s, so
+    x = s without a step: c = 0, s = 0, and no |c| x in the subnormal range.
     """
-    c = np.asarray(c, dtype=float)[:, None]
-    x = np.asarray(s, dtype=float).copy()
-    straight = (c == 0.0)
-    for _ in range(max_iter):
-        u = 2.0 * c * x
-        grad = np.sqrt(1.0 + u * u)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = 0.5 * (x * grad + np.where(straight, 2.0 * x, np.arcsinh(u) / (2.0 * c))) - s
-        f = np.where(straight, x - s, f)
-        step = f / grad
-        x = x - step
-        if np.max(np.abs(step)) < tol * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x
+    k = s.shape[1]
+    s, c = s.ravel(), np.repeat(np.abs(c), k)
+    root_s, root_c = np.sqrt(s), np.sqrt(c)  # root_c * root_s = sqrt(|c| s) cannot overflow
+    x = s.copy()
+    todo = np.flatnonzero(root_c * root_s > 2.0 ** -13.5)  # |c| s > 2^-27
+    x_todo = np.minimum(s[todo], root_s[todo] / root_c[todo])
+    for _ in range(_ARC_MAX_ITER):
+        u = 2.0 * (c[todo] * x_todo)
+        grad = np.hypot(1.0, u)
+        arclen = 0.5 * (x_todo * grad + np.arcsinh(u) / c[todo] / 2.0)  # free of overflow
+        step = (arclen - s[todo]) / grad
+        x_todo -= step
+        done = np.abs(step) <= _ARC_TOL * x_todo
+        x[todo[done]] = x_todo[done]
+        todo, x_todo = todo[~done], x_todo[~done]
+        if not todo.size:
+            return x.reshape(-1, k)
+    raise ValidationError(f"row {first_row + todo[0] // k}: arc length did not converge")
 
 
 def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:

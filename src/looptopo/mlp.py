@@ -106,14 +106,10 @@ def init_mlp(cfg: MlpConfig) -> MlpModel:
     dims = [cfg.input_dim, *cfg.hidden_widths, cfg.output_dim]
     weights, biases = [], []
     for i in range(len(dims) - 1):
-        fan_in = dims[i]
-        w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(dims[i], dims[i + 1]))
+        w = rng.normal(0.0, math.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
         weights.append(w.astype(dt))
-        is_final = i == len(dims) - 2
-        if is_final and not cfg.final_bias:
-            biases.append(None)
-        else:
-            biases.append(np.zeros(dims[i + 1], dtype=dt))
+        without_bias = i == len(dims) - 2 and not cfg.final_bias
+        biases.append(None if without_bias else np.zeros(dims[i + 1], dtype=dt))
     return MlpModel(config=cfg, weights=weights, biases=biases)
 
 
@@ -300,11 +296,10 @@ class AdamState:
     @classmethod
     def for_model(cls, model: MlpModel, learning_rate=1e-3, beta1=0.9,
                   beta2=0.999, eps=1e-8):
-        zw = [np.zeros_like(w) for w in model.weights]
-        zb = [None if b is None else np.zeros_like(b) for b in model.biases]
-        return cls(m_w=zw, v_w=[np.zeros_like(w) for w in model.weights],
-                   m_b=zb, v_b=[None if b is None else np.zeros_like(b)
-                                for b in model.biases],
+        def zeros(arrays):
+            return [None if a is None else np.zeros_like(a) for a in arrays]
+        return cls(m_w=zeros(model.weights), v_w=zeros(model.weights),
+                   m_b=zeros(model.biases), v_b=zeros(model.biases),
                    learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
 
 
@@ -389,18 +384,15 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     """
     cfg.validate()
     dt = DTYPES[model.config.dtype]
-    x_train = np.asarray(x_train, dtype=dt)
-    y_train = np.asarray(y_train, dtype=dt)
-    x_val = np.asarray(x_val, dtype=dt)
-    y_val = np.asarray(y_val, dtype=dt)
+    x_train, y_train, x_val, y_val = (np.asarray(a, dtype=dt)
+                                      for a in (x_train, y_train, x_val, y_val))
     if len(x_train) == 0 or len(x_val) == 0:
         raise ValidationError("training and validation splits must be non-empty")
 
     state = AdamState.for_model(model, learning_rate=cfg.learning_rate,
                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     history = []
-    best_val = math.inf
-    best_epoch = -1
+    best_val, best_epoch = math.inf, -1
     best_params = model.copy_parameters()
 
     n = len(x_train)
@@ -428,8 +420,7 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "val_loss": val_loss})
         if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
+            best_val, best_epoch = val_loss, epoch
             best_params = model.copy_parameters()
         elif cfg.patience and epoch - best_epoch >= cfg.patience:
             break
@@ -515,9 +506,8 @@ def load_checkpoint(path) -> MlpModel:
     if offset != len(body):
         raise ParseError(f"{len(body) - offset} bytes past the arrays", path=path)
     n_layers = len(cfg.hidden_widths) + 1
-    stats = None
-    if has_stats:
-        stats = StandardizationStats(mean=named["stats_mean"], std=named["stats_std"])
+    stats = (StandardizationStats(mean=named["stats_mean"], std=named["stats_std"])
+             if has_stats else None)
     return MlpModel(config=cfg, weights=[named[f"W{i}"] for i in range(n_layers)],
                     biases=[named.get(f"b{i}") for i in range(n_layers)], stats=stats,
                     metadata=metadata)

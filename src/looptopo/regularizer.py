@@ -48,23 +48,18 @@ def _target_transform(kind, spec, intervals, y_train):
         span = np.where(hi > lo, hi - lo, 1.0)
         return {"type": "minmax", "offset": lo.tolist(), "scale": span.tolist()}
     if transform == "zscore":
-        mean = y_train.mean(axis=0)
-        std = y_train.std(axis=0)
+        mean, std = y_train.mean(axis=0), y_train.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         return {"type": "zscore", "offset": mean.tolist(), "scale": std.tolist()}
     return None
 
 
 def _apply_transform(tf, y):
-    if tf is None:
-        return y
-    return (y - np.asarray(tf["offset"])) / np.asarray(tf["scale"])
+    return y if tf is None else (y - np.asarray(tf["offset"])) / np.asarray(tf["scale"])
 
 
 def _invert_transform(tf, y):
-    if tf is None:
-        return y
-    return y * np.asarray(tf["scale"]) + np.asarray(tf["offset"])
+    return y if tf is None else y * np.asarray(tf["scale"]) + np.asarray(tf["offset"])
 
 
 def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo import cli
 from looptopo.cli import build_parser, main
+from looptopo.data import load_dataset
 from looptopo.errors import LoopTopoError, ParseError
 from looptopo.mlp import load_checkpoint, save_checkpoint
 
@@ -555,6 +556,7 @@ BAD_CONFIGS = {
     "section not an object": ({"nn": [16, 16]}, "train"),
     "seed wrong type": ({"seed": "one"}, "gen-dataset"),
     "seed negative": ({"seed": -1}, "gen-dataset"),
+    "unknown top-level key": ({"trian": {"epochs": 50}}, "train"),
 }
 
 
@@ -714,6 +716,25 @@ class TestVisForward:
         data = np.loadtxt(out, delimiter=",", skiprows=2)
         np.testing.assert_array_equal(data[:, 2], expected.real)
         np.testing.assert_array_equal(data[:, 3], expected.imag)
+
+    def test_writes_the_dataset_rows(self, tmp_path):
+        # a dataset row's external parameters give back its clean bytes
+        ds_dir = tmp_path / "ds"
+        assert run(["gen-dataset", "--scenario", "complete", "--seed", 5, "--n-train", 2000,
+                    "--n-val", 500, "--n-test", 500, "--out", ds_dir]) == 0
+        ds = load_dataset(ds_dir)
+        for i in range(0, 3000, 250):
+            theta = ",".join(repr(float(v)) for v in ds.params_disk[i])
+            assert run(["vis-forward", f"--theta={theta}", "--out", tmp_path / "v.csv"]) == 0
+            data = np.loadtxt(tmp_path / "v.csv", delimiter=",", skiprows=2)
+            np.testing.assert_array_equal(np.concatenate([data[:, 2], data[:, 3]]),
+                                          ds.clean[i])
+
+    @pytest.mark.parametrize("c", ["1e20", "1e30", "1e308"])
+    def test_huge_curvature_is_finite(self, tmp_path, c):
+        assert run(["vis-forward", "--theta", f"0,0,1000,8,5,30,{c}",
+                    "--out", tmp_path / "v.csv"]) == 0
+        assert np.all(np.isfinite(np.loadtxt(tmp_path / "v.csv", delimiter=",", skiprows=2)))
 
     def test_bad_theta_rejected(self, capsys):
         assert run(["vis-forward", "--theta", "1,2,3"]) == 1

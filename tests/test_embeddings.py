@@ -241,6 +241,13 @@ class TestCircle:
         assert diag.count("degenerate_direction") == 1
 
 
+@pytest.mark.parametrize("inverse", [gamma_inv, gamma_g_inv, circle_inv,
+                                     lambda p: moebius_distance(p, p)])
+def test_scalar_input_is_a_validation_error(inverse):
+    with pytest.raises(ValidationError, match="got shape"):
+        inverse(5.0)
+
+
 class TestTypes:
     def test_loop_params_physical_validation(self):
         build_loop_components(np.array([0, 0, 1000, 8, 5, 0.3, 0.01]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looptopo import forward_model
 from looptopo.diagnostics import Diagnostics
 from looptopo.errors import ParseError, ValidationError
 from looptopo.forward_model import (DEFAULT_BUILD, EXPONENT_MODES, FrequencyConfig,
@@ -273,6 +274,20 @@ def complete_loops(draw):
             draw(_interval("sigma")), eps, alpha, c]
 
 
+@st.composite
+def any_curvature_loops(draw):
+    """A complete-task loop whose curvature may be any finite value."""
+    row = draw(complete_loops())
+    row[6] = draw(st.one_of(st.just(row[6]), st.floats(-1e308, 1e308)))
+    return row
+
+
+def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
+        return visibilities_closed_form_batch(thetas, FREQS, cfg)
+
+
 class TestClosedFormBatch:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(complete_loops(), min_size=1, max_size=30),
@@ -282,7 +297,7 @@ class TestClosedFormBatch:
         # chunk 7 puts chunk boundaries inside most batches, with a remainder
         cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
         thetas = np.array(rows)
-        batch = visibilities_closed_form_batch(thetas, FREQS, cfg, chunk=7)
+        batch = batch_at_chunk(7, thetas, cfg)
         for theta, vis in zip(thetas, batch):
             np.testing.assert_allclose(vis, visibilities_closed_form(theta, FREQS, cfg),
                                        rtol=0, atol=1e-10 * theta[2])
@@ -295,9 +310,45 @@ class TestClosedFormBatch:
         flipped = thetas.copy()
         flipped[:, 5] += PI
         flipped[:, 6] *= -1.0
-        gap = np.abs(visibilities_closed_form_batch(flipped, FREQS, chunk=7)
-                     - visibilities_closed_form_batch(thetas, FREQS, chunk=7))
+        gap = np.abs(batch_at_chunk(7, flipped) - batch_at_chunk(7, thetas))
         assert np.all(gap <= 1e-10 * thetas[:, 2:3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(any_curvature_loops(), min_size=1, max_size=12),
+           picks=st.lists(st.integers(0, 999), min_size=1, max_size=40),
+           chunk=st.integers(1, 16), n_components=st.sampled_from((3, 11)))
+    def test_row_is_its_own_answer(self, rows, picks, chunk, n_components):
+        # shuffled and repeated rows, cut at any chunk size, give each row the
+        # bytes of its one-row call
+        cfg = LoopBuildConfig(n_components=n_components)
+        thetas = np.array(rows)[[i % len(rows) for i in picks]]
+        batch = batch_at_chunk(chunk, thetas, cfg)
+        for theta, vis in zip(thetas, batch):
+            np.testing.assert_array_equal(
+                vis, visibilities_closed_form_batch(theta[None], FREQS, cfg)[0])
+
+    @pytest.mark.parametrize("c", [1e20, -1e30, 1e308])
+    def test_arc_steps_at_huge_curvature(self, c):
+        # each component a span/5 step further along the arc; the arc length is
+        # taken in Python floats, with arcsinh in its log form
+        def arclen(x):
+            u = 2.0 * (abs(c) * x)
+            return 0.5 * x * math.hypot(1.0, u) + math.log(u + math.hypot(1.0, u)) / abs(c) / 4
+        centers, _ = build_loop_components(np.array([0, 0, 1000, 8, 5, 0, c]))
+        arcs = np.array([arclen(x) for x in centers[5:, 0]])
+        span = DEFAULT_BUILD.span_factor * 5 * 8
+        np.testing.assert_allclose(np.diff(arcs), span / 5, rtol=1e-12, atol=0)
+        assert np.all(np.isfinite(visibilities_closed_form_batch(
+            np.array([[0, 0, 1000, 8, 5, 0.5, c]]), FREQS)))
+
+    def test_unconverged_arc_names_its_row(self, monkeypatch):
+        # row 2 opens the second chunk
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+        monkeypatch.setattr(forward_model, "_ARC_MAX_ITER", 1)
+        thetas = np.array([[0, 0, 1000, 8, 5, 0.5, 0.0], [0, 0, 1000, 8, 0, 0, 0.05],
+                           [0, 0, 1000, 8, 5, 0.5, 0.05]])
+        with pytest.raises(ValidationError, match="row 2: arc length did not converge"):
+            visibilities_closed_form_batch(thetas, FREQS)
 
     @pytest.mark.parametrize("column, value, rule", [
         (2, float("nan"), "parameters must be finite"),
