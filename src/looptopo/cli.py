@@ -22,8 +22,8 @@ from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       visibilities_closed_form_batch, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import (config_hash, format_csv, is_integer, make_dir, parse_csv,
-                            read_bytes, read_json, write_bytes, write_json)
+from .serialization import (check_output_files, config_hash, format_csv, is_integer, make_dir,
+                            parse_csv, read_bytes, read_json, write_bytes, write_json)
 from .tasks import LOOP_PARAMS, TASKS
 
 
@@ -134,6 +134,7 @@ def cmd_gen_dataset(args):
 
 
 def cmd_train(args):
+    check_output_files(args.out, args.history)
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
     ds = load_dataset(args.dataset)
@@ -298,6 +299,7 @@ def _full_params(spec, pred, intervals):
 
 
 def cmd_predict(args):
+    check_output_files(args.out, args.render)
     if args.render:
         try:
             GridSpec.centered(1.0, args.render_n).validate()

@@ -251,13 +251,21 @@ def _loop_half(thetas, cfg: LoopBuildConfig, first_row=0):
     L = span_factor * eps * sigma. Their weights, relative to the vertex's 1,
     fall off as exp(-d^2 / (2 (L/2 + s)^2)) with s the component std.
     Returns the x positions and the weights, both (S, h); needs h >= 1.
+    A row whose d_h^2 overflows or whose 2 (L/2 + s)^2 is not a normal float
+    (NaN or digitless weights) raises ``ValidationError`` naming first_row + i.
     """
     half = (cfg.n_components - 1) // 2
     sigma, eps, c = thetas[:, 3], thetas[:, 4], thetas[:, 6]
-    span = cfg.span_factor * eps * sigma
-    d_pos = (span / half)[:, None] * np.arange(1, half + 1)
-    width = 0.5 * span + fwhm_to_std(sigma)
-    w = np.exp(-d_pos * d_pos / (2.0 * width * width)[:, None])
+    with np.errstate(over="ignore"):  # rows that overflow are refused below
+        span = cfg.span_factor * eps * sigma
+        d_pos = (span / half)[:, None] * np.arange(1, half + 1)
+        width = 0.5 * span + fwhm_to_std(sigma)
+        two_var = 2.0 * width * width
+        bad = ~((two_var >= 2.0 ** -1022) & (two_var < np.inf) & (d_pos[:, -1] ** 2 < np.inf))
+    if bad.any():
+        raise ValidationError(f"row {first_row + np.argmax(bad)}: sigma and eps put the loop "
+                              "layout out of floating-point range")
+    w = np.exp(-d_pos * d_pos / two_var[:, None])
     return _batch_x_at_arc(d_pos, c, first_row), w
 
 

@@ -1,8 +1,10 @@
 """From-scratch multilayer perceptron: ReLU layers, dropout, MSE, backprop, Adam.
 
 Shapes follow the row-batch convention: inputs are (rows, n_in), weight
-matrices (n_in, n_out), so a layer computes relu(x @ W + b). Hidden layers
-always carry biases; the final affine map has an optional one.
+matrices (n_in, n_out), so a layer computes relu(x @ W + b). Every layer,
+the final affine map included, has a weight and a bias, and the gradients of
+``loss_and_grad`` and the moments of ``AdamState`` mirror that layout:
+{"weights": [...], "biases": [...]}.
 
 Every pass runs one kernel, ``_forward_into``, which writes each layer into
 the preallocated buffers of a ``Workspace`` with ``np.matmul(..., out=)``
@@ -43,6 +45,10 @@ EVAL_CHUNK = 1024
 
 @dataclass(frozen=True)
 class MlpConfig:
+    """The network's shape. ``final_bias`` has one valid value, true (every
+    layer has a bias); it stays a field so that checkpoint headers and run
+    config hashes, which list every field, keep their bytes."""
+
     input_dim: int = 60
     hidden_widths: tuple = (256, 256, 256, 256)
     output_dim: int = 7
@@ -63,6 +69,8 @@ class MlpConfig:
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.dtype not in DTYPES:
             raise ValidationError(f"dtype must be one of {sorted(DTYPES)}")
+        if self.final_bias is not True:
+            raise ValidationError("final_bias must be true: every layer has a bias")
 
     to_dict = config_to_dict
     from_dict = classmethod(config_from_dict)
@@ -72,7 +80,7 @@ class MlpConfig:
 class MlpModel:
     config: MlpConfig
     weights: list                 # len(hidden) + 1 arrays, (n_in, n_out)
-    biases: list                  # matching; final entry may be None
+    biases: list                  # matching, (n_out,)
     stats: StandardizationStats = None
     metadata: dict = field(default_factory=dict)
 
@@ -80,22 +88,9 @@ class MlpModel:
     def n_layers(self):
         return len(self.weights)
 
-    def parameter_arrays(self):
-        """Flat list of (name, array) in a fixed order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"W{i}", w))
-            if b is not None:
-                out.append((f"b{i}", b))
-        return out
-
-    def copy_parameters(self):
-        return ([w.copy() for w in self.weights],
-                [None if b is None else b.copy() for b in self.biases])
-
-    def set_parameters(self, weights, biases):
-        self.weights = [w.copy() for w in weights]
-        self.biases = [None if b is None else b.copy() for b in biases]
+    def map_parameters(self, fn):
+        """{"weights": [...], "biases": [...]}: ``fn`` of each parameter array."""
+        return {"weights": list(map(fn, self.weights)), "biases": list(map(fn, self.biases))}
 
 
 def init_mlp(cfg: MlpConfig) -> MlpModel:
@@ -108,8 +103,7 @@ def init_mlp(cfg: MlpConfig) -> MlpModel:
     for i in range(len(dims) - 1):
         w = rng.normal(0.0, math.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
         weights.append(w.astype(dt))
-        without_bias = i == len(dims) - 2 and not cfg.final_bias
-        biases.append(None if without_bias else np.zeros(dims[i + 1], dtype=dt))
+        biases.append(np.zeros(dims[i + 1], dtype=dt))
     return MlpModel(config=cfg, weights=weights, biases=biases)
 
 
@@ -140,9 +134,7 @@ class Workspace:
         if cfg.dropout_rate > 0.0:
             self.masks = [np.empty((rows, d), dt) for d in [cfg.input_dim, *widths[:-1]]]
         self.deltas = [np.empty((rows, w), dt) for w in widths]
-        self.grads = {"weights": [np.empty_like(w) for w in model.weights],
-                      "biases": [None if b is None else np.empty_like(b)
-                                 for b in model.biases]}
+        self.grads = model.map_parameters(np.empty_like)
         self.ones = np.ones(rows, dt)
 
 
@@ -200,8 +192,7 @@ def _forward_into(model, x, ws, masks):
         if masks is not None and i + 1 < n_hidden:
             a *= masks[i + 1]
     out = np.matmul(a, model.weights[-1], out=ws.out[:n])
-    if model.biases[-1] is not None:
-        out += model.biases[-1]
+    out += model.biases[-1]
     return out
 
 
@@ -230,10 +221,9 @@ def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
     them, drop out each hidden layer's input when given.
 
     Returns (loss, grads) with grads = {"weights": [...], "biases": [...]}
-    mirroring the model arrays (None where there is no bias). The gradients
-    live in ``ws.grads``: without ``ws`` a fresh workspace owns them; with
-    one (``train`` passes its own) the next call on that workspace
-    overwrites them.
+    mirroring the model arrays. The gradients live in ``ws.grads``: without
+    ``ws`` a fresh workspace owns them; with one (``train`` passes its own)
+    the next call on that workspace overwrites them.
     """
     cfg = model.config
     dt = DTYPES[cfg.dtype]
@@ -265,8 +255,7 @@ def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
         else:
             a_in = x if masks is None else ws.x[:batch]
         np.matmul(a_in.T, delta, out=g_w[i])
-        if g_b[i] is not None:
-            np.matmul(ones, delta, out=g_b[i])
+        np.matmul(ones, delta, out=g_b[i])
         if i > 0:
             upstream = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1][:batch])
             if masks is not None and i < model.n_layers - 1:
@@ -280,67 +269,57 @@ def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """Adam's first and second moments, each shaped like ``loss_and_grad``'s
+    grads, and the step counter. The hyperparameters come from ``TrainConfig``."""
 
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: dict
+    v: dict
     step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(default=None, repr=False)   # one buffer for every update
 
     @classmethod
-    def for_model(cls, model: MlpModel, learning_rate=1e-3, beta1=0.9,
-                  beta2=0.999, eps=1e-8):
-        def zeros(arrays):
-            return [None if a is None else np.zeros_like(a) for a in arrays]
-        return cls(m_w=zeros(model.weights), v_w=zeros(model.weights),
-                   m_b=zeros(model.biases), v_b=zeros(model.biases),
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    def for_model(cls, model: MlpModel):
+        return cls(model.map_parameters(np.zeros_like), model.map_parameters(np.zeros_like))
 
 
-def adam_step(state: AdamState, model: MlpModel, grads):
-    """One bias-corrected Adam update of ``model`` and ``state``, in place.
+def adam_step(state: AdamState, model: MlpModel, grads, cfg: "TrainConfig"):
+    """One bias-corrected Adam update of ``model`` and ``state``, in place,
+    with the learning rate, betas and eps of ``cfg``.
 
     lr / c1 * m / (sqrt(v / c2) + eps) is computed as
     (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)), through the
     state's scratch buffer, so no step allocates.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = cfg.beta1, cfg.beta2
     root_corr2 = math.sqrt(1.0 - b2 ** state.step)
-    step_size = state.learning_rate * root_corr2 / (1.0 - b1 ** state.step)
-    eps = state.eps * root_corr2
+    step_size = cfg.learning_rate * root_corr2 / (1.0 - b1 ** state.step)
+    eps = cfg.adam_eps * root_corr2
     if state.scratch is None:
         state.scratch = np.empty(max(w.size for w in model.weights), model.weights[0].dtype)
-
-    def update(param, g, m, v):
-        tmp = state.scratch[:param.size].reshape(param.shape)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
-        m += tmp
-        v *= b2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= step_size
-        param -= tmp
-
-    for i in range(model.n_layers):
-        update(model.weights[i], grads["weights"][i], state.m_w[i], state.v_w[i])
-        if model.biases[i] is not None and grads["biases"][i] is not None:
-            update(model.biases[i], grads["biases"][i], state.m_b[i], state.v_b[i])
+    for key, params in (("weights", model.weights), ("biases", model.biases)):
+        for param, g, m, v in zip(params, grads[key], state.m[key], state.v[key]):
+            tmp = state.scratch[:param.size].reshape(param.shape)
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
+            v *= b2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= step_size
+            param -= tmp
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How ``train`` fits a model. It is Adam's only source of hyperparameters:
+    ``learning_rate``, ``beta1``, ``beta2`` and ``adam_eps`` (Kingma & Ba,
+    arXiv:1412.6980), read by ``adam_step`` at every update."""
+
     epochs: int = 100
     batch_size: int = 128
     learning_rate: float = 1e-3
@@ -355,8 +334,9 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+                and self.adam_eps > 0):
+            raise ValidationError("Adam: learning_rate, adam_eps > 0; beta1, beta2 in [0, 1)")
         if self.patience < 0:
             raise ValidationError("patience must be >= 0")
 
@@ -389,11 +369,10 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     if len(x_train) == 0 or len(x_val) == 0:
         raise ValidationError("training and validation splits must be non-empty")
 
-    state = AdamState.for_model(model, learning_rate=cfg.learning_rate,
-                                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    state = AdamState.for_model(model)
     history = []
     best_val, best_epoch = math.inf, -1
-    best_params = model.copy_parameters()
+    best_params = model.map_parameters(np.copy)
 
     n = len(x_train)
     ws = Workspace(model, min(cfg.batch_size, n), backward=True)
@@ -411,7 +390,7 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch}, batch at {lo}: {exc}") from None
-            adam_step(state, model, grads)
+            adam_step(state, model, grads, cfg)
             running += loss * len(idx)
         train_loss = running / n
         val_loss = eval_loss(model, x_val, y_val)
@@ -421,10 +400,12 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
                         "val_loss": val_loss})
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
-            best_params = model.copy_parameters()
+            best_params = model.map_parameters(np.copy)
         elif cfg.patience and epoch - best_epoch >= cfg.patience:
             break
-    model.set_parameters(*best_params)
+    # fresh copies: keeping arrays allocated mid-fit fragments the heap over repeated fits
+    model.weights = [w.copy() for w in best_params["weights"]]
+    model.biases = [b.copy() for b in best_params["biases"]]
     model.metadata = dict(model.metadata,
                           best_epoch=best_epoch, best_val_loss=best_val,
                           epochs_run=len(history))
@@ -444,8 +425,7 @@ def _header(cfg: MlpConfig, metadata, has_stats):
     arrays = []
     for i in range(len(dims) - 1):
         arrays.append({"name": f"W{i}", "dtype": dtype, "shape": [dims[i], dims[i + 1]]})
-        if i < len(dims) - 2 or cfg.final_bias:
-            arrays.append({"name": f"b{i}", "dtype": dtype, "shape": [dims[i + 1]]})
+        arrays.append({"name": f"b{i}", "dtype": dtype, "shape": [dims[i + 1]]})
     if has_stats:
         arrays += [{"name": name, "dtype": "<f8", "shape": [cfg.input_dim]}
                    for name in ("stats_mean", "stats_std")]
@@ -458,17 +438,16 @@ def save_checkpoint(model: MlpModel, path):
     little-endian arrays, sha256 trailer over everything before it."""
     has_stats = model.stats is not None
     header = _header(model.config, model.metadata, has_stats)
-    named = model.parameter_arrays()
+    arrays = [a for layer in zip(model.weights, model.biases) for a in layer]
     if has_stats:
-        named += [("stats_mean", model.stats.mean), ("stats_std", model.stats.std)]
-    if [(n, np.shape(a)) for n, a in named] != [(e["name"], tuple(e["shape"]))
-                                                for e in header["arrays"]]:
+        arrays += [model.stats.mean, model.stats.std]
+    if [np.shape(a) for a in arrays] != [tuple(e["shape"]) for e in header["arrays"]]:
         raise ValidationError("the model's arrays do not have the shapes its config implies")
     header_bytes = json.dumps(header, sort_keys=True).encode()
     payload = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
                header_bytes]
     payload += [np.asarray(a, dtype=e["dtype"]).tobytes()
-                for (_, a), e in zip(named, header["arrays"])]
+                for a, e in zip(arrays, header["arrays"])]
     body = b"".join(payload)
     write_bytes(path, body + hashlib.sha256(body).digest())
 
@@ -509,5 +488,5 @@ def load_checkpoint(path) -> MlpModel:
     stats = (StandardizationStats(mean=named["stats_mean"], std=named["stats_std"])
              if has_stats else None)
     return MlpModel(config=cfg, weights=[named[f"W{i}"] for i in range(n_layers)],
-                    biases=[named.get(f"b{i}") for i in range(n_layers)], stats=stats,
+                    biases=[named[f"b{i}"] for i in range(n_layers)], stats=stats,
                     metadata=metadata)

@@ -87,7 +87,8 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None)
     tf = _target_transform(kind, spec, intervals, y_raw[dataset.mask(TRAIN)])
     y_all = _apply_transform(tf, y_raw)
 
-    model = init_mlp(nn_cfg) if init is None else MlpModel(nn_cfg, *init.copy_parameters())
+    model = (init_mlp(nn_cfg) if init is None
+             else MlpModel(nn_cfg, **init.map_parameters(np.copy)))
     model.stats = stats
     model.metadata = {"kind": kind, "task": task,
                       "embedding": spec.embedding if kind == "embedded" else "identity",

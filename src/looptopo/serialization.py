@@ -125,6 +125,15 @@ def write_bytes(path, data: bytes):
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def check_output_files(*paths):
+    """Refuse, before any work, output files in a missing directory or naming one."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValidationError(f"cannot write {path}: its directory does not exist")
+        if os.path.isdir(path):
+            raise ValidationError(f"cannot write {path}: it is a directory")
+
+
 def make_dir(path):
     """Create the directory ``path`` and its parents; an existing one is fine."""
     try:

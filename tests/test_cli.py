@@ -437,6 +437,45 @@ def test_out_naming_a_file_is_an_error(workspace, tmp_path, capsys, command):
     assert afile.read_bytes() == b"not a directory\n"
 
 
+def _train_args(ws):
+    return ["train", "--dataset", ws["ds"], "--kind", "naive", "--seed", 1, "--width", 8,
+            "--depth", 1, "--epochs", 1]
+
+
+#: Output files of each command, checked before its work: a path that cannot be
+#: written would otherwise fail after a full training run, or after other outputs.
+OUT_FILES = {
+    "train --out": lambda ws, tmp, bad: [*_train_args(ws), "--out", bad],
+    "train --history": lambda ws, tmp, bad: [*_train_args(ws), "--out", tmp / "m.ckpt",
+                                             "--history", bad],
+    "predict --out": lambda ws, tmp, bad: [
+        "predict", "--model", ws["emb"], "--input", tmp / "v.csv", "--out", bad],
+    "predict --render": lambda ws, tmp, bad: [
+        "predict", "--model", ws["emb"], "--input", tmp / "v.csv", "--out", tmp / "p.csv",
+        "--render", bad],
+    "vis-forward --out": lambda ws, tmp, bad: [
+        "vis-forward", "--theta", "0,0,1000,8,5,0,0.05", "--out", bad],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing/out.csv", "adir"])
+@pytest.mark.parametrize("case", sorted(OUT_FILES))
+def test_unwritable_out_file_is_refused_before_any_work(workspace, tmp_path, capsys,
+                                                        monkeypatch, case, bad):
+    def work(*args):
+        raise AssertionError("the work began before the output check")
+    monkeypatch.setattr(cli, "load_dataset", work)  # train's first step
+    monkeypatch.setattr(cli, "load_checkpoint", work)  # predict's
+    (tmp_path / "adir").mkdir()
+    _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+    before = sorted(tmp_path.rglob("*"))
+    assert run(OUT_FILES[case](workspace, tmp_path, tmp_path / bad)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {tmp_path / bad}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
 def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
@@ -482,6 +521,10 @@ HEADER_EDITS = {
     "W0_dtype_float64": lambda h: _entry(h, "W0").update(dtype="<f8"),
     "has_stats_false": lambda h: h.update(has_stats=False),
     "config_width_changed": lambda h: h["config"].update(hidden_widths=[24, 23]),
+    # a network without a final bias
+    "final_bias_false_last_bias_dropped": lambda h: (
+        h["config"].update(final_bias=False),
+        h["arrays"].remove([e for e in h["arrays"] if e["name"].startswith("b")][-1])),
 }
 
 
@@ -545,8 +588,12 @@ BAD_CONFIGS = {
     "dataset interval": ({"dataset": {"intervals": {"flux": [1000]}}}, "gen-dataset"),
     "nn unknown key": ({"nn": {"bogus": 1}}, "train"),
     "nn widths": ({"nn": {"hidden_widths": ["wide"]}}, "train"),
+    "nn final_bias false": ({"nn": {"final_bias": False}}, "train"),
     "train unknown key": ({"train": {"bogus": 1}}, "train"),
     "train wrong type": ({"train": {"learning_rate": "fast"}}, "train"),
+    "train beta1 one": ({"train": {"beta1": 1.0}}, "train"),  # 1 - beta1 ** t is 0
+    "train beta2 one": ({"train": {"beta2": 1.0}}, "train"),
+    "train adam_eps zero": ({"train": {"adam_eps": 0.0}}, "train"),
     "loop_build unknown key": ({"loop_build": {"bogus": 1}}, "vis-forward"),
     "frequencies unknown key": ({"frequencies": {"bogus": 1}}, "vis-forward"),
     "frequencies file and keys": ({"frequencies": {"file": "f.csv", "n_radii": 2}},
@@ -735,6 +782,19 @@ class TestVisForward:
         assert run(["vis-forward", "--theta", f"0,0,1000,8,5,30,{c}",
                     "--out", tmp_path / "v.csv"]) == 0
         assert np.all(np.isfinite(np.loadtxt(tmp_path / "v.csv", delimiter=",", skiprows=2)))
+
+    @pytest.mark.parametrize("theta", ["0,0,1000,1e200,1e200,30,0",
+                                       "0,0,1000,1e-310,5,30,1e308",
+                                       "0,0,1000,8,1e300,30,0.05",
+                                       "0,0,1000,1e200,1e200,30,0.05",
+                                       "0,0,1000,1e-170,0,0,0"])
+    def test_layout_out_of_range_is_an_error(self, tmp_path, capsys, theta):
+        # finite parameters whose loop layout overflows or underflows into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["vis-forward", f"--theta={theta}", "--out", tmp_path / "v.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: row 0: ")
+        assert not (tmp_path / "v.csv").exists()
 
     def test_bad_theta_rejected(self, capsys):
         assert run(["vis-forward", "--theta", "1,2,3"]) == 1

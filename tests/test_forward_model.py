@@ -350,6 +350,18 @@ class TestClosedFormBatch:
         with pytest.raises(ValidationError, match="row 2: arc length did not converge"):
             visibilities_closed_form_batch(thetas, FREQS)
 
+    @pytest.mark.parametrize("sigma, eps, c", [(1e200, 1e200, 0.0), (1e200, 1e200, 0.05),
+                                                (1e-310, 5.0, 1e308), (8.0, 1e300, 0.05),
+                                                (1e-170, 0.0, 0.0)])
+    def test_layout_out_of_range_names_its_row(self, monkeypatch, sigma, eps, c):
+        # finite rows whose span or weight width overflows or underflows; row 3
+        # sits in the second chunk
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+        thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
+        thetas[3, [3, 4, 6]] = sigma, eps, c
+        with pytest.raises(ValidationError, match="row 3: .* out of floating-point range"):
+            visibilities_closed_form_batch(thetas, FREQS)
+
     @pytest.mark.parametrize("column, value, rule", [
         (2, float("nan"), "parameters must be finite"),
         (2, 0.0, "flux must be positive"),

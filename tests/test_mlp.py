@@ -33,21 +33,17 @@ def reference_forward(model, x, masks=None):
         if masks is not None:
             a = a * masks[i]
         a = np.maximum(a @ w + b, 0.0)
-    out = a @ model.weights[-1]
-    return out if model.biases[-1] is None else out + model.biases[-1]
+    return a @ model.weights[-1] + model.biases[-1]
 
 
 def copy_grads(grads):
-    return {k: [None if g is None else g.copy() for g in v] for k, v in grads.items()}
+    return {k: [g.copy() for g in v] for k, v in grads.items()}
 
 
 def assert_grads_equal(a, b):
     for key in ("weights", "biases"):
         for ga, gb in zip(a[key], b[key]):
-            if ga is None:
-                assert gb is None
-            else:
-                np.testing.assert_array_equal(ga, gb)
+            np.testing.assert_array_equal(ga, gb)
 
 
 class TestInit:
@@ -66,8 +62,9 @@ class TestInit:
 
     def test_biases_zero(self):
         m = tiny_model()
-        for b in m.biases:
-            assert b is not None and np.all(b == 0)
+        assert len(m.biases) == m.n_layers
+        for w, b in zip(m.weights, m.biases):
+            assert b.shape == w.shape[1:] and np.all(b == 0)
 
     def test_zero_hidden_layers_rejected(self):
         with pytest.raises(ValidationError):
@@ -77,10 +74,12 @@ class TestInit:
         with pytest.raises(ValidationError):
             init_mlp(MlpConfig(hidden_widths=(8,), dropout_rate=1.0))
 
-    def test_final_bias_flag(self):
-        m = init_mlp(MlpConfig(input_dim=4, hidden_widths=(8,), output_dim=2,
+    def test_final_bias_false_rejected(self):
+        # every layer has a bias; the field keeps its one value for the bytes
+        # of checkpoint headers and config hashes
+        with pytest.raises(ValidationError, match="final_bias"):
+            init_mlp(MlpConfig(input_dim=4, hidden_widths=(8,), output_dim=2,
                                final_bias=False))
-        assert m.biases[-1] is None
 
 
 class TestForward:
@@ -176,18 +175,14 @@ class TestKernel:
     @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
            dims=st.tuples(st.integers(1, 12), st.integers(1, 8)),
            rows=st.integers(1, 3000), dtype=st.sampled_from(["float32", "float64"]),
-           final_bias=st.booleans(), seed=st.integers(0, 2 ** 16))
-    @example(widths=[7, 5], dims=(3, 2), rows=2 * EVAL_CHUNK + 1, dtype="float32",
-             final_bias=True, seed=1)
-    def test_chunked_eval_matches_unchunked_reference(self, widths, dims, rows, dtype,
-                                                      final_bias, seed):
+           seed=st.integers(0, 2 ** 16))
+    @example(widths=[7, 5], dims=(3, 2), rows=2 * EVAL_CHUNK + 1, dtype="float32", seed=1)
+    def test_chunked_eval_matches_unchunked_reference(self, widths, dims, rows, dtype, seed):
         m = init_mlp(MlpConfig(input_dim=dims[0], hidden_widths=tuple(widths),
-                               output_dim=dims[1], final_bias=final_bias, seed=seed,
-                               dtype=dtype))
+                               output_dim=dims[1], seed=seed, dtype=dtype))
         rng = np.random.default_rng(seed)
         for b in m.biases:
-            if b is not None:
-                b[:] = rng.normal(size=b.shape)
+            b[:] = rng.normal(size=b.shape)
         x = rng.normal(size=(rows, dims[0]))
         got, ref = forward(m, x), reference_forward(m, x)
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -265,7 +260,7 @@ class TestGradients:
         y = forward(m, x)
         loss, grads = loss_and_grad(m, x, y)
         assert loss == 0.0
-        for g in grads["weights"] + [g for g in grads["biases"] if g is not None]:
+        for g in grads["weights"] + grads["biases"]:
             assert np.all(g == 0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -339,44 +334,59 @@ class TestGradients:
 
 
 class TestAdam:
+    def test_moments_mirror_the_gradients(self):
+        m = tiny_model()
+        st = AdamState.for_model(m)
+        _, grads = loss_and_grad(m, np.ones((3, 8)), np.zeros((3, 4)))
+        for moments in (st.m, st.v):
+            assert moments.keys() == grads.keys()
+            for key in grads:
+                assert [a.shape for a in moments[key]] == [g.shape for g in grads[key]]
+                assert all(np.all(a == 0) for a in moments[key])
+
     def test_zero_gradient_no_change(self):
         m = tiny_model()
         st = AdamState.for_model(m)
         zero = {"weights": [np.zeros_like(w) for w in m.weights],
                 "biases": [np.zeros_like(b) for b in m.biases]}
         before = [w.copy() for w in m.weights]
-        adam_step(st, m, zero)
+        adam_step(st, m, zero, TrainConfig())
         for w0, w1 in zip(before, m.weights):
             np.testing.assert_array_equal(w0, w1)
 
     def test_first_step_magnitude(self):
         # m-hat / sqrt(v-hat) = sign(g) after one step, so |step| ~ lr
         m = tiny_model()
-        st = AdamState.for_model(m, learning_rate=1e-3)
+        st = AdamState.for_model(m)
         grads = {"weights": [np.ones_like(w) for w in m.weights],
                  "biases": [np.zeros_like(b) for b in m.biases]}
         before = m.weights[0].copy()
-        adam_step(st, m, grads)
+        adam_step(st, m, grads, TrainConfig(learning_rate=1e-3))
         step = np.abs(m.weights[0] - before)
         np.testing.assert_allclose(step, 1e-3 / (1 + 1e-8), rtol=1e-10)
 
-    def test_matches_textbook_update(self):
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(learning_rate=1e-2),
+        TrainConfig(learning_rate=1e-2, beta1=0.8, beta2=0.99, adam_eps=1e-6)])
+    def test_matches_textbook_update(self, cfg):
         m = tiny_model(seed=13)
-        st = AdamState.for_model(m, learning_rate=1e-2)
+        st = AdamState.for_model(m)
         params = [p.copy() for p in m.weights + m.biases]
         mom = [np.zeros_like(p) for p in params]
         vel = [np.zeros_like(p) for p in params]
+        b1, b2 = cfg.beta1, cfg.beta2
         rng = np.random.default_rng(13)
         for t in range(1, 6):
             grads = {"weights": [rng.normal(size=w.shape) for w in m.weights],
                      "biases": [rng.normal(size=b.shape) for b in m.biases]}
-            adam_step(st, m, grads)
+            adam_step(st, m, grads, cfg)
             for k, g in enumerate(grads["weights"] + grads["biases"]):
-                mom[k] = 0.9 * mom[k] + 0.1 * g
-                vel[k] = 0.999 * vel[k] + 0.001 * g * g
-                m_hat = mom[k] / (1 - 0.9 ** t)
-                v_hat = vel[k] / (1 - 0.999 ** t)
-                params[k] = params[k] - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                mom[k] = b1 * mom[k] + (1 - b1) * g
+                vel[k] = b2 * vel[k] + (1 - b2) * g * g
+                m_hat = mom[k] / (1 - b1 ** t)
+                v_hat = vel[k] / (1 - b2 ** t)
+                params[k] = params[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                                     + cfg.adam_eps)
         for p, ref in zip(m.weights + m.biases, params):
             np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0)
 
@@ -390,7 +400,7 @@ class TestAdam:
             y = rng.normal(size=(16, 4))
             for _ in range(5):
                 _, g = loss_and_grad(m, x, y)
-                adam_step(st, m, g)
+                adam_step(st, m, g, TrainConfig())
             runs.append([w.copy() for w in m.weights])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
