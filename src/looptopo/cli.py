@@ -134,7 +134,8 @@ def cmd_gen_dataset(args):
 
 
 def cmd_train(args):
-    check_output_files(args.out, args.history)
+    history_path = args.history or os.path.splitext(args.out)[0] + "_history.csv"
+    check_output_files(args.out, history_path)
     cfg = _read_config(args.config)
     seed = _require_seed(args, cfg)
     ds = load_dataset(args.dataset)
@@ -160,23 +161,23 @@ def cmd_train(args):
                 "refusing to resume: stored run config hash "
                 f"{stored} != current {run_hash}")
     diag = Diagnostics()
-    _, history = _fit_and_save(args.kind, ds, nn_cfg, train_cfg, args.out, args.history,
+    _, history = _fit_and_save(args.kind, ds, nn_cfg, train_cfg, args.out, history_path,
                                diag=diag, init=init, run_hash=run_hash)
     _emit_diagnostics(diag)
     print(f"wrote checkpoint {args.out} ({len(history)} epochs)", file=sys.stderr)
     return 0
 
 
-def _fit_and_save(kind, ds, nn_cfg, train_cfg, out, history_path=None, diag=None,
+def _fit_and_save(kind, ds, nn_cfg, train_cfg, out, history_path, diag=None,
                   init=None, run_hash=None):
     """Fit a ``kind`` model on ``ds``; write its checkpoint to ``out`` and its
-    history to ``history_path`` (default: next to the checkpoint)."""
+    history to ``history_path``."""
     trainer = regularizer.train_naive if kind == "naive" else regularizer.train_embedded
     model, history = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg, diag=diag, init=init)
     if run_hash is not None:
         model.metadata["run_config_hash"] = run_hash
     save_checkpoint(model, out)
-    save_history_csv(history, history_path or os.path.splitext(out)[0] + "_history.csv")
+    save_history_csv(history, history_path)
     return model, history
 
 
@@ -229,7 +230,8 @@ def cmd_demo_circle(args):
     ds = generate_dataset(sampling)
     make_dir(args.out)
     models = {kind: _fit_and_save(kind, ds, nn_cfg, train_cfg,
-                                  os.path.join(args.out, f"{kind}.ckpt"))[0]
+                                  os.path.join(args.out, f"{kind}.ckpt"),
+                                  os.path.join(args.out, f"{kind}_history.csv"))[0]
               for kind, nn_cfg in nn_cfgs.items()}
 
     # dense uniform sweep plus a magnified look at the seam

@@ -25,7 +25,16 @@ and phi = 2 pi (x_c u + y_c v), the weighted sum of component phases is
 
     exp(i phi) [w_0 + 2 sum_{k=1..h} w_k cos(2 pi x_k p) exp(2 pi i y_k q)]
 
-which ``visibilities_closed_form_batch`` evaluates in real arithmetic.
+which ``visibilities_closed_form_batch`` evaluates in real arithmetic. It
+takes every cosine and sine from one tangent of the half angle
+(``_cos_sin``): with t = tan(theta / 2),
+
+    cos(theta) = (1 - t^2) / (1 + t^2),    sin(theta) = 2 t / (1 + t^2)
+
+so the pair of exp(i phi) and of each exp(2 pi i y_k q) costs one tangent,
+and so does each cos(2 pi x_k p). numpy 2.4 runs float64 cos and sin as
+scalar loops but vectorizes tan on AVX-512 (about 8x faster per entry on a
+Xeon), so a tangent and seven arithmetic passes cost less than one cos.
 
 Each decision of the model is made in one place. ``_loop_half`` is the one
 layout: it places the positive half of the components (x_k, w_k) for rows of
@@ -55,7 +64,9 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 EXPONENT_MODES = ("fwhm", "verbatim")
 
 #: Rows per pass of ``visibilities_closed_form_batch``; a row's result is the same at any size.
-CLOSED_FORM_CHUNK = 2048
+#: At 256 rows each (chunk, 5, 30) float64 temporary is 300 kB, and the few alive at
+#: once stay in a 2 MB L2 cache; 2048 rows spill them and make the kernel ~1.3x slower.
+CLOSED_FORM_CHUNK = 256
 #: Newton on the arc length: the relative step that freezes an entry, and the cap.
 _ARC_TOL, _ARC_MAX_ITER = 1e-13, 60
 
@@ -122,7 +133,11 @@ class FrequencyConfig:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Sampled spatial frequencies, arcsec^-1. ``uv`` has shape (n, 2)."""
+    """Sampled spatial frequencies, arcsec^-1. ``uv`` has shape (n, 2).
+
+    Every row's u^2 + v^2 must be finite (so every entry is), as the kernel's
+    Gaussian envelope takes it.
+    """
 
     uv: np.ndarray
 
@@ -135,8 +150,10 @@ class FrequencySet:
             raise ValidationError(f"uv must be (n, 2), got shape {uv.shape}")
         if uv.shape[0] < 1:
             raise ValidationError("frequency set is empty")
-        if not np.all(np.isfinite(uv)):
-            raise ValidationError("non-finite frequency entries")
+        with np.errstate(over="ignore"):  # rows that overflow are refused below
+            bad = ~np.isfinite(uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1])
+        if bad.any():
+            raise ValidationError(f"frequency row {np.argmax(bad)}: u^2 + v^2 is not finite")
         object.__setattr__(self, "uv", uv)
 
     def __len__(self):
@@ -243,7 +260,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
     return local @ rot.T + np.array([x_c, y_c]), w
 
 
-def _loop_half(thetas, cfg: LoopBuildConfig, first_row=0):
+def _loop_half(thetas, cfg: LoopBuildConfig):
     """The positive half of the loop layout of (S, 7) rows, in the loop frame.
 
     Components sit at equal arc-length steps d_k = k L / h (k = 1..h, h the
@@ -252,7 +269,7 @@ def _loop_half(thetas, cfg: LoopBuildConfig, first_row=0):
     fall off as exp(-d^2 / (2 (L/2 + s)^2)) with s the component std.
     Returns the x positions and the weights, both (S, h); needs h >= 1.
     A row whose d_h^2 overflows or whose 2 (L/2 + s)^2 is not a normal float
-    (NaN or digitless weights) raises ``ValidationError`` naming first_row + i.
+    (NaN or digitless weights) raises ``ValidationError`` naming it.
     """
     half = (cfg.n_components - 1) // 2
     sigma, eps, c = thetas[:, 3], thetas[:, 4], thetas[:, 6]
@@ -263,10 +280,10 @@ def _loop_half(thetas, cfg: LoopBuildConfig, first_row=0):
         two_var = 2.0 * width * width
         bad = ~((two_var >= 2.0 ** -1022) & (two_var < np.inf) & (d_pos[:, -1] ** 2 < np.inf))
     if bad.any():
-        raise ValidationError(f"row {first_row + np.argmax(bad)}: sigma and eps put the loop "
+        raise ValidationError(f"row {np.argmax(bad)}: sigma and eps put the loop "
                               "layout out of floating-point range")
     w = np.exp(-d_pos * d_pos / two_var[:, None])
-    return _batch_x_at_arc(d_pos, c, first_row), w
+    return _batch_x_at_arc(d_pos, c), w
 
 
 def _component_mass_var(flux, sigma, mode):
@@ -304,13 +321,19 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
                                    cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:
     """Vectorized closed form over an (S, 7) parameter array -> (S, n) complex.
 
-    The layout of ``_loop_half``, summed in mirrored pairs (see the module
-    docstring) with real cos/sin on (chunk, half, n) arrays, ``CLOSED_FORM_CHUNK``
-    rows at a time. Rows are checked by ``validate_param_rows``; the first
-    bad row raises ``ValidationError``. The result agrees with
-    ``visibilities_closed_form`` to rounding (a few 1e-15 of the flux), not
-    bit for bit, because the sums run in another order. A row's result does
-    not depend on its batch: ``_batch_x_at_arc`` solves each entry on its own,
+    The layout of ``_loop_half`` for all rows at once, summed in mirrored
+    pairs (see the module docstring) on (chunk, half, n) arrays,
+    ``CLOSED_FORM_CHUNK`` rows at a time. Each (row, frequency) costs
+    2 h + 1 tangents through ``_cos_sin`` and no cos or sin: h for the
+    cosines along the axis, h for the cos/sin pairs of the phases
+    2 pi c x_k^2 q across it and one for the pair of the centre phase phi.
+    At 11 components that is 11 calls, where cos and sin would take 17.
+    Rows are checked by ``validate_param_rows``; the first bad row raises
+    ``ValidationError``.
+    The result agrees with ``visibilities_closed_form`` to rounding (a few
+    1e-15 of the flux), not bit for bit, because the sums run in another
+    order and the phases go through ``_cos_sin``. A row's result does not
+    depend on its batch: ``_batch_x_at_arc`` solves each entry on its own,
     and all else is elementwise or a sum within the row.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -323,42 +346,61 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     uv2 = u * u + v * v
     two_pi = 2.0 * math.pi
     out = np.empty((thetas.shape[0], len(freqs)), dtype=complex)
+    if half:
+        x_pos, w = _loop_half(thetas, cfg)
+        w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
+        w *= 2.0 * w0[:, None]  # each pair carries twice its weight
+        y_pos = thetas[:, 6:7] * x_pos * x_pos  # c x^2 first: 2 pi c may overflow
 
     for lo in range(0, thetas.shape[0], CLOSED_FORM_CHUNK):
-        rows = thetas[lo:lo + CLOSED_FORM_CHUNK]
-        x_c, y_c, flux, sigma, _, alpha, c = rows.T
+        chunk = slice(lo, lo + CLOSED_FORM_CHUNK)
+        x_c, y_c, flux, sigma, _, alpha, _ = thetas[chunk].T
         if half:
-            x_pos, w = _loop_half(rows, cfg, first_row=lo)
-            w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
-            w *= 2.0 * w0[:, None]  # each pair carries twice its weight
-
             cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
             p = cos_a * u + sin_a * v  # frequency along the loop axis
             q = cos_a * v - sin_a * u  # frequency across it
-            along = np.cos((two_pi * x_pos)[:, :, None] * p[:, None, :])
-            y_pos = c[:, None] * x_pos * x_pos  # c x^2 first: 2 pi c may overflow
-            across = (two_pi * y_pos)[:, :, None] * q[:, None, :]
-            pair_re = w0[:, None] + np.einsum("sk,skj->sj", w, along * np.cos(across))
-            pair_im = np.einsum("sk,skj->sj", w, along * np.sin(across))
+            along = _cos_sin((two_pi * x_pos[chunk])[:, :, None] * p[:, None, :])[0]
+            across = (two_pi * y_pos[chunk])[:, :, None] * q[:, None, :]
+            cos_across, sin_across = _cos_sin(across)
+            cos_across *= along
+            sin_across *= along
+            pair_re = w0[chunk, None] + np.einsum("sk,skj->sj", w[chunk], cos_across)
+            pair_im = np.einsum("sk,skj->sj", w[chunk], sin_across)
         else:
             pair_re, pair_im = 1.0, 0.0
 
-        phi = two_pi * (x_c[:, None] * u + y_c[:, None] * v)
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        cos_phi, sin_phi = _cos_sin(two_pi * (x_c[:, None] * u + y_c[:, None] * v))
         mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
         scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
-        block = out[lo:lo + CLOSED_FORM_CHUNK]
+        block = out[chunk]
         block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
         block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
     return out
 
 
-def _batch_x_at_arc(s, c, first_row=0):
+def _cos_sin(theta):
+    """cos and sin of the float array ``theta``, from one tangent of its half angle.
+
+    With t = tan(theta / 2), cos = (1 - t^2) / (1 + t^2) and sin = 2 t / (1 + t^2),
+    within 4e-16 of ``np.cos`` and ``np.sin``. |t| stays below ~1e19 for any
+    finite theta, so t^2 cannot overflow. ``theta`` is overwritten: it is
+    returned as the sine.
+    """
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+    cos = np.square(t)
+    denom = cos + 1.0
+    np.subtract(1.0, cos, out=cos)
+    np.divide(cos, denom, out=cos)
+    np.multiply(t, 2.0, out=t)
+    return cos, np.divide(t, denom, out=t)
+
+
+def _batch_x_at_arc(s, c):
     """Invert the arc length of y = c x^2 entry by entry: x >= 0 with arclen(x) = s.
 
     s is (S, k), nonnegative, and c is (S,). Newton runs on each entry alone
     until its step is at most ``_ARC_TOL`` x, so x depends on (s, c) only; at
-    ``_ARC_MAX_ITER`` steps a moving entry of row i raises naming first_row + i.
+    ``_ARC_MAX_ITER`` steps a moving entry raises naming its row.
     arclen(x) >= max(x, |c| x^2), as the integrand sqrt(1 + 4 c^2 t^2) is at
     least max(1, 2 |c| t): the start min(s, sqrt(s / |c|)) lies at or right of
     the root, and Newton on the increasing, convex arc length descends from it.
@@ -382,7 +424,7 @@ def _batch_x_at_arc(s, c, first_row=0):
         todo, x_todo = todo[~done], x_todo[~done]
         if not todo.size:
             return x.reshape(-1, k)
-    raise ValidationError(f"row {first_row + todo[0] // k}: arc length did not converge")
+    raise ValidationError(f"row {todo[0] // k}: arc length did not converge")
 
 
 def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:
@@ -478,4 +520,7 @@ def add_noise(x, flux, rng) -> np.ndarray:
             f"got shape {flux.shape}")
     if not np.all(flux > 0):
         raise ValidationError(f"flux must be positive, got {flux.min()}")
-    return x + rng.normal(0.0, 2.0 * np.sqrt(flux), size=x.shape)
+    noise = rng.standard_normal(x.shape)  # the stream and bytes of rng.normal(0, std)
+    noise *= 2.0 * np.sqrt(flux)
+    noise += x
+    return noise

@@ -455,11 +455,15 @@ OUT_FILES = {
         "--render", bad],
     "vis-forward --out": lambda ws, tmp, bad: [
         "vis-forward", "--theta", "0,0,1000,8,5,0,0.05", "--out", bad],
+    # --out can be written, but the history's default path next to it cannot
+    "train default history": lambda ws, tmp, bad: [*_train_args(ws), "--out", tmp / "m.ckpt"],
 }
 
 
-@pytest.mark.parametrize("bad", ["missing/out.csv", "adir"])
-@pytest.mark.parametrize("case", sorted(OUT_FILES))
+@pytest.mark.parametrize("case, bad", [
+    *((case, bad) for case in sorted(OUT_FILES) if case != "train default history"
+      for bad in ("missing/out.csv", "adir")),
+    ("train default history", "m_history.csv")])
 def test_unwritable_out_file_is_refused_before_any_work(workspace, tmp_path, capsys,
                                                         monkeypatch, case, bad):
     def work(*args):
@@ -467,6 +471,7 @@ def test_unwritable_out_file_is_refused_before_any_work(workspace, tmp_path, cap
     monkeypatch.setattr(cli, "load_dataset", work)  # train's first step
     monkeypatch.setattr(cli, "load_checkpoint", work)  # predict's
     (tmp_path / "adir").mkdir()
+    (tmp_path / "m_history.csv").mkdir()
     _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
     before = sorted(tmp_path.rglob("*"))
     assert run(OUT_FILES[case](workspace, tmp_path, tmp_path / bad)) == 1
@@ -537,8 +542,9 @@ class TestCheckpointHeader:
 
     @pytest.mark.parametrize("case", sorted(HEADER_EDITS))
     def test_edited_header_is_a_parse_error(self, workspace, tmp_path, capsys, blob, case):
+        # the message, not the path: tmp_path is named after this test
         path = _written(tmp_path / "m.ckpt", resigned(blob, HEADER_EDITS[case]))
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(ParseError, match="^bad checkpoint header: "):
             load_checkpoint(path)
         assert run(["predict", "--model", path, "--input", tmp_path / "v.csv"]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -709,6 +715,16 @@ class TestOneParserPerProcess:
 
 
 class TestVisForward:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_frequency_is_refused(self, tmp_path, capsys):
+        # u^2 overflows; unguarded, that is a RuntimeWarning and a visibility of 0
+        freq_file = _written(tmp_path / "f.csv", b"u,v\n0.01,0.02\n1e300,0\n")
+        out = tmp_path / "vis.csv"
+        assert run([*_vis_forward_with_frequencies(freq_file), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: frequency row 1: u^2 + v^2 is not finite")
+        assert not out.exists()
+
     def test_zero_frequency_equals_flux(self, tmp_path):
         freq_file = tmp_path / "f.csv"
         freq_file.write_text("u,v\n0.0,0.0\n0.01,0.02\n")

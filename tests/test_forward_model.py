@@ -73,6 +73,15 @@ class TestFrequencies:
         with pytest.raises(ParseError):
             load_frequencies(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("uv", [(1e300, 0.0), (0.0, -1e155), (1e154, 1e154),
+                                    (float("inf"), 0.0), (0.0, float("nan"))])
+    def test_overflowing_radius_rejected(self, uv):
+        # u^2 + v^2 feeds the Gaussian envelope; unguarded, an overflow gives 0 and a warning
+        with pytest.raises(ValidationError, match=r"^frequency row 1: u\^2 \+ v\^2 is not finite"):
+            FrequencySet(np.array([(0.01, 0.02), uv]))
+        FrequencySet(np.array([(0.01, 0.02), (1e154, 0.0)]))  # 1e308 is finite
+
 
 class TestLoopGeometry:
     def test_circular_collapse(self):
@@ -438,7 +447,42 @@ class TestEvalImage:
         assert np.max(np.abs(i_a - i_b)) < 1e-9
 
 
+class TestCosSin:
+    """``_cos_sin``: cos and sin from one tangent of the half angle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles=st.lists(st.one_of(
+        st.floats(-1e4, 1e4),
+        # within 1e-12 of an odd multiple of pi, where tan(theta / 2) is huge
+        st.builds(lambda k, d: (2 * k + 1) * PI + d,
+                  st.integers(-1592, 1591), st.floats(-1e-12, 1e-12))), min_size=1))
+    def test_matches_numpy(self, angles):
+        theta = np.array(angles)
+        cos, sin = forward_model._cos_sin(theta.copy())
+        np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=4e-16)
+        np.testing.assert_allclose(sin, np.sin(theta), rtol=0, atol=4e-16)
+
+    @settings(max_examples=100, deadline=None)
+    @given(angles=st.lists(st.floats(-1e300, 1e300), min_size=1))
+    def test_finite_at_huge_arguments(self, angles):
+        theta = np.array(angles)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cos, sin = forward_model._cos_sin(theta.copy())
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=4e-16)
+        np.testing.assert_allclose(sin, np.sin(theta), rtol=0, atol=4e-16)
+
+
 class TestNoise:
+    @pytest.mark.parametrize("flux", [1000.0, np.linspace(500.0, 5000.0, 7)[:, None]])
+    def test_bytes_of_rng_normal(self, flux):
+        # one standard normal per entry, scaled: the stream and bytes of rng.normal
+        x = vis_to_reals(visibilities_closed_form_batch(
+            np.tile([0, 0, 1000, 8, 5, 0.3, 0.05], (7, 1)), FREQS))
+        expected = x + np.random.default_rng(11).normal(0.0, 2.0 * np.sqrt(flux), x.shape)
+        got = add_noise(x, flux, np.random.default_rng(11))
+        assert got.tobytes() == expected.tobytes()
+
     def test_deterministic_given_seed(self):
         v = vis_to_reals(visibilities_closed_form(np.array([0, 0, 1000, 8, 5, 0, 0.05]),
                                                   FREQS))
