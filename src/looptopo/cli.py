@@ -22,7 +22,7 @@ from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       visibilities_closed_form_batch, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import (check_output_files, config_hash, format_csv, is_integer, make_dir,
+from .serialization import (check_output_files, config_hash, format_csv, make_dir,
                             parse_csv, read_bytes, read_json, write_bytes, write_json)
 from .tasks import LOOP_PARAMS, TASKS
 
@@ -53,8 +53,6 @@ def _require_seed(args, cfg):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValidationError("a seed is required (--seed or \"seed\" in the config)")
-    if not is_integer(seed) or seed < 0:
-        raise ValidationError(f"the seed must be a nonnegative integer, got {seed!r}")
     return seed
 
 
@@ -304,7 +302,7 @@ def cmd_predict(args):
     check_output_files(args.out, args.render)
     if args.render:
         try:
-            GridSpec.centered(1.0, args.render_n).validate()
+            GridSpec.centered(1.0, args.render_n)
         except ValidationError as exc:
             raise ValidationError(f"--render-n {args.render_n}: {exc}") from None
     model = load_checkpoint(args.model)

@@ -24,7 +24,7 @@ from .errors import ChecksumError, FormatVersionError, ParseError, ValidationErr
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
-from .serialization import (config_from_dict, config_hash, config_to_dict,
+from .serialization import (check_fields, config_from_dict, config_hash, config_to_dict,
                             is_finite_number, make_dir, read_array_bin, read_json,
                             write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
@@ -37,7 +37,8 @@ TRAIN, VAL, TEST = 0, 1, 2
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """What to draw and how much of it. Angles here are degrees."""
+    """What to draw and how much of it. Angles here are degrees. ``intervals``
+    replaces some of the task's draw intervals; once built, it holds them all."""
 
     scenario: str
     n_train: int
@@ -62,11 +63,9 @@ class SamplingConfig:
                     seed=seed, noise=task.noise, circular_fraction=task.circular_fraction)
         return config_from_dict(cls, {**base, **overrides})
 
-    def validate(self):
+    def __post_init__(self):
+        check_fields(self, n_train=0, n_val=0, n_test=0, seed=0)
         task = get_task(self.scenario)
-        for name in ("n_train", "n_val", "n_test"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
         if self.total < 1:
             raise ValidationError("dataset must contain at least one sample")
         if not (0.0 <= self.circular_fraction < 1.0):
@@ -74,32 +73,28 @@ class SamplingConfig:
                 f"circular_fraction must be in [0, 1), got {self.circular_fraction}")
         if self.noise and not task.visibilities:
             raise ValidationError(f"the {self.scenario} scenario is noise-free")
-        for name, (lo, hi) in self.resolved_intervals().items():
-            if lo > hi:
-                raise ValidationError(f"interval for {name} is reversed: ({lo}, {hi})")
+        overrides = self.intervals or {}
+        for name, v in overrides.items():
+            if name not in task.intervals:
+                raise ValidationError(f"unknown interval name {name!r}")
+            if not (isinstance(v, (list, tuple)) and len(v) == 2
+                    and all(map(is_finite_number, v)) and v[0] <= v[1]):
+                raise ValidationError(f"interval for {name} must be a pair lo <= hi of "
+                                      f"finite numbers, got {v!r}")
+        object.__setattr__(self, "intervals", {
+            **task.intervals, **{k: tuple(v) for k, v in overrides.items()}})
 
     @property
     def total(self):
         return self.n_train + self.n_val + self.n_test
 
     def resolved_intervals(self):
-        base = dict(get_task(self.scenario).intervals)
-        if self.intervals:
-            unknown = set(self.intervals) - set(base)
-            if unknown:
-                raise ValidationError(f"unknown interval names {sorted(unknown)}")
-            for k, v in self.intervals.items():
-                if not (isinstance(v, (list, tuple)) and len(v) == 2
-                        and all(map(is_finite_number, v))):
-                    raise ValidationError(f"interval for {k} must be a pair of finite "
-                                          f"numbers, got {v!r}")
-            base.update({k: tuple(v) for k, v in self.intervals.items()})
-        return base
+        return dict(self.intervals)
 
     def to_dict(self):
-        """``config_to_dict`` with the intervals resolved."""
+        """``config_to_dict`` with the intervals as lists."""
         return {**config_to_dict(self),
-                "intervals": {k: list(v) for k, v in self.resolved_intervals().items()}}
+                "intervals": {k: list(v) for k, v in self.intervals.items()}}
 
     from_dict = classmethod(config_from_dict)
 
@@ -108,7 +103,7 @@ def internal_intervals(cfg: SamplingConfig) -> dict:
     """Intervals in internal units (radians for angles)."""
     angles = get_task(cfg.scenario).angles
     return {name: (math.radians(lo), math.radians(hi)) if name in angles else (lo, hi)
-            for name, (lo, hi) in cfg.resolved_intervals().items()}
+            for name, (lo, hi) in cfg.intervals.items()}
 
 
 def sample_params_external(cfg: SamplingConfig, rng, size=None) -> np.ndarray:
@@ -120,7 +115,7 @@ def sample_params_external(cfg: SamplingConfig, rng, size=None) -> np.ndarray:
     eps = alpha = c = 0.
     """
     task = get_task(cfg.scenario)
-    iv = cfg.resolved_intervals()
+    iv = cfg.intervals
     lows = np.array([iv[k][0] for k in task.params])
     highs = np.array([iv[k][1] for k in task.params])
     shape = None if size is None else (size, len(lows))
@@ -191,7 +186,6 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     accepted so that existing callers keep working, since one vectorized
     draw leaves nothing to share among workers.
     """
-    cfg.validate()
     task = get_task(cfg.scenario)
     total = cfg.total
     params_rng, noise_rng = (np.random.default_rng(s)

@@ -42,7 +42,9 @@ parameters, for the batch kernel and for ``build_loop_components`` (and
 through it ``eval_image`` and the quadrature oracle). ``_component_mass_var``
 is the one exponent-mode formula: the mass and variance of a component, from
 which both closed forms take their envelope and ``eval_image`` its
-normalization. The parameter rules are ``embeddings.validate_param_rows``.
+normalization. The parameter rules are ``embeddings.validate_param_rows``;
+the batch kernel also refuses a row whose centre phase 2 pi (x_c u + y_c v)
+is not finite at some frequency, as no cosine can be taken of it.
 The scalar ``visibilities_closed_form`` sums one complex phase per component
 and is the reference the batch kernel is tested against; the two agree to
 rounding, not bit for bit.
@@ -56,7 +58,8 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .embeddings import validate_param_rows
 from .errors import ParseError, ValidationError
-from .serialization import config_from_dict, config_to_dict, parse_csv, read_bytes
+from .serialization import (check_fields, config_from_dict, config_to_dict, parse_csv,
+                            read_bytes)
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -91,10 +94,10 @@ class LoopBuildConfig:
     span_factor: float = 0.5
     exponent_mode: str = "fwhm"
 
-    def validate(self):
-        if self.n_components < 1 or self.n_components % 2 == 0:
-            raise ValidationError(
-                f"n_components must be odd and >= 1, got {self.n_components}")
+    def __post_init__(self):
+        check_fields(self, n_components=1)
+        if self.n_components % 2 == 0:
+            raise ValidationError(f"n_components must be odd, got {self.n_components}")
         if self.span_factor <= 0:
             raise ValidationError(f"span_factor must be positive, got {self.span_factor}")
         if self.exponent_mode not in EXPONENT_MODES:
@@ -122,9 +125,8 @@ class FrequencyConfig:
     r_max: float = 1.0 / 7.0
     ring_rotation_deg: float = 40.0
 
-    def validate(self):
-        if self.n_radii < 1 or self.per_radius < 1:
-            raise ValidationError("n_radii and per_radius must be >= 1")
+    def __post_init__(self):
+        check_fields(self, n_radii=1, per_radius=1)
         if not (0 < self.r_min <= self.r_max):
             raise ValidationError(f"need 0 < r_min <= r_max, got {self.r_min}, {self.r_max}")
 
@@ -170,7 +172,6 @@ class FrequencySet:
 
 def default_frequencies(cfg: FrequencyConfig = FrequencyConfig()) -> FrequencySet:
     """Build the deterministic default sampling (30 points for the defaults)."""
-    cfg.validate()
     if cfg.n_radii == 1:
         radii = np.array([cfg.r_min])
     else:
@@ -204,9 +205,8 @@ class GridSpec:
     nx: int = 256
     ny: int = 256
 
-    def validate(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValidationError("grid needs at least 2 points per axis")
+    def __post_init__(self):
+        check_fields(self, nx=2, ny=2)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValidationError("grid bounds must be increasing")
 
@@ -242,7 +242,6 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
     if theta.shape != (7,):
         raise ValidationError(f"expected 7 parameters, got shape {theta.shape}")
     validate_param_rows(theta[None])
-    cfg.validate()
 
     x_c, y_c, _, _, eps, alpha, c = theta
     if eps == 0.0 or cfg.n_components == 1:
@@ -328,8 +327,8 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     cosines along the axis, h for the cos/sin pairs of the phases
     2 pi c x_k^2 q across it and one for the pair of the centre phase phi.
     At 11 components that is 11 calls, where cos and sin would take 17.
-    Rows are checked by ``validate_param_rows``; the first bad row raises
-    ``ValidationError``.
+    Rows are checked by ``validate_param_rows`` and for a finite centre phase;
+    the first bad row raises ``ValidationError``.
     The result agrees with ``visibilities_closed_form`` to rounding (a few
     1e-15 of the flux), not bit for bit, because the sums run in another
     order and the phases go through ``_cos_sin``. A row's result does not
@@ -339,7 +338,6 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
         raise ValidationError(f"expected (S, 7) parameters, got {thetas.shape}")
-    cfg.validate()
     validate_param_rows(thetas)
     half = (cfg.n_components - 1) // 2
     u, v = freqs.u, freqs.v
@@ -369,7 +367,12 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
         else:
             pair_re, pair_im = 1.0, 0.0
 
-        cos_phi, sin_phi = _cos_sin(two_pi * (x_c[:, None] * u + y_c[:, None] * v))
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are refused below
+            phi = two_pi * (x_c[:, None] * u + y_c[:, None] * v)
+        if not np.isfinite(phi).all():
+            raise ValidationError(f"row {lo + np.argmin(np.isfinite(phi).all(axis=1))}: the "
+                                  "centre phase 2 pi (x_c u + y_c v) is not finite")
+        cos_phi, sin_phi = _cos_sin(phi)
         mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
         scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
         block = out[chunk]
@@ -433,7 +436,6 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     img[i, j] = phi(xs[j], ys[i]). In fwhm mode the Riemann sum times the
     pixel area approximates the flux.
     """
-    grid.validate()
     centers, weights = build_loop_components(theta, cfg)
     _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
     xs, ys = grid.xs(), grid.ys()
@@ -463,7 +465,6 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
         pad = 10.0 * sigma
         lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
         grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), 1024, 1024)
-    grid.validate()
     step = max(grid.dx, grid.dy)
     comp_std = fwhm_to_std(sigma)
     if step > comp_std / 2.0 and diag is not None:

@@ -30,8 +30,8 @@ import numpy as np
 from .data import StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, ParseError,
                      TrainingDivergedError, ValidationError)
-from .serialization import (config_from_dict, config_to_dict, decode_array, format_csv,
-                            is_integer, read_bytes, write_bytes)
+from .serialization import (check_fields, config_from_dict, config_to_dict, decode_array,
+                            format_csv, is_integer, read_bytes, write_bytes)
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
@@ -57,14 +57,12 @@ class MlpConfig:
     seed: int = 0
     dtype: str = "float32"
 
-    def validate(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValidationError("input_dim and output_dim must be >= 1")
+    def __post_init__(self):
+        check_fields(self, input_dim=1, output_dim=1, seed=0)
         widths = self.hidden_widths
-        if len(widths) < 1:
-            raise ValidationError("at least one hidden layer is required")
-        if not all(is_integer(w) and w >= 1 for w in widths):
-            raise ValidationError(f"hidden widths must be integers >= 1, got {list(widths)}")
+        if not widths or not all(is_integer(w) and w >= 1 for w in widths):
+            raise ValidationError("hidden_widths must be one or more integers >= 1, "
+                                  f"got {list(widths)}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.dtype not in DTYPES:
@@ -95,7 +93,6 @@ class MlpModel:
 
 def init_mlp(cfg: MlpConfig) -> MlpModel:
     """He-normal weights (std sqrt(2 / fan_in)), zero biases, seeded."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     dt = DTYPES[cfg.dtype]
     dims = [cfg.input_dim, *cfg.hidden_widths, cfg.output_dim]
@@ -329,16 +326,11 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
 
-    def validate(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+    def __post_init__(self):
+        check_fields(self, epochs=1, batch_size=1, patience=0, seed=0)
         if not (self.learning_rate > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
                 and self.adam_eps > 0):
             raise ValidationError("Adam: learning_rate, adam_eps > 0; beta1, beta2 in [0, 1)")
-        if self.patience < 0:
-            raise ValidationError("patience must be >= 0")
 
     to_dict = config_to_dict
     from_dict = classmethod(config_from_dict)
@@ -362,7 +354,6 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     every batch, masks included; the short last batch of an epoch uses its
     leading rows.
     """
-    cfg.validate()
     dt = DTYPES[model.config.dtype]
     x_train, y_train, x_val, y_val = (np.asarray(a, dtype=dt)
                                       for a in (x_train, y_train, x_val, y_val))

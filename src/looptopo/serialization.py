@@ -1,6 +1,8 @@
 """Shared on-disk helpers, the one module that opens files and creates
 directories: checksums, config objects and their hashes, the package's one
-array codec, and its one CSV dialect.
+array codec, and its one CSV dialect. A config class checks its own rules at
+construction (``__post_init__``, through ``check_fields``), so a config that
+exists is valid; ``config_from_dict`` adds only what JSON needs.
 
 An array is stored as raw bytes described by an entry with a numeric
 ``dtype`` string (``"<f8"``) and a ``shape`` list of sizes: one file per array
@@ -62,7 +64,7 @@ def is_finite_number(v) -> bool:
                              and math.isfinite(v))
 
 
-#: Accepted JSON values and their description, per config field type.
+#: Accepted values and their description, per config field type.
 _FIELD_TYPES = {
     int: (is_integer, "an integer"),
     float: (is_finite_number, "a finite number"),
@@ -80,13 +82,32 @@ def config_to_dict(cfg) -> dict:
             for f in dataclasses.fields(cfg)}
 
 
-def config_from_dict(cls, d):
-    """Build and validate the config dataclass ``cls`` from a JSON object.
+def check_fields(cfg, **minimums):
+    """Refuse a field of the config dataclass ``cfg`` whose value does not have
+    its declared type (a float field takes any finite number, a tuple field a
+    list or tuple, stored as a tuple; null only where the default is None) or
+    lies below its entry in ``minimums``. Only lists are converted (to tuples),
+    so valid input hashes as it did before."""
+    name = type(cfg).__name__
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        accepts, described = _FIELD_TYPES[field.type]
+        if not (accepts(value) or (value is None and field.default is None)):
+            raise ValidationError(f"{name}.{field.name} must be {described}, got {value!r}")
+        if field.name in minimums and value < minimums[field.name]:
+            raise ValidationError(f"{name}.{field.name} must be >= {minimums[field.name]}, "
+                                  f"got {value}")
+        if field.type is tuple:
+            object.__setattr__(cfg, field.name, tuple(value))
 
-    Refuses keys that are not fields of ``cls``, missing required fields and
-    values of the wrong type (a float field takes any finite number, null
-    only where the default is None). Lists become tuples for tuple fields;
-    nothing else is converted, so valid input hashes as it did before.
+
+def config_from_dict(cls, d):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Refuses a value that is not an object, keys that are not fields of ``cls``
+    and missing required fields. The type and value rules are the class's own:
+    they run in its ``__post_init__``, so a config read from JSON meets the
+    same rules as one built in Python.
     """
     name = cls.__name__
     if not isinstance(d, dict):
@@ -99,14 +120,7 @@ def config_from_dict(cls, d):
                      if k not in d and f.default is dataclasses.MISSING)
     if missing:
         raise ValidationError(f"{name}: missing keys {missing}")
-    for key, value in d.items():
-        field = fields[key]
-        accepts, described = _FIELD_TYPES[field.type]
-        if not (accepts(value) or (value is None and field.default is None)):
-            raise ValidationError(f"{name}.{key} must be {described}, got {value!r}")
-    cfg = cls(**{k: tuple(v) if fields[k].type is tuple else v for k, v in d.items()})
-    cfg.validate()
-    return cfg
+    return cls(**d)
 
 
 def read_bytes(path) -> bytes:

@@ -595,11 +595,13 @@ BAD_CONFIGS = {
     "nn unknown key": ({"nn": {"bogus": 1}}, "train"),
     "nn widths": ({"nn": {"hidden_widths": ["wide"]}}, "train"),
     "nn final_bias false": ({"nn": {"final_bias": False}}, "train"),
+    "nn seed negative": ({"nn": {"seed": -1}}, "train"),
     "train unknown key": ({"train": {"bogus": 1}}, "train"),
     "train wrong type": ({"train": {"learning_rate": "fast"}}, "train"),
     "train beta1 one": ({"train": {"beta1": 1.0}}, "train"),  # 1 - beta1 ** t is 0
     "train beta2 one": ({"train": {"beta2": 1.0}}, "train"),
     "train adam_eps zero": ({"train": {"adam_eps": 0.0}}, "train"),
+    "train seed negative": ({"train": {"seed": -1}}, "train"),
     "loop_build unknown key": ({"loop_build": {"bogus": 1}}, "vis-forward"),
     "frequencies unknown key": ({"frequencies": {"bogus": 1}}, "vis-forward"),
     "frequencies file and keys": ({"frequencies": {"file": "f.csv", "n_radii": 2}},
@@ -723,6 +725,18 @@ class TestVisForward:
         assert run([*_vis_forward_with_frequencies(freq_file), "--out", out]) == 1
         assert capsys.readouterr().err.startswith(
             "error: frequency row 1: u^2 + v^2 is not finite")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_centre_phase_is_refused(self, tmp_path, capsys):
+        # 2 pi x_c u overflows; unguarded, that is a RuntimeWarning and nan visibilities
+        freq_file = _written(tmp_path / "f.csv", b"u,v\n10,0\n")
+        out = tmp_path / "vis.csv"
+        argv = _vis_forward_with_frequencies(freq_file)
+        argv[argv.index("--theta") + 1] = "1e308,0,1000,8,5,30,0.05"
+        assert run([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: row 0: the centre phase 2 pi (x_c u + y_c v) is not finite")
         assert not out.exists()
 
     def test_zero_frequency_equals_flux(self, tmp_path):

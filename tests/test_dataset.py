@@ -319,6 +319,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SamplingConfig.default("ellipse", 1)
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would refuse it later with a ValueError
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            SamplingConfig.default("complete", -1)
+
     def test_dict_round_trip(self):
         cfg = small_cfg("complete")
         assert SamplingConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()

@@ -371,6 +371,20 @@ class TestClosedFormBatch:
         with pytest.raises(ValidationError, match="row 3: .* out of floating-point range"):
             visibilities_closed_form_batch(thetas, FREQS)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_c, y_c, u", [(1e308, 0.0, 10.0), (0.0, -1e300, 1e10),
+                                             (1e308, -1e308, 1e10), (1e308, 0.0, 1.0)])
+    def test_overflowing_centre_phase_names_its_row(self, monkeypatch, x_c, y_c, u):
+        # row 3 sits in the second chunk; the last case overflows only after the 2 pi
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+        freqs = FrequencySet(np.array([(0.01, 0.02), (u, u)]))
+        thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
+        thetas[3, :2] = x_c, y_c
+        with pytest.raises(ValidationError, match=r"^row 3: the centre phase"):
+            visibilities_closed_form_batch(thetas, freqs)
+        thetas[3, :2] = 0.0
+        assert np.all(np.isfinite(visibilities_closed_form_batch(thetas, freqs)))
+
     @pytest.mark.parametrize("column, value, rule", [
         (2, float("nan"), "parameters must be finite"),
         (2, 0.0, "flux must be positive"),

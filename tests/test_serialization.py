@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from looptopo.data import SamplingConfig
 from looptopo.errors import ParseError, ValidationError
-from looptopo.forward_model import LoopBuildConfig
+from looptopo.forward_model import FrequencyConfig, GridSpec, LoopBuildConfig
 from looptopo.mlp import MlpConfig, TrainConfig
 from looptopo.serialization import (config_from_dict, config_hash, config_to_dict,
                                     format_csv, parse_csv)
@@ -95,14 +96,20 @@ class TestCsvRejects:
 
 
 class TestConfigToDict:
-    @pytest.mark.parametrize("cfg", [MlpConfig(hidden_widths=(16, 8), dropout_rate=0.1),
-                                     TrainConfig(epochs=3, patience=0),
-                                     LoopBuildConfig(n_components=5)])
+    @pytest.mark.parametrize("cfg", [
+        MlpConfig(), TrainConfig(), LoopBuildConfig(), FrequencyConfig(),
+        GridSpec.centered(2.5, 16), SamplingConfig.default("complete", 7),
+        SamplingConfig.default("simple", 3, intervals={"c": [0.0, 0.1]}),
+        MlpConfig(hidden_widths=(16, 8), dropout_rate=0.1),
+        MlpConfig(hidden_widths=[16, 8]),  # stored as a tuple, as from_dict stores it
+        TrainConfig(epochs=3, patience=0), LoopBuildConfig(n_components=5)],
+        ids=lambda cfg: type(cfg).__name__)
     def test_inverse_of_config_from_dict(self, cfg):
-        d = config_to_dict(cfg)
+        d = cfg.to_dict() if hasattr(cfg, "to_dict") else config_to_dict(cfg)
         assert json.loads(json.dumps(d)) == d  # lists where the fields hold tuples
-        assert type(cfg).from_dict(d) == cfg
-        assert cfg.to_dict() == d
+        assert config_from_dict(type(cfg), d) == cfg
+        if type(cfg) is not SamplingConfig:  # whose to_dict lists its intervals
+            assert config_to_dict(cfg) == d
 
     @pytest.mark.parametrize("cls, digest", [
         (MlpConfig, "9ad8695bdeb4eea593ccfdafdef1173a881586e2cc6d6477977d9e8f35e89674"),
@@ -125,15 +132,9 @@ class TestConfigFromDict:
 
     @pytest.mark.parametrize("d, named", [
         ({"bogus": 1, "other": 2}, "['bogus', 'other']"),
-        ({"n_components": "11"}, "n_components"),
-        ({"n_components": True}, "n_components"),
-        ({"n_components": 11.0}, "n_components"),
-        ({"span_factor": float("nan")}, "span_factor"),
-        ({"span_factor": None}, "span_factor"),
-        ({"exponent_mode": 1}, "exponent_mode"),
         ([1, 2], "LoopBuildConfig"),
     ])
-    def test_rejects_unknown_keys_and_wrong_types(self, d, named):
+    def test_rejects_unknown_keys_and_non_objects(self, d, named):
         with pytest.raises(ValidationError, match=named.replace("[", r"\[")):
             config_from_dict(LoopBuildConfig, d)
 
@@ -142,8 +143,152 @@ class TestConfigFromDict:
         class Needs:
             a: int
 
-            def validate(self):
-                pass
-
         with pytest.raises(ValidationError, match="missing keys"):
             config_from_dict(Needs, {})
+
+
+#: Valid fields of each config class; a case of BROKEN_RULES replaces some of them.
+VALID_FIELDS = {
+    SamplingConfig: {"scenario": "complete", "n_train": 8, "n_val": 2, "n_test": 2,
+                     "seed": 1, "noise": True},
+    LoopBuildConfig: {}, FrequencyConfig: {}, MlpConfig: {}, TrainConfig: {},
+    GridSpec: {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
+}
+
+#: Values that break one rule each, type rules and value rules, of each config class,
+#: and a part of the message that names the rule.
+BROKEN_RULES = {
+    "SamplingConfig scenario type":
+        (SamplingConfig, {"scenario": 3}, "SamplingConfig.scenario must be a string"),
+    "SamplingConfig scenario unknown":
+        (SamplingConfig, {"scenario": "ellipse"}, "unknown task 'ellipse'"),
+    "SamplingConfig n_train string":
+        (SamplingConfig, {"n_train": "ten"}, "SamplingConfig.n_train must be an integer"),
+    "SamplingConfig n_train float":
+        (SamplingConfig, {"n_train": 8.0}, "SamplingConfig.n_train must be an integer"),
+    "SamplingConfig n_val negative":
+        (SamplingConfig, {"n_val": -1}, "SamplingConfig.n_val must be >= 0, got -1"),
+    "SamplingConfig empty":
+        (SamplingConfig, {"n_train": 0, "n_val": 0, "n_test": 0}, "at least one sample"),
+    "SamplingConfig seed negative":
+        (SamplingConfig, {"seed": -1}, "SamplingConfig.seed must be >= 0, got -1"),
+    "SamplingConfig seed bool":
+        (SamplingConfig, {"seed": True}, "SamplingConfig.seed must be an integer"),
+    "SamplingConfig noise type":
+        (SamplingConfig, {"noise": 1}, "SamplingConfig.noise must be true or false"),
+    "SamplingConfig noise on a noise-free task":
+        (SamplingConfig, {"scenario": "circle"}, "noise-free"),
+    "SamplingConfig circular_fraction one":
+        (SamplingConfig, {"circular_fraction": 1.0}, "circular_fraction must be in [0, 1)"),
+    "SamplingConfig circular_fraction nan":
+        (SamplingConfig, {"circular_fraction": float("nan")},
+         "SamplingConfig.circular_fraction must be a finite number"),
+    "SamplingConfig intervals type":
+        (SamplingConfig, {"intervals": [[0, 1]]},
+         "SamplingConfig.intervals must be an object"),
+    "SamplingConfig intervals unknown":
+        (SamplingConfig, {"intervals": {"bogus": [0, 1]}}, "unknown interval name 'bogus'"),
+    "SamplingConfig intervals not a pair":
+        (SamplingConfig, {"intervals": {"flux": [1000]}}, "interval for flux must be a pair"),
+    "SamplingConfig intervals reversed":
+        (SamplingConfig, {"intervals": {"flux": [2000, 1000]}},
+         "interval for flux must be a pair lo <= hi"),
+    "SamplingConfig intervals infinite":
+        (SamplingConfig, {"intervals": {"flux": [0, float("inf")]}},
+         "interval for flux must be a pair"),
+    "LoopBuildConfig n_components string":
+        (LoopBuildConfig, {"n_components": "11"},
+         "LoopBuildConfig.n_components must be an integer"),
+    "LoopBuildConfig n_components bool":
+        (LoopBuildConfig, {"n_components": True},
+         "LoopBuildConfig.n_components must be an integer"),
+    "LoopBuildConfig n_components float":
+        (LoopBuildConfig, {"n_components": 11.0},
+         "LoopBuildConfig.n_components must be an integer"),
+    "LoopBuildConfig n_components zero":
+        (LoopBuildConfig, {"n_components": 0}, "LoopBuildConfig.n_components must be >= 1"),
+    "LoopBuildConfig n_components even":
+        (LoopBuildConfig, {"n_components": 10}, "n_components must be odd"),
+    "LoopBuildConfig span_factor nan":
+        (LoopBuildConfig, {"span_factor": float("nan")},
+         "LoopBuildConfig.span_factor must be a finite number"),
+    "LoopBuildConfig span_factor null":
+        (LoopBuildConfig, {"span_factor": None},
+         "LoopBuildConfig.span_factor must be a finite number"),
+    "LoopBuildConfig span_factor zero":
+        (LoopBuildConfig, {"span_factor": 0.0}, "span_factor must be positive"),
+    "LoopBuildConfig exponent_mode type":
+        (LoopBuildConfig, {"exponent_mode": 1},
+         "LoopBuildConfig.exponent_mode must be a string"),
+    "LoopBuildConfig exponent_mode unknown":
+        (LoopBuildConfig, {"exponent_mode": "gauss"}, "exponent_mode must be one of"),
+    "FrequencyConfig n_radii zero":
+        (FrequencyConfig, {"n_radii": 0}, "FrequencyConfig.n_radii must be >= 1"),
+    "FrequencyConfig per_radius zero":
+        (FrequencyConfig, {"per_radius": 0}, "FrequencyConfig.per_radius must be >= 1"),
+    "FrequencyConfig r_min zero": (FrequencyConfig, {"r_min": 0.0}, "need 0 < r_min <= r_max"),
+    "FrequencyConfig r_min above r_max":
+        (FrequencyConfig, {"r_min": 1.0}, "need 0 < r_min <= r_max"),
+    "FrequencyConfig ring_rotation_deg inf":
+        (FrequencyConfig, {"ring_rotation_deg": float("inf")},
+         "FrequencyConfig.ring_rotation_deg must be a finite number"),
+    "GridSpec x_min inf":
+        (GridSpec, {"x_min": -float("inf")}, "GridSpec.x_min must be a finite number"),
+    "GridSpec x_max string":
+        (GridSpec, {"x_max": "1"}, "GridSpec.x_max must be a finite number"),
+    "GridSpec nx one": (GridSpec, {"nx": 1}, "GridSpec.nx must be >= 2, got 1"),
+    "GridSpec ny float": (GridSpec, {"ny": 256.0}, "GridSpec.ny must be an integer"),
+    "GridSpec bounds reversed": (GridSpec, {"y_max": -2.0}, "grid bounds must be increasing"),
+    "MlpConfig input_dim zero":
+        (MlpConfig, {"input_dim": 0}, "MlpConfig.input_dim must be >= 1"),
+    "MlpConfig output_dim zero":
+        (MlpConfig, {"output_dim": 0}, "MlpConfig.output_dim must be >= 1"),
+    "MlpConfig hidden_widths type":
+        (MlpConfig, {"hidden_widths": 16}, "MlpConfig.hidden_widths must be a list"),
+    "MlpConfig hidden_widths empty":
+        (MlpConfig, {"hidden_widths": []}, "hidden_widths must be one or more integers >= 1"),
+    "MlpConfig hidden_widths zero":
+        (MlpConfig, {"hidden_widths": [16, 0]},
+         "hidden_widths must be one or more integers >= 1"),
+    "MlpConfig hidden_widths strings":
+        (MlpConfig, {"hidden_widths": ["wide"]},
+         "hidden_widths must be one or more integers >= 1"),
+    "MlpConfig dropout_rate one":
+        (MlpConfig, {"dropout_rate": 1.0}, "dropout_rate must be in [0, 1)"),
+    "MlpConfig final_bias false":
+        (MlpConfig, {"final_bias": False}, "final_bias must be true"),
+    "MlpConfig final_bias int":
+        (MlpConfig, {"final_bias": 1}, "MlpConfig.final_bias must be true or false"),
+    "MlpConfig seed negative":
+        (MlpConfig, {"seed": -1}, "MlpConfig.seed must be >= 0, got -1"),
+    "MlpConfig dtype unknown": (MlpConfig, {"dtype": "float16"}, "dtype must be one of"),
+    "TrainConfig epochs zero":
+        (TrainConfig, {"epochs": 0}, "TrainConfig.epochs must be >= 1, got 0"),
+    "TrainConfig batch_size zero":
+        (TrainConfig, {"batch_size": 0}, "TrainConfig.batch_size must be >= 1, got 0"),
+    "TrainConfig learning_rate string":
+        (TrainConfig, {"learning_rate": "fast"},
+         "TrainConfig.learning_rate must be a finite number"),
+    "TrainConfig learning_rate zero":
+        (TrainConfig, {"learning_rate": 0.0}, "Adam: learning_rate"),
+    "TrainConfig beta1 one": (TrainConfig, {"beta1": 1.0}, "Adam: learning_rate"),
+    "TrainConfig beta2 one": (TrainConfig, {"beta2": 1.0}, "Adam: learning_rate"),
+    "TrainConfig adam_eps zero": (TrainConfig, {"adam_eps": 0.0}, "Adam: learning_rate"),
+    "TrainConfig patience negative":
+        (TrainConfig, {"patience": -1}, "TrainConfig.patience must be >= 0, got -1"),
+    "TrainConfig seed negative":
+        (TrainConfig, {"seed": -1}, "TrainConfig.seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_RULES))
+def test_broken_rule_refused_when_built_and_when_read(case):
+    cls, bad, rule = BROKEN_RULES[case]
+    cls(**VALID_FIELDS[cls])
+    fields = {**VALID_FIELDS[cls], **bad}
+    with pytest.raises(ValidationError) as built:
+        cls(**fields)
+    assert rule in str(built.value)
+    with pytest.raises(ValidationError) as read:
+        config_from_dict(cls, fields)
+    assert str(read.value) == str(built.value)
