@@ -22,8 +22,9 @@ from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       visibilities_closed_form_batch, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import (check_output_files, config_hash, format_csv, make_dir,
-                            parse_csv, read_bytes, read_json, write_bytes, write_json)
+from .serialization import (check_output_files, config_hash, format_csv, is_integer,
+                            make_dir, parse_csv, read_bytes, read_json, write_bytes,
+                            write_json)
 from .tasks import LOOP_PARAMS, TASKS
 
 
@@ -50,9 +51,15 @@ def _section(cfg, name):
 
 
 def _require_seed(args, cfg):
+    """The master seed, from --seed or the config, under the rule of the
+    config seeds, also where every seed it would default is set already."""
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValidationError("a seed is required (--seed or \"seed\" in the config)")
+    if not is_integer(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
 
 

@@ -17,6 +17,11 @@ hidden layer by 1/keep where kept, so ``forward`` needs no rescaling) and
 keeps one workspace for the whole fit, whose masks and gradients the next
 batch overwrites. A unit is kept where its 32-bit random word lies below
 round(keep * 2**32), clamped to 2**32 - 1.
+
+A checkpoint is one file: magic, version, JSON header, the arrays back to
+back, and a sha256 trailer. ``load_checkpoint`` reads it once into one
+buffer whose array section starts on a 64-byte boundary, so a loaded
+model's arrays are views into that one aligned buffer per file.
 """
 
 import hashlib
@@ -31,7 +36,7 @@ from .data import StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, ParseError,
                      TrainingDivergedError, ValidationError)
 from .serialization import (check_fields, config_from_dict, config_to_dict, decode_array,
-                            format_csv, is_integer, read_bytes, write_bytes)
+                            format_csv, is_integer, read_aligned, write_bytes)
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
@@ -435,27 +440,40 @@ def save_checkpoint(model: MlpModel, path):
     if [np.shape(a) for a in arrays] != [tuple(e["shape"]) for e in header["arrays"]]:
         raise ValidationError("the model's arrays do not have the shapes its config implies")
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
-               header_bytes]
-    payload += [np.asarray(a, dtype=e["dtype"]).tobytes()
-                for a, e in zip(arrays, header["arrays"])]
-    body = b"".join(payload)
-    write_bytes(path, body + hashlib.sha256(body).digest())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
+             header_bytes]
+    parts += [np.ascontiguousarray(a, dtype=e["dtype"])
+              for a, e in zip(arrays, header["arrays"])]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    write_bytes(path, *parts, digest.digest())
+
+
+def _arrays_start(prefix):
+    """The offset of the array section, from a checkpoint's first 16 bytes."""
+    return 16 + struct.unpack_from("<Q", prefix, 8)[0]
 
 
 def load_checkpoint(path) -> MlpModel:
     """The model saved at ``path``. A header other than the one
     ``save_checkpoint`` writes for its config, or bytes past the arrays it
-    lists, are a ``ParseError``."""
-    blob = read_bytes(path)
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8 + 32:
+    lists, are a ``ParseError``.
+
+    The file is read once into one buffer whose array section starts on a
+    64-byte boundary, and its checksum is checked before anything else is
+    read from it. The model's arrays are views into that buffer: aligned,
+    C-contiguous and writable, and shared with no other load.
+    """
+    buf = read_aligned(path, 16, _arrays_start)
+    if len(buf) < len(CHECKPOINT_MAGIC) + 4 + 8 + 32:
         raise ChecksumError(f"{path}: file truncated")
-    body = memoryview(blob)[:-32]
-    if hashlib.sha256(body).digest() != blob[-32:]:
+    body = buf[:-32]
+    if hashlib.sha256(body).digest() != buf[-32:].tobytes():
         raise ChecksumError(f"{path}: checkpoint checksum mismatch")
-    if blob[:4] != CHECKPOINT_MAGIC:
+    if body[:4].tobytes() != CHECKPOINT_MAGIC:
         raise FormatVersionError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack_from("<IQ", blob, 4)
+    version, header_len = struct.unpack_from("<IQ", body, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatVersionError(
             f"{path}: checkpoint version {version} not supported "

@@ -7,7 +7,13 @@ exists is valid; ``config_from_dict`` adds only what JSON needs.
 An array is stored as raw bytes described by an entry with a numeric
 ``dtype`` string (``"<f8"``) and a ``shape`` list of sizes: one file per array
 in a dataset, whose manifest entry adds ``file`` and ``sha256``, and back to
-back after the header in a checkpoint. Both read through ``decode_array``.
+back after the header in a checkpoint. Both read through ``decode_array``,
+which returns a view of the bytes it is given (a copy only where the view
+would be misaligned for its dtype). A checkpoint is read by ``read_aligned``,
+once, into one writable buffer that places a chosen byte on a 64-byte
+boundary, so its arrays come back as aligned views of that buffer; it is
+written by ``write_bytes``, which writes several buffers one after another,
+so its parts are never joined into one.
 
 Every CSV file the package writes or reads (frequency sets, parameter
 tables, scatter and image exports, training histories, ``predict --input``)
@@ -34,6 +40,7 @@ import json
 import math
 import numbers
 import os
+import stat
 
 import numpy as np
 
@@ -55,7 +62,9 @@ def config_hash(obj) -> str:
 
 def is_integer(v) -> bool:
     """An int (numpy integers included), not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    # a plain int first: the abstract-class check costs 10x more, on every
+    # shape size and config field a checkpoint load checks
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def is_finite_number(v) -> bool:
@@ -131,10 +140,49 @@ def read_bytes(path) -> bytes:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def write_bytes(path, data: bytes):
+#: The boundary, in bytes, on which ``read_aligned`` places the byte it is asked to.
+ALIGNMENT = 64
+
+
+def read_aligned(path, prefix_size, aligned_at) -> np.ndarray:
+    """The bytes of ``path``, read once into one writable uint8 array.
+
+    ``aligned_at(prefix)``, given the file's first ``prefix_size`` bytes, names
+    the byte of the file to place on an ``ALIGNMENT``-byte boundary; in a file
+    shorter than that, byte 0 is placed there. The prefix is not yet verified,
+    so its value sets only the padding before the file's first byte: the
+    buffer is sized by the file, ``ALIGNMENT - 1`` bytes more. A pipe, which
+    has no size to allocate by, is read whole first and then copied in.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                size = st.st_size
+                head = fh.read(min(prefix_size, size))
+            else:
+                head = fh.readall()
+                size = len(head)
+            at = aligned_at(head[:prefix_size]) if len(head) >= prefix_size else 0
+            raw = np.empty(size + ALIGNMENT - 1, np.uint8)
+            start = -(raw.__array_interface__["data"][0] + at) % ALIGNMENT
+            buf = raw[start:start + size]
+            n = len(head)
+            buf[:n] = np.frombuffer(head, np.uint8)
+            while n < size and (got := fh.readinto(buf[n:])):
+                n += got
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    return buf[:n]
+
+
+def write_bytes(path, *chunks):
+    """Write ``chunks``, bytes or C-contiguous arrays, one after another as the
+    file ``path``, with no copy joining them."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -167,7 +215,9 @@ def write_array_bin(arr: np.ndarray, path) -> dict:
 
 
 def decode_array(buf, entry, offset=0, path=None):
-    """The array ``entry`` describes, copied out of ``buf`` from byte ``offset``.
+    """The array ``entry`` describes, a view of ``buf`` from byte ``offset``,
+    writable when ``buf`` is; a copy where that view would be misaligned for
+    its dtype.
 
     Returns (array, offset past its bytes). Raises ``ParseError`` naming
     ``path`` unless ``entry`` holds a numeric ``dtype`` string and a ``shape``
@@ -187,7 +237,8 @@ def decode_array(buf, entry, offset=0, path=None):
     if end > len(buf):
         raise ParseError(f"array of shape {shape} needs {end - offset} bytes, "
                          f"{len(buf) - offset} left", path=path)
-    return np.frombuffer(buf, dtype, count, offset).reshape(shape).copy(), end
+    arr = np.frombuffer(buf, dtype, count, offset).reshape(shape)
+    return (arr if arr.flags.aligned else arr.copy()), end
 
 
 def read_array_bin(path, entry: dict) -> np.ndarray:
@@ -198,7 +249,7 @@ def read_array_bin(path, entry: dict) -> np.ndarray:
     arr, end = decode_array(data, entry, path=path)
     if end != len(data):
         raise ParseError(f"expected {end} bytes, found {len(data)}", path=path)
-    return arr
+    return arr.copy()
 
 
 def format_csv(header, rows, digits=17, comment=None) -> bytes:

@@ -611,6 +611,11 @@ BAD_CONFIGS = {
     "section not an object": ({"nn": [16, 16]}, "train"),
     "seed wrong type": ({"seed": "one"}, "gen-dataset"),
     "seed negative": ({"seed": -1}, "gen-dataset"),
+    # the top-level seed only defaults nn.seed and train.seed, both set here
+    "seed wrong type, inner seeds set": ({"seed": "one", "nn": {"seed": 1},
+                                          "train": {"seed": 1}}, "train"),
+    "seed negative, inner seeds set": ({"seed": -1, "nn": {"seed": 1},
+                                        "train": {"seed": 1}}, "train"),
     "unknown top-level key": ({"trian": {"epochs": 50}}, "train"),
 }
 

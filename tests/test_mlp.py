@@ -1,6 +1,9 @@
 
 import os
+import struct
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -574,3 +577,93 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(m, path)
         assert load_checkpoint(path).config.output_dim == 3
+
+
+def padded_model(pad, dtype, hidden_widths=(16, 16)):
+    """A small model with stats whose checkpoint header is ``pad`` bytes longer
+    than at pad 0. Its output_dim of 3 makes the count of float32 values odd,
+    which leaves the float64 stats after them off an 8-byte boundary."""
+    m = tiny_model(seed=7, dtype=dtype, output_dim=3, hidden_widths=hidden_widths)
+    m.stats = StandardizationStats(mean=np.arange(8.0), std=np.full(8, 2.0))
+    m.metadata = {"pad": "x" * pad}
+    return m
+
+
+def model_arrays(m):
+    return [a for layer in zip(m.weights, m.biases) for a in layer] + [m.stats.mean,
+                                                                       m.stats.std]
+
+
+class TestCheckpointBuffer:
+    """A loaded model's arrays are views into one buffer per file, placed so
+    that the array section starts on a 64-byte boundary."""
+
+    def test_pads_cover_every_header_length_residue(self, tmp_path):
+        residues = set()
+        for pad in range(64):
+            save_checkpoint(padded_model(pad, "float32"), tmp_path / "m.ckpt")
+            residues.add(struct.unpack_from("<Q", (tmp_path / "m.ckpt").read_bytes(), 8)[0] % 64)
+        assert residues == set(range(64))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("pad", range(64))
+    def test_loaded_arrays_are_aligned_writable_views(self, tmp_path, pad, dtype):
+        m = padded_model(pad, dtype)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        loaded = load_checkpoint(path)
+        arrays = model_arrays(loaded)
+        for a in arrays:
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+        # the weights and biases lie back to back from a 64-byte boundary
+        address = arrays[0].__array_interface__["data"][0]
+        assert address % 64 == 0
+        for a in arrays[:-2]:
+            assert a.__array_interface__["data"][0] == address
+            address += a.nbytes
+        x = np.random.default_rng(pad).normal(size=(5, 8))
+        np.testing.assert_array_equal(forward(loaded, x), forward(m, x))
+
+        before = [a.copy() for a in arrays]
+        for k, a in enumerate(arrays):
+            a[...] = k + 1
+        for k, a in enumerate(arrays):
+            assert np.all(a == k + 1), "a later write reached an earlier array"
+        for a, b in zip(model_arrays(load_checkpoint(path)), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_read_from_a_pipe(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(padded_model(5, "float32"), path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(path.read_bytes())
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        loaded = load_checkpoint(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        for a, b in zip(model_arrays(loaded), model_arrays(load_checkpoint(path))):
+            assert a.flags.aligned and a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("field", [0, "size", 2 ** 63, 2 ** 64 - 1])
+    def test_header_length_field_sizes_no_allocation(self, tmp_path, field):
+        # a 1 MB middle layer: an allocation of the field's value when it is
+        # the file size would show in the peak
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(padded_model(0, "float32", hidden_widths=(512, 512)), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:16] = struct.pack("<Q", len(blob) if field == "size" else field)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChecksumError, match="checksum mismatch"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(blob)
