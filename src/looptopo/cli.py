@@ -25,7 +25,7 @@ from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
 from .serialization import (check_output_files, config_hash, format_csv, is_integer,
                             make_dir, parse_csv, read_bytes, read_json, write_bytes,
                             write_json)
-from .tasks import LOOP_PARAMS, TASKS
+from .tasks import KINDS, LOOP_PARAMS, TASKS
 
 
 _CONFIG_KEYS = {"seed", "dataset", "frequencies", "loop_build", "nn", "train", "pca"}
@@ -97,15 +97,21 @@ def _build_config(cfg):
 
 def _nn_config(args, cfg, input_dim, out_dim, seed):
     section = _section(cfg, "nn")
-    width, depth = getattr(args, "width", None), getattr(args, "depth", None)
-    if width is not None or depth is not None:
-        section["hidden_widths"] = [256 if width is None else width] * (
-            4 if depth is None else depth)
     if getattr(args, "dropout", None) is not None:
         section["dropout_rate"] = args.dropout
     section["input_dim"] = input_dim
     section["output_dim"] = out_dim
     section.setdefault("seed", seed)
+    nn_cfg = MlpConfig.from_dict(section)
+    width, depth = getattr(args, "width", None), getattr(args, "depth", None)
+    if width is None and depth is None:
+        return nn_cfg
+    widths = nn_cfg.hidden_widths  # the config's, or MlpConfig's default
+    if width is None and len(set(widths)) > 1:
+        raise ValidationError(f"--depth repeats one width, but nn.hidden_widths is "
+                              f"{list(widths)}: give --width too")
+    section["hidden_widths"] = [widths[0] if width is None else width] * (
+        len(widths) if depth is None else depth)
     return MlpConfig.from_dict(section)
 
 
@@ -230,7 +236,7 @@ def cmd_demo_circle(args):
     if sampling.scenario != "circle":
         raise ValidationError(f"demo-circle runs the circle scenario, not {sampling.scenario}")
     nn_cfgs = {kind: _nn_config(args, cfg, 2, regularizer.output_dim(kind, "circle"), seed)
-               for kind in ("naive", "embedded")}
+               for kind in KINDS}
     train_cfg = _train_config(args, cfg, seed)
     ds = generate_dataset(sampling)
     make_dir(args.out)
@@ -399,7 +405,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a naive or embedded model")
     common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--kind", choices=["naive", "embedded"], required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--history", help="history CSV path (default: next to checkpoint)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")

@@ -42,12 +42,12 @@ parameters, for the batch kernel and for ``build_loop_components`` (and
 through it ``eval_image`` and the quadrature oracle). ``_component_mass_var``
 is the one exponent-mode formula: the mass and variance of a component, from
 which both closed forms take their envelope and ``eval_image`` its
-normalization. The parameter rules are ``embeddings.validate_param_rows``;
-the batch kernel also refuses a row whose centre phase 2 pi (x_c u + y_c v)
-is not finite at some frequency, as no cosine can be taken of it.
-The scalar ``visibilities_closed_form`` sums one complex phase per component
-and is the reference the batch kernel is tested against; the two agree to
-rounding, not bit for bit.
+normalization. The parameter rules are ``embeddings.validate_param_rows``. The
+batch kernel has one range rule, on its result: an entry that overflowed (any phase,
+or the envelope exponent) is 0 where its envelope is 0, as is the visibility, and
+otherwise refuses its row. The scalar ``visibilities_closed_form`` sums one complex
+phase per component and is the reference the batch kernel is tested against; the
+two agree to rounding, not bit for bit.
 """
 
 import math
@@ -322,18 +322,16 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
 
     The layout of ``_loop_half`` for all rows at once, summed in mirrored
     pairs (see the module docstring) on (chunk, half, n) arrays,
-    ``CLOSED_FORM_CHUNK`` rows at a time. Each (row, frequency) costs
-    2 h + 1 tangents through ``_cos_sin`` and no cos or sin: h for the
-    cosines along the axis, h for the cos/sin pairs of the phases
-    2 pi c x_k^2 q across it and one for the pair of the centre phase phi.
-    At 11 components that is 11 calls, where cos and sin would take 17.
-    Rows are checked by ``validate_param_rows`` and for a finite centre phase;
-    the first bad row raises ``ValidationError``.
-    The result agrees with ``visibilities_closed_form`` to rounding (a few
-    1e-15 of the flux), not bit for bit, because the sums run in another
-    order and the phases go through ``_cos_sin``. A row's result does not
-    depend on its batch: ``_batch_x_at_arc`` solves each entry on its own,
-    and all else is elementwise or a sum within the row.
+    ``CLOSED_FORM_CHUNK`` rows at a time. Each (row, frequency) costs 2 h + 1
+    tangents through ``_cos_sin`` and no cos or sin: h along the axis, h across
+    it and one for the centre phase; 11 at 11 components, where cos and sin take 17.
+    Rows are checked by ``validate_param_rows`` and ``_loop_half``, each chunk's
+    result by the range rule (finite entries stay as computed); the first refused
+    row raises ``ValidationError``. The result agrees with ``visibilities_closed_form``
+    to rounding (a few 1e-15 of the flux), not bit for bit: the sums run in another
+    order and the phases go through ``_cos_sin``. A row's result does not depend on
+    its batch: ``_batch_x_at_arc`` solves each entry on its own, and all else is
+    elementwise or a sum within the row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
@@ -353,31 +351,33 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     for lo in range(0, thetas.shape[0], CLOSED_FORM_CHUNK):
         chunk = slice(lo, lo + CLOSED_FORM_CHUNK)
         x_c, y_c, flux, sigma, _, alpha, _ = thetas[chunk].T
-        if half:
-            cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
-            p = cos_a * u + sin_a * v  # frequency along the loop axis
-            q = cos_a * v - sin_a * u  # frequency across it
-            along = _cos_sin((two_pi * x_pos[chunk])[:, :, None] * p[:, None, :])[0]
-            across = (two_pi * y_pos[chunk])[:, :, None] * q[:, None, :]
-            cos_across, sin_across = _cos_sin(across)
-            cos_across *= along
-            sin_across *= along
-            pair_re = w0[chunk, None] + np.einsum("sk,skj->sj", w[chunk], cos_across)
-            pair_im = np.einsum("sk,skj->sj", w[chunk], sin_across)
-        else:
-            pair_re, pair_im = 1.0, 0.0
-
-        with np.errstate(over="ignore", invalid="ignore"):  # such rows are refused below
-            phi = two_pi * (x_c[:, None] * u + y_c[:, None] * v)
-        if not np.isfinite(phi).all():
-            raise ValidationError(f"row {lo + np.argmin(np.isfinite(phi).all(axis=1))}: the "
-                                  "centre phase 2 pi (x_c u + y_c v) is not finite")
-        cos_phi, sin_phi = _cos_sin(phi)
-        mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
-        scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
         block = out[chunk]
-        block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
-        block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
+        with np.errstate(over="ignore", invalid="ignore"):  # settled or refused below
+            if half:
+                cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+                p = cos_a * u + sin_a * v  # frequency along the loop axis
+                q = cos_a * v - sin_a * u  # frequency across it
+                along = _cos_sin((two_pi * x_pos[chunk])[:, :, None] * p[:, None, :])[0]
+                across = (two_pi * y_pos[chunk])[:, :, None] * q[:, None, :]
+                cos_across, sin_across = _cos_sin(across)
+                cos_across *= along
+                sin_across *= along
+                pair_re = w0[chunk, None] + np.einsum("sk,skj->sj", w[chunk], cos_across)
+                pair_im = np.einsum("sk,skj->sj", w[chunk], sin_across)
+            else:
+                pair_re, pair_im = 1.0, 0.0
+            cos_phi, sin_phi = _cos_sin(two_pi * (x_c[:, None] * u + y_c[:, None] * v))
+            mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
+            scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
+            block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
+            block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
+        bad = ~np.isfinite(block)
+        if bad.any():  # the range rule: 0 under a zero envelope, else the row is refused
+            block[bad] = 0.0
+            bad &= scale != 0.0
+            if bad.any():
+                raise ValidationError(f"row {lo + np.argmax(bad.any(axis=1))}: a phase or "
+                                      "the envelope is out of floating-point range")
     return out
 
 

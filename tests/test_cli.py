@@ -98,6 +98,33 @@ class TestTrain:
                                "--history", tmp_path / (name + ".csv")]) == 0
         assert (tmp_path / "m1.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("widths, flags, trained", [
+        ([64, 64], ["--depth", 3], (64, 64, 64)),
+        ([64, 64], ["--width", 32], (32, 32)),
+        ([128, 64], ["--width", 16], (16, 16)),
+        ([128, 64], ["--width", 8, "--depth", 3], (8, 8, 8)),
+        (None, ["--depth", 1], (256,)),  # MlpConfig's default widths
+        (None, ["--width", 8], (8, 8, 8, 8))])
+    def test_width_or_depth_alone_keeps_the_other(self, workspace, tmp_path, widths, flags,
+                                                  trained):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nn": {} if widths is None else {"hidden_widths": widths}}))
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--dataset", workspace["ds"], "--kind", "naive", "--seed", 4,
+                    "--config", cfg, *flags, "--epochs", 1, "--out", out]) == 0
+        from looptopo.mlp import load_checkpoint
+        assert load_checkpoint(out).config.hidden_widths == trained
+
+    def test_depth_alone_on_unequal_widths_is_refused(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nn": {"hidden_widths": [128, 64]}}))
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--dataset", workspace["ds"], "--kind", "naive", "--seed", 4,
+                    "--config", cfg, "--depth", 3, "--epochs", 1, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --depth repeats one width, but nn.hidden_widths is [128, 64]")
+        assert not out.exists()
+
     def test_resume_requires_matching_config(self, workspace, tmp_path, capsys):
         out = tmp_path / "r.ckpt"
         base = ["train", "--dataset", workspace["ds"], "--kind", "embedded",
@@ -733,16 +760,32 @@ class TestVisForward:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_centre_phase_is_refused(self, tmp_path, capsys):
-        # 2 pi x_c u overflows; unguarded, that is a RuntimeWarning and nan visibilities
-        freq_file = _written(tmp_path / "f.csv", b"u,v\n10,0\n")
+    def test_overflowing_phase_is_refused(self, tmp_path, capsys):
+        # 2 pi x_c u overflows where the envelope is about 1e-99 of the flux, not 0;
+        # unguarded, that is a RuntimeWarning and nan visibilities
+        freq_file = _written(tmp_path / "f.csv", b"u,v\n1,0\n")
         out = tmp_path / "vis.csv"
         argv = _vis_forward_with_frequencies(freq_file)
         argv[argv.index("--theta") + 1] = "1e308,0,1000,8,5,30,0.05"
         assert run([*argv, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: row 0: the centre phase 2 pi (x_c u + y_c v) is not finite")
+            "error: row 0: a phase or the envelope is out of floating-point range")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta, u", [("1e308,0,1000,8,5,30,0.05", "10"),
+                                          ("0,0,1000,1e77,1e77,0,0", "1e154")])
+    def test_overflow_under_a_zero_envelope_writes_zeros(self, tmp_path, theta, u):
+        # the centre phase, then the phase along the axis, overflow where the
+        # envelope underflows to 0: the visibility is 0
+        freq_file = _written(tmp_path / "f.csv", f"u,v\n{u},0\n".encode())
+        out = tmp_path / "vis.csv"
+        argv = _vis_forward_with_frequencies(freq_file)
+        argv[argv.index("--theta") + 1] = theta
+        assert run([*argv, "--out", out]) == 0
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
+        assert rows[0] == "u,v,re,im"
+        assert [float(x) for x in rows[1].split(",")[2:]] == [0.0, 0.0]
 
     def test_zero_frequency_equals_flux(self, tmp_path):
         freq_file = tmp_path / "f.csv"

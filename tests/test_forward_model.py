@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from looptopo import forward_model
 from looptopo.diagnostics import Diagnostics
@@ -291,6 +292,33 @@ def any_curvature_loops(draw):
     return row
 
 
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+def _signed_or_zero(magnitude):
+    return st.one_of(st.just(0.0), st.builds(lambda s, m: s * m, st.sampled_from((-1.0, 1.0)),
+                                             magnitude))
+
+
+@st.composite
+def extreme_loops(draw):
+    """One (7,) loop meeting the parameter rules, each value anywhere in float range."""
+    spread = _log_uniform(-300, 308)
+    return [draw(_signed_or_zero(spread)), draw(_signed_or_zero(spread)), draw(spread),
+            draw(spread), draw(st.one_of(st.just(0.0), spread)),
+            draw(st.floats(allow_nan=False, allow_infinity=False)),
+            draw(_signed_or_zero(spread))]
+
+
+@st.composite
+def extreme_frequencies(draw):
+    """(0, 0), or a (u, v) at a radius up to 1.3e154, the largest FrequencySet takes."""
+    radius = draw(st.one_of(st.just(0.0), _log_uniform(-300, math.log10(1.3e154))))
+    angle = draw(st.floats(0.0, 2.0 * PI))
+    return radius * math.cos(angle), radius * math.sin(angle)
+
+
 def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
@@ -372,18 +400,78 @@ class TestClosedFormBatch:
             visibilities_closed_form_batch(thetas, FREQS)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("x_c, y_c, u", [(1e308, 0.0, 10.0), (0.0, -1e300, 1e10),
-                                             (1e308, -1e308, 1e10), (1e308, 0.0, 1.0)])
-    def test_overflowing_centre_phase_names_its_row(self, monkeypatch, x_c, y_c, u):
-        # row 3 sits in the second chunk; the last case overflows only after the 2 pi
+    @pytest.mark.parametrize("columns, values, uv", [
+        ((0, 1), (1e308, 0.0), (1.0, 1.0)),  # the centre phase, overflowing after the 2 pi
+        ((0, 1), (0.0, -1e308), (1.0, 1.0)),
+        ((0, 1), (1e308, 1e308), (1.0, 1.0)),  # x_c u + y_c v itself
+        ((3, 4), (1e-154, 1e308), (1.3e154, 0.0)),  # along the axis
+        ((3, 4, 6), (1e-154, 1e308, 1e308), (0.0, 1.3e154))])  # across it
+    def test_overflow_under_a_nonzero_envelope_names_its_row(self, monkeypatch, columns,
+                                                              values, uv):
+        # the envelope at the second frequency is about 5e-199 of the flux for sigma = 8
+        # and 3e-3 for sigma = 1e-154; row 3 sits in the second chunk
         monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
-        freqs = FrequencySet(np.array([(0.01, 0.02), (u, u)]))
+        freqs = FrequencySet(np.array([(0.01, 0.02), uv]))
         thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
-        thetas[3, :2] = x_c, y_c
-        with pytest.raises(ValidationError, match=r"^row 3: the centre phase"):
+        thetas[3, list(columns)] = values
+        mass, var = forward_model._component_mass_var(thetas[3, 2], thetas[3, 3], "fwhm")
+        assert mass * math.exp(-2.0 * PI ** 2 * var * (uv[0] ** 2 + uv[1] ** 2)) > 0.0
+        with pytest.raises(ValidationError,
+                           match=r"^row 3: a phase or the envelope is out of floating-point"):
             visibilities_closed_form_batch(thetas, freqs)
-        thetas[3, :2] = 0.0
+        thetas[3] = thetas[0]
         assert np.all(np.isfinite(visibilities_closed_form_batch(thetas, freqs)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("columns, values, uv", [
+        ((0, 1), (1e308, 0.0), (10.0, 10.0)),
+        ((0, 1), (0.0, -1e300), (1e10, 1e10)),
+        ((0, 1), (1e308, -1e308), (1e10, 1e10)),
+        ((3, 4, 5, 6), (1e77, 1e77, 0.0, 0.0), (1e154, 0.0))])  # along the axis
+    def test_overflow_under_a_zero_envelope_is_zero(self, monkeypatch, columns, values, uv):
+        # the envelope underflows to 0 at the second frequency, so the visibility is 0
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+        freqs = FrequencySet(np.array([(0.01, 0.02), uv]))
+        thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
+        thetas[3, list(columns)] = values
+        vis = visibilities_closed_form_batch(thetas, freqs)
+        assert vis[3, 1] == 0.0
+        # the first entry as computed: the same call with a finite second phase
+        np.testing.assert_array_equal(vis[3, :1], visibilities_closed_form_batch(
+            thetas[3:4], FrequencySet(np.array([(0.01, 0.02), (0.0, 0.0)])))[0, :1])
+        others = [0, 1, 2, 4]
+        np.testing.assert_array_equal(vis[others],
+                                      visibilities_closed_form_batch(thetas[others], freqs))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[[0.0, 0.0, 1000.0, 1e77, 1e77, 0.0, 0.0]], uv=[(1e154, 0.0)],
+             n_components=11, mode="fwhm")
+    @given(rows=st.lists(extreme_loops(), min_size=1, max_size=4),
+           uv=st.lists(extreme_frequencies(), min_size=1, max_size=4),
+           n_components=st.sampled_from((1, 3, 11)), mode=st.sampled_from(EXPONENT_MODES))
+    def test_total_over_finite_rows(self, rows, uv, n_components, mode):
+        # every finite row meeting the parameter rules, at every frequency FrequencySet
+        # takes: all-finite visibilities, or a refusal that names a row
+        thetas, freqs = np.array(rows), FrequencySet(np.array(uv))
+        cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
+        try:
+            vis = visibilities_closed_form_batch(thetas, freqs, cfg)
+        except ValidationError as exc:
+            named = re.match(r"row (\d+): ", str(exc))
+            assert named, exc
+            k = int(named.group(1))  # the named row is refused on its own too
+            with pytest.raises(ValidationError, match=r"^row 0: "):
+                visibilities_closed_form_batch(thetas[k:k + 1], freqs, cfg)
+            return
+        assert np.all(np.isfinite(vis))
+        for theta, row in zip(thetas, vis):
+            np.testing.assert_array_equal(
+                row, visibilities_closed_form_batch(theta[None], freqs, cfg)[0])
+        with np.errstate(over="ignore"):
+            mass, var = forward_model._component_mass_var(thetas[:, 2:3], thetas[:, 3:4], mode)
+            envelope = mass * np.exp(-2.0 * PI ** 2 * var * (freqs.u ** 2 + freqs.v ** 2))
+        assert np.all(vis[envelope == 0.0] == 0.0)
 
     @pytest.mark.parametrize("column, value, rule", [
         (2, float("nan"), "parameters must be finite"),
