@@ -7,7 +7,8 @@ are visibilities. Noisy visibilities carry white Gaussian noise of std
 
 Sampling happens in external units (angles in degrees, matching config files
 and disk), which are converted to internal radians exactly once. A dataset
-directory is a manifest.json plus flat little-endian binary arrays, checksummed.
+directory is a manifest.json plus flat little-endian binary arrays, checksummed;
+the array files are written and read side by side, through ``pool.ordered_map``.
 
 A seed gives two random streams, one per purpose: stream 0 draws all the
 parameters of a dataset in one call, stream 1 all of its noise in one call.
@@ -24,6 +25,7 @@ from .errors import ChecksumError, FormatVersionError, ParseError, ValidationErr
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       vis_to_reals, visibilities_closed_form_batch)
+from .pool import ordered_map
 from .serialization import (check_fields, config_from_dict, config_hash, config_to_dict,
                             is_finite_number, make_dir, read_array_bin, read_json,
                             write_array_bin, write_json)
@@ -183,8 +185,10 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     Fully determined by cfg: the seed keys one generator per purpose, and
     each draws the whole dataset in one vectorized call (all parameters
     from stream 0, all noise from stream 1). ``jobs`` has no effect; it is
-    accepted so that existing callers keep working, since one vectorized
-    draw leaves nothing to share among workers.
+    accepted so that existing callers (perfbench among them) keep working.
+    The work it once spread is spread already: the closed-form kernel runs its
+    row chunks on every CPU the process may use, with the same bytes on any
+    number of them, and the draws are one vectorized call each.
     """
     task = get_task(cfg.scenario)
     total = cfg.total
@@ -248,23 +252,24 @@ def save_dataset(ds: Dataset, path):
     manifest = ds.manifest_dict()
     manifest["mode"] = "binary"
     manifest["config_hash"] = config_hash(manifest["config"])
-    manifest["arrays"] = {
-        name: write_array_bin(arr, os.path.join(path, f"{name}.bin"))
-        for name, arr in (("params", ds.params_disk), ("clean", ds.clean),
-                          ("noisy", ds.noisy), ("split", ds.split))}
+    arrays = {"params": ds.params_disk, "clean": ds.clean, "noisy": ds.noisy,
+              "split": ds.split}
+    manifest["arrays"] = dict(zip(arrays, ordered_map(
+        lambda name: write_array_bin(arrays[name], os.path.join(path, f"{name}.bin")),
+        arrays)))
     write_json(manifest, os.path.join(path, "manifest.json"))
 
 
-def _array_entry(manifest, name, manifest_path):
-    """The manifest entry of one array, checked to name its file and checksum;
-    read_array_bin checks its dtype and shape."""
+def _read_array(path, manifest, name, manifest_path):
+    """One array of the dataset directory ``path``. Its manifest entry is checked
+    here to name its file and checksum; read_array_bin checks its dtype and shape."""
     entries = manifest["arrays"]
     entry = entries.get(name) if isinstance(entries, dict) else None
     if not (isinstance(entry, dict)
             and all(isinstance(entry.get(k), str) for k in ("file", "sha256"))):
         raise ParseError(f"manifest entry arrays.{name} must be an object with string "
                          "file and sha256", path=manifest_path)
-    return entry
+    return read_array_bin(os.path.join(path, entry["file"]), entry)
 
 
 def load_dataset(path) -> Dataset:
@@ -283,9 +288,9 @@ def load_dataset(path) -> Dataset:
         if config_hash(manifest["config"]) != manifest["config_hash"]:
             raise ChecksumError(f"{manifest_path}: config does not match its config_hash")
         cfg = SamplingConfig.from_dict(manifest["config"])
-        arrays = {name: read_array_bin(os.path.join(path, entry["file"]), entry)
-                  for name, entry in ((n, _array_entry(manifest, n, manifest_path))
-                                      for n in ("params", "clean", "noisy", "split"))}
+        names = ("params", "clean", "noisy", "split")
+        arrays = dict(zip(names, ordered_map(
+            lambda name: _read_array(path, manifest, name, manifest_path), names)))
     except KeyError as exc:
         raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None
     ext = arrays["params"]

@@ -48,6 +48,11 @@ or the envelope exponent) is 0 where its envelope is 0, as is the visibility, an
 otherwise refuses its row. The scalar ``visibilities_closed_form`` sums one complex
 phase per component and is the reference the batch kernel is tested against; the
 two agree to rounding, not bit for bit.
+
+The batch kernel's row chunks are independent, so they run on every CPU the
+process may use, through ``pool.ordered_map``. The chunks' order is kept: the
+refused row is the first, and the bytes of the result are the same on any
+number of CPUs.
 """
 
 import math
@@ -58,6 +63,7 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .embeddings import validate_param_rows
 from .errors import ParseError, ValidationError
+from .pool import ordered_map
 from .serialization import (check_fields, config_from_dict, config_to_dict, parse_csv,
                             read_bytes)
 
@@ -327,11 +333,14 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     it and one for the centre phase; 11 at 11 components, where cos and sin take 17.
     Rows are checked by ``validate_param_rows`` and ``_loop_half``, each chunk's
     result by the range rule (finite entries stay as computed); the first refused
-    row raises ``ValidationError``. The result agrees with ``visibilities_closed_form``
-    to rounding (a few 1e-15 of the flux), not bit for bit: the sums run in another
-    order and the phases go through ``_cos_sin``. A row's result does not depend on
-    its batch: ``_batch_x_at_arc`` solves each entry on its own, and all else is
-    elementwise or a sum within the row.
+    row raises ``ValidationError``. The layout is placed for all rows first; the
+    chunks then run on the CPUs through ``ordered_map``, and a chunk's refusal is
+    raised only when no earlier chunk refuses, so the row named and the bytes of the
+    result are those of one chunk after another. The result agrees with
+    ``visibilities_closed_form`` to rounding (a few 1e-15 of the flux), not bit for
+    bit: the sums run in another order and the phases go through ``_cos_sin``. A
+    row's result does not depend on its batch: ``_batch_x_at_arc`` solves each
+    entry on its own, and all else is elementwise or a sum within the row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
@@ -348,7 +357,7 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
         w *= 2.0 * w0[:, None]  # each pair carries twice its weight
         y_pos = thetas[:, 6:7] * x_pos * x_pos  # c x^2 first: 2 pi c may overflow
 
-    for lo in range(0, thetas.shape[0], CLOSED_FORM_CHUNK):
+    def fill_chunk(lo):  # rows lo.. of out, or refuses the first bad one
         chunk = slice(lo, lo + CLOSED_FORM_CHUNK)
         x_c, y_c, flux, sigma, _, alpha, _ = thetas[chunk].T
         block = out[chunk]
@@ -378,6 +387,8 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
             if bad.any():
                 raise ValidationError(f"row {lo + np.argmax(bad.any(axis=1))}: a phase or "
                                       "the envelope is out of floating-point range")
+
+    ordered_map(fill_chunk, range(0, thetas.shape[0], CLOSED_FORM_CHUNK))
     return out
 
 
@@ -442,10 +453,13 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     img = np.zeros((grid.ny, grid.nx))
     mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
     two_var, norm = 2.0 * var, mass / (2.0 * math.pi * var)
-    for (cx, cy), w in zip(centers, weights):
-        dx2 = (xs - cx) ** 2
-        dy2 = (ys - cy) ** 2
-        img += (w * norm) * np.exp(-(dy2[:, None] + dx2[None, :]) / two_var)
+    # a squared distance that overflows is a pixel the component does not reach:
+    # its exponent is -inf and its value the 0 it is
+    with np.errstate(over="ignore"):
+        for (cx, cy), w in zip(centers, weights):
+            dx2 = (xs - cx) ** 2
+            dy2 = (ys - cy) ** 2
+            img += (w * norm) * np.exp(-(dy2[:, None] + dx2[None, :]) / two_var)
     return img
 
 

@@ -9,11 +9,14 @@ An array is stored as raw bytes described by an entry with a numeric
 in a dataset, whose manifest entry adds ``file`` and ``sha256``, and back to
 back after the header in a checkpoint. Both read through ``decode_array``,
 which returns a view of the bytes it is given (a copy only where the view
-would be misaligned for its dtype). A checkpoint is read by ``read_aligned``,
-once, into one writable buffer that places a chosen byte on a 64-byte
-boundary, so its arrays come back as aligned views of that buffer; it is
-written by ``write_bytes``, which writes several buffers one after another,
-so its parts are never joined into one.
+would be misaligned for its dtype). A checkpoint and a dataset's array file
+are each read by ``read_aligned``, once, into one writable buffer that places
+a chosen byte on a 64-byte boundary; the sha256 is checked over that buffer
+before anything is decoded, and the arrays come back as aligned, writable
+views of it. Both are written by ``write_bytes``, which writes several
+buffers one after another, so their parts are never joined into one:
+``write_array_bin`` hashes and writes the little-endian C-contiguous array's
+own buffer, with no copy into bytes.
 
 Every CSV file the package writes or reads (frequency sets, parameter
 tables, scatter and image exports, training histories, ``predict --input``)
@@ -47,7 +50,8 @@ import numpy as np
 from .errors import ChecksumError, ParseError, ValidationError
 
 
-def sha256_bytes(data: bytes) -> str:
+def sha256_bytes(data) -> str:
+    """The hex sha256 of bytes or of a C-contiguous array's buffer."""
     return hashlib.sha256(data).hexdigest()
 
 
@@ -205,13 +209,15 @@ def make_dir(path):
 
 
 def write_array_bin(arr: np.ndarray, path) -> dict:
-    """Write a little-endian flat binary array; returns its manifest entry."""
-    arr = np.ascontiguousarray(arr)
-    le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    data = le.tobytes()
-    write_bytes(path, data)
+    """Write a little-endian flat binary array; returns its manifest entry.
+
+    The file and the checksum are taken from the buffer of the array itself
+    (a copy only where it is not C-contiguous or not little-endian)."""
+    arr = np.asarray(arr)
+    le = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))
+    write_bytes(path, le)
     return {"file": os.path.basename(path), "dtype": le.dtype.str,
-            "shape": list(arr.shape), "sha256": sha256_bytes(data)}
+            "shape": list(le.shape), "sha256": sha256_bytes(le)}
 
 
 def decode_array(buf, entry, offset=0, path=None):
@@ -242,14 +248,18 @@ def decode_array(buf, entry, offset=0, path=None):
 
 
 def read_array_bin(path, entry: dict) -> np.ndarray:
-    """The array a dataset manifest entry describes, read from ``path``."""
-    data = read_bytes(path)
-    if sha256_bytes(data) != entry["sha256"]:
+    """The array a dataset manifest entry describes, read from ``path``.
+
+    The file is read once into one aligned buffer (``read_aligned``), whose
+    sha256 is checked before anything is decoded; the array returned is a
+    writable view of that buffer."""
+    buf = read_aligned(path, 0, lambda head: 0)
+    if sha256_bytes(buf) != entry["sha256"]:
         raise ChecksumError(f"checksum mismatch for {path}")
-    arr, end = decode_array(data, entry, path=path)
-    if end != len(data):
-        raise ParseError(f"expected {end} bytes, found {len(data)}", path=path)
-    return arr.copy()
+    arr, end = decode_array(buf, entry, path=path)
+    if end != len(buf):
+        raise ParseError(f"expected {end} bytes, found {len(buf)}", path=path)
+    return arr
 
 
 def format_csv(header, rows, digits=17, comment=None) -> bytes:

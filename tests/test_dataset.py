@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looptopo import forward_model, pool
 from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
                            apply_standardization, fit_standardization,
                            generate_dataset, internal_intervals, load_dataset,
@@ -121,6 +123,15 @@ class TestGeneration:
     def test_jobs_do_not_change_content(self):
         cfg = small_cfg("complete")
         assert datasets_equal(generate_dataset(cfg), generate_dataset(cfg, jobs=2))
+
+    def test_chunks_and_workers_do_not_change_content(self, monkeypatch):
+        cfg = small_cfg("complete", n_train=600, n_val=100, n_test=100)  # 4 chunks
+        ds = generate_dataset(cfg)
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", cfg.total + 1)
+        assert datasets_equal(ds, generate_dataset(cfg))
+        monkeypatch.undo()
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        assert datasets_equal(ds, generate_dataset(cfg))
 
     def test_clean_channel_reproducible_from_params(self):
         ds = generate_dataset(small_cfg("complete"))
@@ -296,6 +307,38 @@ class TestDiskFormat:
                             dtype="<f8").reshape(-1, 7)
         assert raw[:, 5].max() > PI  # degrees, not radians
         np.testing.assert_allclose(np.radians(raw[:, 5]), ds.params[:, 5])
+
+    def test_files_hold_the_arrays_bytes(self, tmp_path):
+        ds = generate_dataset(small_cfg("complete"))
+        save_dataset(ds, tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        for name, arr in (("params", ds.params_disk), ("clean", ds.clean),
+                          ("noisy", ds.noisy), ("split", ds.split)):
+            assert (tmp_path / "ds" / f"{name}.bin").read_bytes() == arr.tobytes()
+            assert manifest["arrays"][name]["sha256"] == hashlib.sha256(arr.tobytes()).hexdigest()
+
+    def test_loaded_arrays_are_aligned_writable_and_contiguous(self, tmp_path):
+        ds = generate_dataset(small_cfg("complete"))
+        save_dataset(ds, tmp_path / "ds")
+        loaded = load_dataset(tmp_path / "ds")
+        assert datasets_equal(ds, loaded)
+        for field in ARRAY_FIELDS:
+            flags = getattr(loaded, field).flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable, field
+        for field in ("params_disk", "clean", "noisy"):  # views of the buffer read
+            assert not getattr(loaded, field).flags.owndata, field
+
+    @pytest.mark.parametrize("name, damage", [
+        ("clean.bin", lambda blob: blob[:100] + bytes([blob[100] ^ 0xFF]) + blob[101:]),
+        ("noisy.bin", lambda blob: blob[:len(blob) // 2])])
+    def test_checksum_is_checked_before_decoding(self, tmp_path, name, damage):
+        # a truncated file whose entry needs more bytes is still a checksum mismatch
+        save_dataset(generate_dataset(small_cfg("complete")), tmp_path / "ds")
+        target = tmp_path / "ds" / name
+        target.write_bytes(damage(target.read_bytes()))
+        with pytest.raises(ChecksumError) as raised:
+            load_dataset(tmp_path / "ds")
+        assert str(raised.value) == f"checksum mismatch for {target}"
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = small_cfg("simple")

@@ -444,15 +444,23 @@ class TestClosedFormBatch:
                                       visibilities_closed_form_batch(thetas[others], freqs))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chunk", [forward_model.CLOSED_FORM_CHUNK, 1])
     @settings(max_examples=300, deadline=None)
     @example(rows=[[0.0, 0.0, 1000.0, 1e77, 1e77, 0.0, 0.0]], uv=[(1e154, 0.0)],
              n_components=11, mode="fwhm")
     @given(rows=st.lists(extreme_loops(), min_size=1, max_size=4),
            uv=st.lists(extreme_frequencies(), min_size=1, max_size=4),
            n_components=st.sampled_from((1, 3, 11)), mode=st.sampled_from(EXPONENT_MODES))
-    def test_total_over_finite_rows(self, rows, uv, n_components, mode):
+    def test_total_over_finite_rows(self, chunk, rows, uv, n_components, mode):
         # every finite row meeting the parameter rules, at every frequency FrequencySet
-        # takes: all-finite visibilities, or a refusal that names a row
+        # takes: all-finite visibilities, or a refusal that names a row; at chunk 1 the
+        # rows go through the pooled chunk map
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
+            self.check_total(rows, uv, n_components, mode)
+
+    @staticmethod
+    def check_total(rows, uv, n_components, mode):
         thetas, freqs = np.array(rows), FrequencySet(np.array(uv))
         cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
         try:
@@ -512,6 +520,15 @@ class TestQuadratureOracle:
         visibilities_quadrature_oracle(theta, FREQS, grid=grid, diag=diag)
         assert diag.count("coarse_grid") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_loop_far_off_an_explicit_grid_is_zero(self):
+        # the squared distances to the grid overflow; the default grid refuses the row
+        theta = np.array([1e308, 0, 1000, 8, 5, 0.5, 0.05])
+        vis = visibilities_quadrature_oracle(theta, FREQS, grid=GridSpec.centered(50, 16))
+        assert np.all(vis == 0.0)
+        with pytest.raises(ValidationError, match="grid bounds must be increasing"):
+            visibilities_quadrature_oracle(theta, FREQS)
+
     def test_verbatim_mode_consistency(self):
         # the audit variant changes the formula; both routes must track it
         cfg = LoopBuildConfig(exponent_mode="verbatim")
@@ -541,6 +558,11 @@ class TestEvalImage:
         i, j = np.unravel_index(np.argmax(img), img.shape)
         assert abs(grid.xs()[j] - 6.0) <= grid.dx
         assert abs(grid.ys()[i] + 10.0) <= grid.dy
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_loop_far_off_the_grid_is_zero(self):
+        img = eval_image(np.array([1e308, 0, 1000, 8, 5, 0.5, 0.05]), GridSpec.centered(50, 16))
+        assert img.shape == (16, 16) and np.all(img == 0.0)
 
     def test_seam_identified_pair_pixelwise(self):
         grid = GridSpec.centered(60.0, 128)
