@@ -1,5 +1,11 @@
 """Command-line entry point. All angles at this boundary are degrees.
 
+A command's config is its own defaults, then the --config file over them, then
+the flags over both. A flag that sets a config value has that key as its dest
+(``--lr`` sets ``train.learning_rate``). The flags that are not config keys
+are --seed (over the file's ``seed``), --width/--depth (they rewrite
+``nn.hidden_widths``) and --theta (one CSV row).
+
 One parser per process; ``main`` looks each handler up by subcommand name at call
 time (``vis-forward`` -> ``cmd_vis_forward``), so module-level rebinding takes effect.
 """
@@ -16,7 +22,7 @@ from . import analysis, regularizer
 from .data import (TEST, SamplingConfig, generate_dataset, internal_intervals,
                    load_dataset, save_dataset, to_internal_params)
 from .diagnostics import Diagnostics
-from .errors import LoopTopoError, ValidationError
+from .errors import LoopTopoError, ParseError, ValidationError
 from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       default_frequencies, eval_image, load_frequencies,
                       visibilities_closed_form_batch, visibilities_quadrature_oracle)
@@ -28,26 +34,30 @@ from .serialization import (check_output_files, config_hash, format_csv, is_inte
 from .tasks import KINDS, LOOP_PARAMS, TASKS
 
 
-_CONFIG_KEYS = {"seed", "dataset", "frequencies", "loop_build", "nn", "train", "pca"}
+_SECTIONS = ("dataset", "frequencies", "loop_build", "nn", "train", "pca")
 
 
-def _read_config(path):
-    if path is None:
-        return {}
-    cfg = read_json(path)
+def _read_config(args, **defaults):
+    """The run's config, each layer over the one below: the command's
+    ``defaults`` (section name -> dict), the --config file, then every flag
+    whose dest names a ``section.key``. Each section is a fresh dict."""
+    cfg = {} if args.config is None else read_json(args.config)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must contain a JSON object")
-    if set(cfg) - _CONFIG_KEYS:
-        raise ValidationError(f"unknown config keys {sorted(set(cfg) - _CONFIG_KEYS)}")
-    return cfg
-
-
-def _section(cfg, name):
-    """A copy of the config section ``name``; {} when it is absent."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"config section {name!r} must be a JSON object")
-    return dict(section)
+    unknown = sorted(set(cfg) - {"seed", *_SECTIONS})
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}")
+    merged = dict(cfg)
+    for name in _SECTIONS:
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise ValidationError(f"config section {name!r} must be a JSON object")
+        merged[name] = {**defaults.get(name, {}), **section}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            name, key = dest.split(".")
+            merged[name][key] = value
+    return merged
 
 
 def _require_seed(args, cfg):
@@ -63,17 +73,12 @@ def _require_seed(args, cfg):
     return seed
 
 
-def _sampling_config(args, cfg, seed):
-    section = _section(cfg, "dataset")
-    declared = section.pop("scenario", None)
-    scenario = getattr(args, "scenario", None) or declared
+def _sampling_config(cfg, seed):
+    section = dict(cfg["dataset"])
+    scenario = section.pop("scenario", None)
     if scenario is None:
         raise ValidationError("a scenario is required (--scenario or dataset.scenario)")
     declared_total = section.pop("n_samples", None)
-    for name in ("n_train", "n_val", "n_test"):
-        override = getattr(args, name, None)
-        if override is not None:
-            section[name] = override
     sampling = SamplingConfig.default(scenario, seed, **section)
     if declared_total is not None and declared_total != sampling.total:
         raise ValidationError(
@@ -83,7 +88,7 @@ def _sampling_config(args, cfg, seed):
 
 
 def _frequencies(cfg):
-    section = _section(cfg, "frequencies")
+    section = cfg["frequencies"]
     if "file" not in section:
         return default_frequencies(FrequencyConfig.from_dict(section))
     if len(section) > 1 or not isinstance(section["file"], str):
@@ -91,19 +96,11 @@ def _frequencies(cfg):
     return load_frequencies(section["file"])
 
 
-def _build_config(cfg):
-    return LoopBuildConfig.from_dict(_section(cfg, "loop_build"))
-
-
-def _nn_config(args, cfg, input_dim, out_dim, seed):
-    section = _section(cfg, "nn")
-    if getattr(args, "dropout", None) is not None:
-        section["dropout_rate"] = args.dropout
-    section["input_dim"] = input_dim
-    section["output_dim"] = out_dim
-    section.setdefault("seed", seed)
+def _nn_config(cfg, input_dim, out_dim, seed, width=None, depth=None):
+    """The network config; ``width`` and ``depth`` (--width, --depth) rewrite
+    ``nn.hidden_widths``."""
+    section = {"seed": seed, **cfg["nn"], "input_dim": input_dim, "output_dim": out_dim}
     nn_cfg = MlpConfig.from_dict(section)
-    width, depth = getattr(args, "width", None), getattr(args, "depth", None)
     if width is None and depth is None:
         return nn_cfg
     widths = nn_cfg.hidden_widths  # the config's, or MlpConfig's default
@@ -115,29 +112,18 @@ def _nn_config(args, cfg, input_dim, out_dim, seed):
     return MlpConfig.from_dict(section)
 
 
-def _train_config(args, cfg, seed):
-    section = _section(cfg, "train")
-    for cli_name, key in (("epochs", "epochs"), ("batch_size", "batch_size"),
-                          ("lr", "learning_rate"), ("patience", "patience")):
-        override = getattr(args, cli_name, None)
-        if override is not None:
-            section[key] = override
-    section.setdefault("seed", seed)
-    return TrainConfig.from_dict(section)
-
-
 def _emit_diagnostics(diag: Diagnostics):
     for line in diag.format_lines():
         print(f"warning: {line}", file=sys.stderr)
 
 
 def cmd_gen_dataset(args):
-    cfg = _read_config(args.config)
+    cfg = _read_config(args)
     seed = _require_seed(args, cfg)
-    sampling = _sampling_config(args, cfg, seed)
+    sampling = _sampling_config(cfg, seed)
     visibilities = TASKS[sampling.scenario].visibilities
     freqs = _frequencies(cfg) if visibilities else None
-    build = _build_config(cfg) if visibilities else None
+    build = LoopBuildConfig.from_dict(cfg["loop_build"]) if visibilities else None
     ds = generate_dataset(sampling, freqs=freqs, build=build)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n_samples} samples to {args.out}", file=sys.stderr)
@@ -147,13 +133,12 @@ def cmd_gen_dataset(args):
 def cmd_train(args):
     history_path = args.history or os.path.splitext(args.out)[0] + "_history.csv"
     check_output_files(args.out, history_path)
-    cfg = _read_config(args.config)
+    cfg = _read_config(args)
     seed = _require_seed(args, cfg)
     ds = load_dataset(args.dataset)
-    task = ds.config.scenario
-    out_dim = regularizer.output_dim(args.kind, task)
-    nn_cfg = _nn_config(args, cfg, ds.data_dim, out_dim, seed)
-    train_cfg = _train_config(args, cfg, seed)
+    out_dim = regularizer.output_dim(args.kind, ds.config.scenario)
+    nn_cfg = _nn_config(cfg, ds.data_dim, out_dim, seed, args.width, args.depth)
+    train_cfg = TrainConfig.from_dict({"seed": seed, **cfg["train"]})
     manifest = ds.manifest_dict()
     run_cfg = {"command": "train", "kind": args.kind, "nn": nn_cfg.to_dict(),
                "train": train_cfg.to_dict(),
@@ -226,18 +211,15 @@ def cmd_evaluate(args):
 
 
 def cmd_demo_circle(args):
-    cfg = _read_config(args.config)
+    cfg = _read_config(args, dataset={"scenario": "circle"}, nn={"hidden_widths": [64] * 3},
+                       train={"epochs": 100, "patience": 0})
     seed = _require_seed(args, cfg)
-    # the shared config path, under the demo's defaults
-    cfg = {**cfg, "dataset": {"scenario": "circle", **_section(cfg, "dataset")},
-           "nn": {"hidden_widths": [64, 64, 64], **_section(cfg, "nn")},
-           "train": {"epochs": 100, "patience": 0, **_section(cfg, "train")}}
-    sampling = _sampling_config(args, cfg, seed)
+    sampling = _sampling_config(cfg, seed)
     if sampling.scenario != "circle":
         raise ValidationError(f"demo-circle runs the circle scenario, not {sampling.scenario}")
-    nn_cfgs = {kind: _nn_config(args, cfg, 2, regularizer.output_dim(kind, "circle"), seed)
+    nn_cfgs = {kind: _nn_config(cfg, 2, regularizer.output_dim(kind, "circle"), seed)
                for kind in KINDS}
-    train_cfg = _train_config(args, cfg, seed)
+    train_cfg = TrainConfig.from_dict({"seed": seed, **cfg["train"]})
     ds = generate_dataset(sampling)
     make_dir(args.out)
     models = {kind: _fit_and_save(kind, ds, nn_cfg, train_cfg,
@@ -263,8 +245,7 @@ def cmd_demo_circle(args):
     embedded_band = regularizer.predict(models["embedded"], band_pts)[:, 0]
     summary = {
         "config_hash": config_hash({"dataset": sampling.to_dict(), "nn": cfg["nn"],
-                                    "train": {**cfg["train"], "epochs": train_cfg.epochs,
-                                              "seed": train_cfg.seed}}),
+                                    "train": {**cfg["train"], "seed": train_cfg.seed}}),
         "naive_seam_max_raw_error_rad": float(np.max(np.abs(naive_band - band))),
         "embedded_seam_max_circular_error_rad":
             float(np.max(analysis.circular_error(embedded_band, band))),
@@ -279,16 +260,14 @@ def cmd_demo_circle(args):
 
 
 def cmd_pca(args):
-    cfg = _read_config(args.config)
+    cfg = _read_config(args)
     ds = load_dataset(args.dataset)
     if not TASKS[ds.config.scenario].visibilities:
         raise ValidationError("PCA export expects a visibility dataset")
-    section = _section(cfg, "pca")
+    section = dict(cfg["pca"])
     k = section.pop("components", 3)
     if section:
         raise ValidationError(f"pca: unknown keys {sorted(section)}")
-    if args.components is not None:
-        k = args.components
     model = analysis.pca_fit(ds.inputs(), k=k)
     coords = analysis.pca_project(model, ds.inputs())
     make_dir(args.out)
@@ -351,18 +330,14 @@ def cmd_predict(args):
 
 
 def cmd_vis_forward(args):
-    cfg = _read_config(args.config)
-    values = [v.strip() for v in args.theta.split(",")]
-    if len(values) != len(LOOP_PARAMS):
-        raise ValidationError(f"--theta needs {len(LOOP_PARAMS)} comma-separated values, "
-                              f"got {len(values)}")
-    try:
-        ext = [float(v) for v in values]
-    except ValueError as exc:
-        raise ValidationError(f"bad --theta value: {exc}") from None
+    cfg = _read_config(args)
+    header, rows = parse_csv(args.theta.encode(), "--theta", width=len(LOOP_PARAMS))
+    if header is not None or len(rows) != 1:
+        raise ParseError(f"expected one row of {len(LOOP_PARAMS)} numbers", path="--theta")
+    ext = rows[0].tolist()
     theta = to_internal_params("complete", ext)
     freqs = _frequencies(cfg)
-    build = _build_config(cfg)
+    build = LoopBuildConfig.from_dict(cfg["loop_build"])
     diag = Diagnostics()
     if args.oracle:
         vis = visibilities_quadrature_oracle(theta, freqs, cfg=build, diag=diag)
@@ -397,23 +372,23 @@ def build_parser():
 
     p = sub.add_parser("gen-dataset", help="generate and write a dataset directory")
     common(p)
-    p.add_argument("--scenario", choices=list(TASKS))
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-val", type=int, dest="n_val")
-    p.add_argument("--n-test", type=int, dest="n_test")
+    p.add_argument("--scenario", dest="dataset.scenario", choices=list(TASKS))
+    p.add_argument("--n-train", type=int, dest="dataset.n_train")
+    p.add_argument("--n-val", type=int, dest="dataset.n_val")
+    p.add_argument("--n-test", type=int, dest="dataset.n_test")
 
     p = sub.add_parser("train", help="train a naive or embedded model")
     common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--history", help="history CSV path (default: next to checkpoint)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--patience", type=int)
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--lr", type=float, dest="train.learning_rate")
+    p.add_argument("--patience", type=int, dest="train.patience")
     p.add_argument("--width", type=int)
     p.add_argument("--depth", type=int)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=float, dest="nn.dropout_rate")
     p.add_argument("--resume", action="store_true",
                    help="start from the weights in --out (same run config); fresh "
                         "optimizer, epochs from 0, history rewritten")
@@ -425,12 +400,12 @@ def build_parser():
 
     p = sub.add_parser("demo-circle", help="end-to-end circle example with both models")
     common(p)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="train.epochs")
 
     p = sub.add_parser("pca", help="project a visibility dataset on principal axes")
     common(p, seed=False)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--components", type=int)
+    p.add_argument("--components", type=int, dest="pca.components")
 
     p = sub.add_parser("predict", help="apply a checkpoint to visibilities from a CSV")
     p.add_argument("--model", required=True)

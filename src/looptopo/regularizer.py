@@ -19,7 +19,7 @@ from .data import (TRAIN, VAL, Dataset,
 from .diagnostics import Diagnostics
 from .errors import ValidationError
 from .mlp import MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
-from .serialization import config_hash
+from .serialization import config_hash, is_finite_number
 from .tasks import KINDS, TASKS, get_task
 
 
@@ -116,9 +116,15 @@ def train_embedded(dataset: Dataset, nn_cfg: MlpConfig = None,
     return _train_kind("embedded", dataset, nn_cfg, train_cfg, diag=diag, init=init)
 
 
+def _finite_numbers(values, n):
+    return (isinstance(values, (list, tuple)) and len(values) == n
+            and all(map(is_finite_number, values)))
+
+
 def check_model_consistency(model: MlpModel):
-    """Reject checkpoints whose declared kind/task disagrees with the head, and
-    checkpoints without the standardization stats that predict applies."""
+    """Reject checkpoints whose declared kind/task disagrees with the head,
+    checkpoints without the standardization stats that predict applies, and
+    metadata whose intervals or target transform predict cannot apply."""
     kind = model.metadata.get("kind")
     task = model.metadata.get("task")
     try:
@@ -132,6 +138,20 @@ def check_model_consistency(model: MlpModel):
             f"found {model.config.output_dim}")
     if model.stats is None:
         raise ValidationError("checkpoint has no standardization stats")
+    intervals = model.metadata.get("intervals")
+    for name in TASKS[task].params:
+        pair = intervals.get(name) if isinstance(intervals, dict) else None
+        if not (_finite_numbers(pair, 2) and pair[0] <= pair[1]):
+            raise ValidationError(f"checkpoint metadata.intervals[{name!r}] must be a "
+                                  f"finite pair [lo, hi] with lo <= hi, got {pair!r}")
+    tf = model.metadata.get("target_transform", {})  # a missing key is refused
+    if tf is not None and not (isinstance(tf, dict)
+                               and _finite_numbers(tf.get("offset"), expected)
+                               and _finite_numbers(tf.get("scale"), expected)
+                               and 0 not in tf["scale"]):
+        raise ValidationError("checkpoint metadata.target_transform must be null, or "
+                              f"offset and scale lists of {expected} finite numbers, "
+                              "no scale 0")
     return kind, task
 
 
@@ -162,8 +182,8 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     if bad.any():
         raise ValidationError(f"row {int(np.argmax(bad))}: input too large for the model")
 
-    out = _invert_transform(model.metadata.get("target_transform"), out)
-    intervals = model.metadata.get("intervals", {})
+    out = _invert_transform(model.metadata["target_transform"], out)
+    intervals = model.metadata["intervals"]
     spec = TASKS[task]
     if kind == "naive":
         result = spec.clamp(out, intervals, diag)

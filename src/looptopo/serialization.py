@@ -73,6 +73,8 @@ def is_integer(v) -> bool:
 
 def is_finite_number(v) -> bool:
     """An int or a finite float (numpy scalars included), not a bool."""
+    if type(v) is float:  # a plain float first, as in is_integer
+        return math.isfinite(v)
     return is_integer(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
                              and math.isfinite(v))
 

@@ -614,6 +614,37 @@ class TestCheckpointHeader:
         assert err.getvalue().startswith("error:")
 
 
+#: Metadata edits under a valid checksum that predict cannot apply. The
+#: workspace model is an embedded simple model: 3 outputs, no target transform.
+METADATA_EDITS = {
+    "intervals_dropped": lambda h: h["metadata"].pop("intervals"),
+    "intervals_a_number": lambda h: h["metadata"].update(intervals=5),
+    "interval_a_string": lambda h: h["metadata"]["intervals"].update(c="x"),
+    "interval_lo_above_hi": lambda h: h["metadata"]["intervals"].update(c=[0.05, -0.05]),
+    "offset_a_string": lambda h: h["metadata"].update(
+        target_transform={"type": "zscore", "offset": ["a", 0, 0], "scale": [1, 1, 1]}),
+    "scale_too_short": lambda h: h["metadata"].update(
+        target_transform={"type": "zscore", "offset": [0, 0, 0], "scale": [1, 1]}),
+    "scale_zero": lambda h: h["metadata"].update(
+        target_transform={"type": "zscore", "offset": [0, 0, 0], "scale": [1, 0, 1]}),
+    "target_transform_dropped": lambda h: h["metadata"].pop("target_transform"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METADATA_EDITS))
+def test_malformed_checkpoint_metadata_is_an_error(workspace, tmp_path, capsys, case):
+    blob = workspace["emb"].read_bytes()
+    path = _written(tmp_path / "m.ckpt", resigned(blob, METADATA_EDITS[case]))
+    vis = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+    for argv, out in ((["predict", "--model", path, "--input", vis], tmp_path / "p.csv"),
+                      (["evaluate", "--dataset", workspace["ds"], "--model", path],
+                       tmp_path / "e")):
+        assert run([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint metadata.") and "Traceback" not in err
+        assert not out.exists()
+
+
 BAD_CONFIGS = {
     "dataset unknown key": ({"dataset": {"bogus": 1}}, "gen-dataset"),
     "dataset wrong type": ({"dataset": {"n_train": "ten"}}, "gen-dataset"),
@@ -636,6 +667,12 @@ BAD_CONFIGS = {
     "pca wrong type": ({"pca": {"components": "3"}}, "pca"),
     "pca unknown key": ({"pca": {"bogus": 1}}, "pca"),
     "section not an object": ({"nn": [16, 16]}, "train"),
+    # every command that reads --config refuses it, also where it does not use the section
+    "unused section not an object, gen-dataset": ({"train": [1]}, "gen-dataset"),
+    "unused section not an object, train": ({"pca": 5}, "train"),
+    "unused section not an object, demo-circle": ({"loop_build": None}, "demo-circle"),
+    "unused section not an object, pca": ({"dataset": "simple"}, "pca"),
+    "unused section not an object, vis-forward": ({"nn": [16]}, "vis-forward"),
     "seed wrong type": ({"seed": "one"}, "gen-dataset"),
     "seed negative": ({"seed": -1}, "gen-dataset"),
     # the top-level seed only defaults nn.seed and train.seed, both set here
@@ -656,9 +693,72 @@ def test_bad_config_is_an_error(workspace, tmp_path, capsys, case):
             "train": ["--dataset", workspace["ds"], "--kind", "naive", "--epochs", 1,
                       "--out", tmp_path / "m.ckpt"],
             "vis-forward": ["--theta", "0,0,1000,8,5,0,0.05"],
-            "pca": ["--dataset", workspace["ds"], "--out", tmp_path / "p"]}[command]
+            "pca": ["--dataset", workspace["ds"], "--out", tmp_path / "p"],
+            "demo-circle": ["--out", tmp_path / "d"]}[command]
     assert run([command, "--config", path, *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: Each flag that sets a config key: (command, flag, key, file value, flag value).
+#: A file value of None leaves the key to the command's default.
+FLAG_KEYS = {
+    "--scenario": ("gen-dataset", "--scenario", "dataset.scenario", "circle", "simple"),
+    "--n-train": ("gen-dataset", "--n-train", "dataset.n_train", 30, 20),
+    "--n-val": ("gen-dataset", "--n-val", "dataset.n_val", 6, 4),
+    "--n-test": ("gen-dataset", "--n-test", "dataset.n_test", 7, 3),
+    "--epochs": ("train", "--epochs", "train.epochs", 2, 1),
+    "--batch-size": ("train", "--batch-size", "train.batch_size", 16, 64),
+    "--lr": ("train", "--lr", "train.learning_rate", 0.002, 0.005),
+    "--patience": ("train", "--patience", "train.patience", 3, 0),
+    "--dropout": ("train", "--dropout", "nn.dropout_rate", 0.1, 0.2),
+    "--components": ("pca", "--components", "pca.components", 2, 4),
+    "demo-circle --epochs": ("demo-circle", "--epochs", "train.epochs", 2, 1),
+    "demo-circle --epochs over the default": ("demo-circle", "--epochs", "train.epochs",
+                                              None, 1),
+}
+
+
+def _effective(command, key, out):
+    """The value of config ``key`` that the ``command`` run writing ``out`` used."""
+    section, name = key.split(".")
+    if command == "gen-dataset":
+        return json.loads((out / "manifest.json").read_text())["config"][name]
+    if command == "pca":
+        return len(json.loads((out / "variance.json").read_text())["singular_values"])
+    model = load_checkpoint(out / "naive.ckpt" if command == "demo-circle" else out)
+    used = {"train": model.metadata["train_config"], "nn": model.config.to_dict()}
+    return used[section][name]
+
+
+@pytest.mark.parametrize("with_flag", [False, True])
+@pytest.mark.parametrize("case", sorted(FLAG_KEYS))
+def test_flag_overrides_its_config_key(workspace, tmp_path, case, with_flag):
+    command, flag, key, file_value, flag_value = FLAG_KEYS[case]
+    section, name = key.split(".")
+    cfg = {"seed": 3, "dataset": {"scenario": "circle", "n_train": 20, "n_val": 5,
+                                  "n_test": 5},
+           "nn": {"hidden_widths": [4]}, "pca": {},
+           "train": {} if command == "demo-circle" else {"epochs": 1}}
+    if file_value is not None:
+        cfg[section][name] = file_value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / ("m.ckpt" if command == "train" else "out")
+    argv = {"gen-dataset": [], "demo-circle": [], "pca": ["--dataset", workspace["ds"]],
+            "train": ["--dataset", workspace["ds"], "--kind", "naive"]}[command]
+    if with_flag:
+        argv += [flag, flag_value]
+    assert run([command, "--config", path, *argv, "--out", out]) == 0
+    expected = flag_value if with_flag else 100 if file_value is None else file_value
+    assert _effective(command, key, out) == expected
+
+
+def test_help_names_the_config_key_of_each_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--lr TRAIN.LEARNING_RATE" in help_text
+    assert "--dropout NN.DROPOUT_RATE" in help_text
 
 
 REMOVED_OPTIONS = {
@@ -877,6 +977,15 @@ class TestVisForward:
     def test_bad_theta_rejected(self, capsys):
         assert run(["vis-forward", "--theta", "1,2,3"]) == 1
         assert "7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["0,0,1000,8,5,30", "0,0,1000,eight,5,30,0.05",
+                                       "0,0,1000,nan,5,30,0.05",
+                                       "0,0,1000,8,5,30,0.05\n0,0,1000,8,5,30,0.05"])
+    def test_theta_is_one_row_of_seven_numbers(self, tmp_path, capsys, theta):
+        assert run(["vis-forward", f"--theta={theta}", "--out", tmp_path / "v.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(--theta" in err
+        assert not (tmp_path / "v.csv").exists()
 
 
 class TestDemoCircle:
