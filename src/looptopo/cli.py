@@ -341,10 +341,12 @@ def cmd_vis_forward(args):
     diag = Diagnostics()
     if args.oracle:
         vis = visibilities_quadrature_oracle(theta, freqs, cfg=build, diag=diag)
+        re, im = vis.real, vis.imag
     else:
-        vis = visibilities_closed_form_batch(theta[None], freqs, build)[0]
+        row = visibilities_closed_form_batch(theta[None], freqs, build)[0]
+        re, im = row[:len(freqs)], row[len(freqs):]
 
-    header, rows = ["u", "v", "re", "im"], np.column_stack([freqs.uv, vis.real, vis.imag])
+    header, rows = ["u", "v", "re", "im"], np.column_stack([freqs.uv, re, im])
     if args.out:
         run_hash = config_hash({"command": "vis-forward", "theta": ext,
                                 "oracle": bool(args.oracle),

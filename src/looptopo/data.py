@@ -12,6 +12,9 @@ the array files are written and read side by side, through ``pool.ordered_map``.
 
 A seed gives two random streams, one per purpose: stream 0 draws all the
 parameters of a dataset in one call, stream 1 all of its noise in one call.
+Stream 1 depends on nothing else, so it is drawn on the pool beside stream 0
+and the forward model, through ``pool.ordered_map``; the bytes are the same on
+any number of CPUs.
 """
 
 import math
@@ -24,7 +27,7 @@ from .diagnostics import Diagnostics
 from .errors import ChecksumError, FormatVersionError, ParseError, ValidationError
 from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
-                      vis_to_reals, visibilities_closed_form_batch)
+                      visibilities_closed_form_batch)
 from .pool import ordered_map
 from .serialization import (check_fields, config_from_dict, config_hash, config_to_dict,
                             is_finite_number, make_dir, read_array_bin, read_json,
@@ -188,25 +191,36 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     accepted so that existing callers (perfbench among them) keep working.
     The work it once spread is spread already: the closed-form kernel runs its
     row chunks on every CPU the process may use, with the same bytes on any
-    number of them, and the draws are one vectorized call each.
+    number of them, and the noise is drawn on a pool thread while the calling
+    thread draws the parameters and lays out the loops.
     """
     task = get_task(cfg.scenario)
     total = cfg.total
     params_rng, noise_rng = (np.random.default_rng(s)
                              for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    ext = sample_params_external(cfg, params_rng, size=total)
-    params = to_internal_params(cfg.scenario, ext)
-
     if task.visibilities:
         if freqs is None:
             freqs = default_frequencies(FrequencyConfig())
         if build is None:
             build = DEFAULT_BUILD
-        clean = vis_to_reals(visibilities_closed_form_batch(params, freqs, build))
     else:
         freqs = build = None
-        clean = task.embed(params)
-    noisy = add_noise(clean, params[:, 2:3], noise_rng) if cfg.noise else clean.copy()
+
+    def draw_and_model():  # stream 0 and the forward model
+        ext = sample_params_external(cfg, params_rng, size=total)
+        params = to_internal_params(cfg.scenario, ext)
+        clean = (visibilities_closed_form_batch(params, freqs, build) if task.visibilities
+                 else task.embed(params))
+        return ext, params, clean
+
+    if cfg.noise:  # stream 1 beside them: the bytes of one standard_normal(shape) call
+        normals = np.empty((total, 2 * len(freqs)))
+        (ext, params, clean), _ = ordered_map(
+            lambda job: job(), (draw_and_model, lambda: noise_rng.standard_normal(out=normals)))
+        noisy = add_noise(clean, params[:, 2:3], normals)
+    else:
+        ext, params, clean = draw_and_model()
+        noisy = clean.copy()
 
     split = np.empty(total, dtype=np.int8)
     split[:cfg.n_train] = TRAIN

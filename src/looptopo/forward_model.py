@@ -25,7 +25,10 @@ and phi = 2 pi (x_c u + y_c v), the weighted sum of component phases is
 
     exp(i phi) [w_0 + 2 sum_{k=1..h} w_k cos(2 pi x_k p) exp(2 pi i y_k q)]
 
-which ``visibilities_closed_form_batch`` evaluates in real arithmetic. It
+which ``visibilities_closed_form_batch`` evaluates in real arithmetic and
+returns real-coded: each row holds the n real parts and then the n imaginary
+parts (re_1..re_n, im_1..im_n), the layout a dataset stores and ``add_noise``
+takes; ``reals_to_vis`` turns such rows back into complex values. It
 takes every cosine and sine from one tangent of the half angle
 (``_cos_sin``): with t = tan(theta / 2),
 
@@ -324,7 +327,11 @@ def visibilities_closed_form(theta, freqs: FrequencySet,
 
 def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
                                    cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:
-    """Vectorized closed form over an (S, 7) parameter array -> (S, n) complex.
+    """Vectorized closed form over an (S, 7) parameter array -> (S, 2n) real-coded rows.
+
+    Row i holds the real parts of its n visibilities and then their imaginary
+    parts (re_1..re_n, im_1..im_n), the layout a dataset stores; each chunk
+    writes its rows in place, with no complex array between.
 
     The layout of ``_loop_half`` for all rows at once, summed in mirrored
     pairs (see the module docstring) on (chunk, half, n) arrays,
@@ -350,7 +357,8 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     u, v = freqs.u, freqs.v
     uv2 = u * u + v * v
     two_pi = 2.0 * math.pi
-    out = np.empty((thetas.shape[0], len(freqs)), dtype=complex)
+    n = len(freqs)
+    out = np.empty((thetas.shape[0], 2 * n))
     if half:
         x_pos, w = _loop_half(thetas, cfg)
         w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
@@ -378,12 +386,12 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
             cos_phi, sin_phi = _cos_sin(two_pi * (x_c[:, None] * u + y_c[:, None] * v))
             mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
             scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
-            block.real = scale * (pair_re * cos_phi - pair_im * sin_phi)
-            block.imag = scale * (pair_re * sin_phi + pair_im * cos_phi)
+            block[:, :n] = scale * (pair_re * cos_phi - pair_im * sin_phi)
+            block[:, n:] = scale * (pair_re * sin_phi + pair_im * cos_phi)
         bad = ~np.isfinite(block)
         if bad.any():  # the range rule: 0 under a zero envelope, else the row is refused
             block[bad] = 0.0
-            bad &= scale != 0.0
+            bad = (bad[:, :n] | bad[:, n:]) & (scale != 0.0)
             if bad.any():
                 raise ValidationError(f"row {lo + np.argmax(bad.any(axis=1))}: a phase or "
                                       "the envelope is out of floating-point range")
@@ -426,16 +434,18 @@ def _batch_x_at_arc(s, c):
     root_s, root_c = np.sqrt(s), np.sqrt(c)  # root_c * root_s = sqrt(|c| s) cannot overflow
     x = s.copy()
     todo = np.flatnonzero(root_c * root_s > 2.0 ** -13.5)  # |c| s > 2^-27
-    x_todo = np.minimum(s[todo], root_s[todo] / root_c[todo])
+    s_todo, c_todo = s[todo], c[todo]  # the moving entries, kept compact
+    x_todo = np.minimum(s_todo, root_s[todo] / root_c[todo])
     for _ in range(_ARC_MAX_ITER):
-        u = 2.0 * (c[todo] * x_todo)
+        u = 2.0 * (c_todo * x_todo)
         grad = np.hypot(1.0, u)
-        arclen = 0.5 * (x_todo * grad + np.arcsinh(u) / c[todo] / 2.0)  # free of overflow
-        step = (arclen - s[todo]) / grad
+        arclen = 0.5 * (x_todo * grad + np.arcsinh(u) / c_todo / 2.0)  # free of overflow
+        step = (arclen - s_todo) / grad
         x_todo -= step
         done = np.abs(step) <= _ARC_TOL * x_todo
         x[todo[done]] = x_todo[done]
-        todo, x_todo = todo[~done], x_todo[~done]
+        moving = ~done
+        todo, x_todo, s_todo, c_todo = (a[moving] for a in (todo, x_todo, s_todo, c_todo))
         if not todo.size:
             return x.reshape(-1, k)
     raise ValidationError(f"row {todo[0] // k}: arc length did not converge")
@@ -500,14 +510,8 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     return out
 
 
-def vis_to_reals(v) -> np.ndarray:
-    """Complex visibilities -> real vector (re_1..re_n, im_1..im_n)."""
-    v = np.asarray(v)
-    return np.concatenate([v.real, v.imag], axis=-1)
-
-
 def reals_to_vis(x) -> np.ndarray:
-    """Inverse of vis_to_reals."""
+    """Real-coded visibilities (re_1..re_n, im_1..im_n) -> the n complex ones."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     if n % 2:
@@ -516,18 +520,25 @@ def reals_to_vis(x) -> np.ndarray:
     return x[..., :h] + 1j * x[..., h:]
 
 
-def add_noise(x, flux, rng) -> np.ndarray:
+def add_noise(x, flux, normals) -> np.ndarray:
     """Real-coded visibilities plus white Gaussian noise of std 2 sqrt(flux).
 
-    ``x`` is one real-coded (2n,) vector or (S, 2n) rows of them (see
-    ``vis_to_reals``); a new array is returned. ``flux`` is a scalar, or an
-    (S, 1) column giving each row its own flux; an (S,) vector is refused,
-    because it would broadcast along the data columns. Deterministic given
-    the generator state; one normal draw per entry, row after row.
+    ``x`` is one real-coded (2n,) vector or (S, 2n) rows of them
+    (re_1..re_n, im_1..im_n). ``normals`` is a float64 standard-normal draw of
+    ``x``'s shape, one entry per entry of ``x``, such as
+    ``rng.standard_normal(x.shape)``: it is scaled to the noise in place, ``x``
+    is added to it, and it is returned. ``flux`` is a scalar, or an (S, 1)
+    column giving each row its own flux; an (S,) vector is refused, because it
+    would broadcast along the data columns. The result has the bytes of
+    ``x + rng.normal(0, 2 sqrt(flux))`` from the generator that drew ``normals``.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        raise ValidationError("add_noise takes real-coded visibilities (vis_to_reals)")
+        raise ValidationError("add_noise takes real-coded visibilities "
+                              "(re_1..re_n, im_1..im_n)")
+    if not (isinstance(normals, np.ndarray) and normals.dtype == np.float64
+            and normals.shape == x.shape):
+        raise ValidationError(f"normals must be a float64 array of shape {x.shape}")
     flux = np.asarray(flux, dtype=float)
     if flux.ndim and flux.shape != x.shape[:-1] + (1,):
         raise ValidationError(
@@ -535,7 +546,6 @@ def add_noise(x, flux, rng) -> np.ndarray:
             f"got shape {flux.shape}")
     if not np.all(flux > 0):
         raise ValidationError(f"flux must be positive, got {flux.min()}")
-    noise = rng.standard_normal(x.shape)  # the stream and bytes of rng.normal(0, std)
-    noise *= 2.0 * np.sqrt(flux)
-    noise += x
-    return noise
+    normals *= 2.0 * np.sqrt(flux)
+    normals += x
+    return normals

@@ -281,13 +281,22 @@ def format_csv(header, rows, digits=17, comment=None) -> bytes:
     return out.getvalue().encode()
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_csv(data: bytes, path, width=None):
     """Parse CSV bytes -> (header or None, (rows, width) float array).
 
     ``path`` names the file in errors. Rows must be ``width`` wide, or as
-    wide as the first row when ``width`` is None. Raises ``ParseError`` on
-    text that is not UTF-8, on a bad row (with its line) and when there are
-    no data rows.
+    wide as the first row when ``width`` is None. The first row is a header
+    when none of its fields is a number; a first row with some numbers and
+    some not is a bad row. Raises ``ParseError`` on text that is not UTF-8, on
+    a bad row (with its line and value) and when there are no data rows.
     """
     try:
         text = data.decode("utf-8-sig")
@@ -308,7 +317,7 @@ def parse_csv(data: bytes, path, width=None):
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:
-                if header is None and not rows:
+                if header is None and not rows and not any(map(_is_number, row)):
                     header = row
                     continue
                 raise ParseError(f"bad number: {exc}", path=path, line=line) from None

@@ -268,6 +268,18 @@ class TestPredict:
         assert run(["predict", "--model", workspace["emb"], "--input", bad]) == 1
         assert "bad.csv:2" in capsys.readouterr().err  # the non-numeric row
 
+    def test_typo_in_a_headerless_first_row_is_an_error(self, workspace, tmp_path, capsys):
+        # numbers and one word are a bad first data row, not a header to skip
+        bad = _written(tmp_path / "typo.csv", (",".join(["1.0"] * 59 + ["x"]) + "\n"
+                                                + ",".join(["1.0"] * 60) + "\n").encode())
+        out_path = tmp_path / "pred.csv"
+        assert run(["predict", "--model", workspace["emb"], "--input", bad,
+                    "--out", out_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert f"{bad}:1" in captured.err and "'x'" in captured.err
+        assert not out_path.exists()
+
     def test_wrong_arity_rejected(self, workspace, tmp_path):
         bad = tmp_path / "short.csv"
         bad.write_text("1.0,2.0,3.0\n")
@@ -931,13 +943,14 @@ class TestVisForward:
         np.testing.assert_allclose(data[:, 2], expected, atol=1e-9 * 1000)
 
     def test_writes_the_batch_kernel_row(self, tmp_path):
-        from looptopo.forward_model import (default_frequencies,
+        from looptopo.forward_model import (default_frequencies, reals_to_vis,
                                             visibilities_closed_form_batch)
         out = tmp_path / "vis.csv"
         assert run(["vis-forward", "--theta", "3,-2,1200,10,3,140,-0.03",
                     "--out", out]) == 0
         theta = np.array([3, -2, 1200, 10, 3, np.radians(140.0), -0.03])
-        expected = visibilities_closed_form_batch(theta[None], default_frequencies())[0]
+        expected = reals_to_vis(
+            visibilities_closed_form_batch(theta[None], default_frequencies())[0])
         data = np.loadtxt(out, delimiter=",", skiprows=2)
         np.testing.assert_array_equal(data[:, 2], expected.real)
         np.testing.assert_array_equal(data[:, 3], expected.imag)
@@ -986,6 +999,12 @@ class TestVisForward:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(--theta" in err
         assert not (tmp_path / "v.csv").exists()
+
+    def test_bad_number_in_theta_is_named(self, capsys):
+        # a typo makes the row a bad row, not a header over no data rows
+        assert run(["vis-forward", "--theta", "0,0,x,8,5,30,0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad number") and "'x'" in err and "(--theta:1)" in err
 
 
 class TestDemoCircle:

@@ -17,7 +17,7 @@ from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
 from looptopo.diagnostics import Diagnostics
 from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
                              ParseError, ValidationError)
-from looptopo.forward_model import vis_to_reals, visibilities_closed_form_batch
+from looptopo.forward_model import visibilities_closed_form_batch
 from looptopo.tasks import TASKS
 
 PI = math.pi
@@ -133,10 +133,21 @@ class TestGeneration:
         monkeypatch.setattr(pool, "WORKERS", 1)
         assert datasets_equal(ds, generate_dataset(cfg))
 
+    @pytest.mark.parametrize("workers", sorted({1, pool.WORKERS, 2}))
+    def test_noise_is_one_draw_from_stream_1(self, monkeypatch, workers):
+        # drawn beside the kernel, the noise keeps the bytes of one standard_normal call
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        cfg = small_cfg("complete", n_train=600, n_val=100, n_test=100)  # 4 chunks
+        ds = generate_dataset(cfg)
+        noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        normals = noise_rng.standard_normal(ds.clean.shape)
+        expected = ds.clean + 2.0 * np.sqrt(ds.params[:, 2:3]) * normals
+        assert ds.noisy.tobytes() == expected.tobytes()
+
     def test_clean_channel_reproducible_from_params(self):
         ds = generate_dataset(small_cfg("complete"))
         vis = visibilities_closed_form_batch(ds.params, ds.frequencies, ds.build)
-        np.testing.assert_allclose(vis_to_reals(vis), ds.clean,
+        np.testing.assert_allclose(vis, ds.clean,
                                    atol=1e-9 * np.abs(ds.clean).max())
 
     def test_noise_statistics(self):

@@ -13,7 +13,7 @@ from looptopo.forward_model import (DEFAULT_BUILD, EXPONENT_MODES, FrequencyConf
                                     add_noise, build_loop_components,
                                     default_frequencies, eval_image,
                                     fwhm_to_std, load_frequencies,
-                                    reals_to_vis, vis_to_reals, visibilities_closed_form,
+                                    reals_to_vis, visibilities_closed_form,
                                     visibilities_closed_form_batch,
                                     visibilities_quadrature_oracle)
 from looptopo.serialization import format_csv, write_bytes
@@ -21,6 +21,13 @@ from looptopo.tasks import TASKS
 
 PI = math.pi
 FREQS = default_frequencies()
+
+
+def vis_to_reals(v):
+    """Complex visibilities -> real-coded (re_1..re_n, im_1..im_n), as the batch
+    kernel returns them; the inverse of ``reals_to_vis``."""
+    v = np.asarray(v)
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def random_loop(rng, eps_min=0.0):
@@ -262,7 +269,7 @@ class TestClosedForm:
         thetas = np.array([random_loop(rng) for _ in range(20)])
         thetas[0, 4] = 0.0
         thetas[0, 5:7] = 0.0
-        batch = visibilities_closed_form_batch(thetas, FREQS)
+        batch = reals_to_vis(visibilities_closed_form_batch(thetas, FREQS))
         for i in range(len(thetas)):
             single = visibilities_closed_form(thetas[i], FREQS)
             np.testing.assert_allclose(batch[i], single, atol=1e-10 * thetas[i, 2])
@@ -334,7 +341,7 @@ class TestClosedFormBatch:
         # chunk 7 puts chunk boundaries inside most batches, with a remainder
         cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
         thetas = np.array(rows)
-        batch = batch_at_chunk(7, thetas, cfg)
+        batch = reals_to_vis(batch_at_chunk(7, thetas, cfg))
         for theta, vis in zip(thetas, batch):
             np.testing.assert_allclose(vis, visibilities_closed_form(theta, FREQS, cfg),
                                        rtol=0, atol=1e-10 * theta[2])
@@ -347,7 +354,8 @@ class TestClosedFormBatch:
         flipped = thetas.copy()
         flipped[:, 5] += PI
         flipped[:, 6] *= -1.0
-        gap = np.abs(batch_at_chunk(7, flipped) - batch_at_chunk(7, thetas))
+        gap = np.abs(reals_to_vis(batch_at_chunk(7, flipped))
+                     - reals_to_vis(batch_at_chunk(7, thetas)))
         assert np.all(gap <= 1e-10 * thetas[:, 2:3])
 
     @settings(max_examples=60, deadline=None)
@@ -434,14 +442,14 @@ class TestClosedFormBatch:
         freqs = FrequencySet(np.array([(0.01, 0.02), uv]))
         thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
         thetas[3, list(columns)] = values
-        vis = visibilities_closed_form_batch(thetas, freqs)
+        vis = reals_to_vis(visibilities_closed_form_batch(thetas, freqs))
         assert vis[3, 1] == 0.0
         # the first entry as computed: the same call with a finite second phase
-        np.testing.assert_array_equal(vis[3, :1], visibilities_closed_form_batch(
-            thetas[3:4], FrequencySet(np.array([(0.01, 0.02), (0.0, 0.0)])))[0, :1])
+        np.testing.assert_array_equal(vis[3, :1], reals_to_vis(visibilities_closed_form_batch(
+            thetas[3:4], FrequencySet(np.array([(0.01, 0.02), (0.0, 0.0)]))))[0, :1])
         others = [0, 1, 2, 4]
-        np.testing.assert_array_equal(vis[others],
-                                      visibilities_closed_form_batch(thetas[others], freqs))
+        np.testing.assert_array_equal(
+            vis[others], reals_to_vis(visibilities_closed_form_batch(thetas[others], freqs)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk", [forward_model.CLOSED_FORM_CHUNK, 1])
@@ -479,7 +487,7 @@ class TestClosedFormBatch:
         with np.errstate(over="ignore"):
             mass, var = forward_model._component_mass_var(thetas[:, 2:3], thetas[:, 3:4], mode)
             envelope = mass * np.exp(-2.0 * PI ** 2 * var * (freqs.u ** 2 + freqs.v ** 2))
-        assert np.all(vis[envelope == 0.0] == 0.0)
+        assert np.all(reals_to_vis(vis)[envelope == 0.0] == 0.0)
 
     @pytest.mark.parametrize("column, value, rule", [
         (2, float("nan"), "parameters must be finite"),
@@ -601,46 +609,56 @@ class TestNoise:
     @pytest.mark.parametrize("flux", [1000.0, np.linspace(500.0, 5000.0, 7)[:, None]])
     def test_bytes_of_rng_normal(self, flux):
         # one standard normal per entry, scaled: the stream and bytes of rng.normal
-        x = vis_to_reals(visibilities_closed_form_batch(
-            np.tile([0, 0, 1000, 8, 5, 0.3, 0.05], (7, 1)), FREQS))
+        x = visibilities_closed_form_batch(np.tile([0, 0, 1000, 8, 5, 0.3, 0.05], (7, 1)), FREQS)
         expected = x + np.random.default_rng(11).normal(0.0, 2.0 * np.sqrt(flux), x.shape)
-        got = add_noise(x, flux, np.random.default_rng(11))
+        normals = np.random.default_rng(11).standard_normal(x.shape)
+        got = add_noise(x, flux, normals)
+        assert got is normals  # scaled and shifted in place
         assert got.tobytes() == expected.tobytes()
 
     def test_deterministic_given_seed(self):
         v = vis_to_reals(visibilities_closed_form(np.array([0, 0, 1000, 8, 5, 0, 0.05]),
                                                   FREQS))
-        a = add_noise(v, 1000, np.random.default_rng(11))
-        b = add_noise(v, 1000, np.random.default_rng(11))
+        a = add_noise(v, 1000, np.random.default_rng(11).standard_normal(v.shape))
+        b = add_noise(v, 1000, np.random.default_rng(11).standard_normal(v.shape))
         np.testing.assert_array_equal(a, b)
 
     def test_noise_std_matches_model(self):
         # 2 sqrt(1000) = 63.2455...; Monte Carlo std over 1e5 draws
         v = np.zeros(60)
         rng = np.random.default_rng(12)
-        draws = np.concatenate([add_noise(v, 1000, rng) for _ in range(1700)])
+        draws = np.concatenate([add_noise(v, 1000, rng.standard_normal(v.shape))
+                                for _ in range(1700)])
         assert draws.size > 100000
         assert abs(draws.std() - 63.245553203367585) / 63.245553203367585 < 0.01
 
     def test_flux_must_be_positive(self):
         with pytest.raises(ValidationError):
-            add_noise(np.zeros(60), 0.0, np.random.default_rng(0))
+            add_noise(np.zeros(60), 0.0, np.random.default_rng(0).standard_normal(60))
 
     def test_flux_column_gives_each_row_its_flux(self):
         v = np.zeros((60, 60))  # as many real columns as rows
         rng = np.random.default_rng(0)
         with pytest.raises(ValidationError):
-            add_noise(v, np.full(60, 1000.0), rng)  # would scale columns, not rows
+            add_noise(v, np.full(60, 1000.0), rng.standard_normal(v.shape))  # would scale columns
         with pytest.raises(ValidationError):
-            add_noise(v, np.array([[1000.0]] * 59 + [[0.0]]), rng)
+            add_noise(v, np.array([[1000.0]] * 59 + [[0.0]]), rng.standard_normal(v.shape))
         flux = np.linspace(500.0, 5000.0, 60)[:, None]
-        std = add_noise(v, flux, rng) / (2 * np.sqrt(flux))
+        std = add_noise(v, flux, rng.standard_normal(v.shape)) / (2 * np.sqrt(flux))
         assert abs(std.std() - 1) < 0.05
 
     def test_complex_input_rejected(self):
         v = visibilities_closed_form(np.array([0, 0, 1000, 8, 5, 0, 0.05]), FREQS)
-        with pytest.raises(ValidationError):
-            add_noise(v, 1000, np.random.default_rng(0))  # real-coded rows only
+        with pytest.raises(ValidationError):  # real-coded rows only
+            add_noise(v, 1000, np.random.default_rng(0).standard_normal(v.shape))
+
+    @pytest.mark.parametrize("normals", [np.zeros(59), np.zeros((1, 60)),
+                                         np.zeros(60, dtype=np.float32),
+                                         np.random.default_rng(0)])
+    def test_normals_must_match_the_data(self, normals):
+        # a float64 array of the data's shape, not a generator or another shape
+        with pytest.raises(ValidationError, match="normals must be a float64 array"):
+            add_noise(np.zeros(60), 1000, normals)
 
 
 class TestRealCoding:

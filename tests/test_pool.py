@@ -46,6 +46,19 @@ class TestOrderedMap:
         idents = ordered_map(meet, range(2))
         assert len(set(idents)) == 2 and threading.get_ident() in idents
 
+    def test_calling_thread_takes_the_first_item(self, monkeypatch, two_workers):
+        # even when a pool thread runs before the caller goes on, so a map nested
+        # in item 0 starts on the caller
+        class EagerHelper:
+            def submit(self, fn):
+                thread = threading.Thread(target=fn)
+                thread.start()
+                thread.join()
+
+        monkeypatch.setattr(pool, "_helpers", EagerHelper())
+        idents = ordered_map(lambda _: threading.get_ident(), range(2))
+        assert idents[0] == threading.get_ident() != idents[1]
+
     def test_earliest_failure_is_raised(self, two_workers):
         finished = []
 

@@ -55,6 +55,13 @@ class TestCsvRoundTrip:
         assert header is None
         np.testing.assert_array_equal(values, [[1.5, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("header", [["u", "v"], ["x", "y", "value"],
+                                        ["epoch", "train_loss", "val_loss"]])
+    def test_headers_the_package_writes(self, header):
+        data = format_csv(header, [[1.0] * len(header)], comment="config_hash: abc")
+        parsed, values = parse_csv(data, "h.csv")
+        assert parsed == header and values.tolist() == [[1.0] * len(header)]
+
 
 BAD_VALUES = {"wrong width": None, "non-numeric": "abc", "nan": "nan", "inf": "-inf"}
 
@@ -78,6 +85,15 @@ class TestCsvRejects:
             parse_csv("\r\n".join(lines).encode(), "bad.csv")
         assert err.value.line == line
         assert f"bad.csv:{line}" in str(err.value)
+
+    @pytest.mark.parametrize("first", [b"1,x,3", b"x,2,3", b"1,2,nope"])
+    def test_first_row_of_numbers_and_words_is_a_bad_row(self, first):
+        # a header has no number in it; a typo in the first data row is named
+        with pytest.raises(ParseError, match="bad number") as err:
+            parse_csv(first + b"\n4,5,6\n", "t.csv")
+        assert err.value.line == 1
+        bad = next(v for v in first.decode().split(",") if not v.isdigit())
+        assert repr(bad) in str(err.value)
 
     def test_width_is_checked_against_the_given_width(self):
         with pytest.raises(ParseError) as err:
