@@ -184,18 +184,18 @@ def cmd_evaluate(args):
     if task != ds.config.scenario:
         raise ValidationError(
             f"model was trained for the {task} task, dataset is {ds.config.scenario}")
-    mask = ds.mask(TEST)
-    if not mask.any():
+    test = ds.mask(TEST)
+    if not ds.config.n_test:
         raise ValidationError(f"{args.dataset}: the test split is empty")
     make_dir(args.out)
 
     diag = Diagnostics()
     pred = regularizer.predict(model, ds.inputs(TEST), diag=diag)
     spec = TASKS[task]
-    truth = ds.params[mask][:, spec.free_columns]
+    truth = ds.params[test][:, spec.free_columns]
     report = analysis.evaluate_predictions(task, kind, truth, pred,
                                            internal_intervals(ds.config))
-    header, rows = analysis.evaluation_scatter(task, truth, pred, ds.clean[mask], report)
+    header, rows = analysis.evaluation_scatter(task, truth, pred, ds.clean[test], report)
     analysis.export_scatter(rows, header, os.path.join(args.out, "scatter.csv"))
     boxplot = {m.name: analysis.boxplot_stats(report.per_param[m.name])
                for m in spec.metrics if m.error == "norm"}

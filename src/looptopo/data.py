@@ -10,6 +10,14 @@ and disk), which are converted to internal radians exactly once. A dataset
 directory is a manifest.json plus flat little-endian binary arrays, checksummed;
 the array files are written and read side by side, through ``pool.ordered_map``.
 
+A dataset stores its parameters (in external units, and in memory also in
+internal ones) and two data channels, clean and noisy; generated with noise
+off, the noisy channel is the clean array itself, while a loaded dataset holds
+two arrays read from two files. Its splits are derived from the config: the
+sizes lay out contiguous train, validation and test rows in that order, so a
+split is a slice of rows and selecting it gives a view. ``split.bin`` holds
+each row's split, built from the config on save and checked against it on load.
+
 A seed gives two random streams, one per purpose: stream 0 draws all the
 parameters of a dataset in one call, stream 1 all of its noise in one call.
 Stream 1 depends on nothing else, so it is drawn on the pool beside stream 0
@@ -43,7 +51,9 @@ TRAIN, VAL, TEST = 0, 1, 2
 @dataclass(frozen=True)
 class SamplingConfig:
     """What to draw and how much of it. Angles here are degrees. ``intervals``
-    replaces some of the task's draw intervals; once built, it holds them all."""
+    replaces some of the task's draw intervals; once built, it holds them all.
+    ``circular_fraction`` is the share of eps = 0 draws, and must be 0 on a task
+    that has none."""
 
     scenario: str
     n_train: int
@@ -51,7 +61,7 @@ class SamplingConfig:
     n_test: int
     seed: int
     noise: bool
-    circular_fraction: float = 0.05
+    circular_fraction: float
     intervals: dict = None
 
     @classmethod
@@ -78,6 +88,10 @@ class SamplingConfig:
                 f"circular_fraction must be in [0, 1), got {self.circular_fraction}")
         if self.noise and not task.visibilities:
             raise ValidationError(f"the {self.scenario} scenario is noise-free")
+        if self.circular_fraction and not task.collapses:
+            raise ValidationError(f"circular_fraction must be 0 for the {self.scenario} "
+                                  f"scenario, which has no eps = 0 draws, "
+                                  f"got {self.circular_fraction}")
         overrides = self.intervals or {}
         for name, v in overrides.items():
             if name not in task.intervals:
@@ -143,14 +157,18 @@ def to_internal_params(scenario, ext: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """In-memory dataset; params_disk is the serialization truth (degrees)."""
+    """In-memory dataset; params_disk is the serialization truth (degrees).
+
+    Stored: the config, the parameters in both units and the two data
+    channels (``noisy is clean`` when generated with noise off; two arrays
+    when loaded). Derived from the config: the split of each row (``split``)
+    and each split's rows (``mask``)."""
 
     config: SamplingConfig
     params_disk: np.ndarray        # (S, P), external units
     params: np.ndarray             # (S, P), internal units (radians)
     clean: np.ndarray              # (S, M), real-coded data
     noisy: np.ndarray              # (S, M)
-    split: np.ndarray              # (S,), int8 in {TRAIN, VAL, TEST}
     frequencies: FrequencySet = None
     build: LoopBuildConfig = None
 
@@ -162,14 +180,24 @@ class Dataset:
     def data_dim(self):
         return self.clean.shape[1]
 
+    @property
+    def split(self):
+        """(S,) int8: n_train rows of TRAIN, then n_val of VAL, then n_test of TEST."""
+        cfg = self.config
+        return np.repeat(np.array([TRAIN, VAL, TEST], np.int8),
+                         (cfg.n_train, cfg.n_val, cfg.n_test))
+
     def mask(self, split):
-        return self.split == split
+        """The rows of ``split`` (TRAIN, VAL or TEST) as a ``slice``, so that
+        indexing with it gives a view. The name is kept for perfbench."""
+        cfg = self.config
+        ends = (0, cfg.n_train, cfg.n_train + cfg.n_val, cfg.total)
+        return slice(ends[split], ends[split + 1])
 
     def inputs(self, split=None):
-        """Network inputs: the noisy channel (== clean when noise is off)."""
-        if split is None:
-            return self.noisy
-        return self.noisy[self.mask(split)]
+        """Network inputs: the noisy channel (the clean one when noise is off),
+        of all rows or of one split. A view: callers copy before writing."""
+        return self.noisy if split is None else self.noisy[self.mask(split)]
 
     def manifest_dict(self):
         d = {"format_version": DATASET_FORMAT_VERSION, "kind": "dataset",
@@ -183,7 +211,7 @@ class Dataset:
 
 def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
                      build: LoopBuildConfig = None, jobs: int = 1) -> Dataset:
-    """Draw parameters, run the forward model, attach splits.
+    """Draw parameters and run the forward model; the splits come from ``cfg``.
 
     Fully determined by cfg: the seed keys one generator per purpose, and
     each draws the whole dataset in one vectorized call (all parameters
@@ -220,14 +248,9 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
         noisy = add_noise(clean, params[:, 2:3], normals)
     else:
         ext, params, clean = draw_and_model()
-        noisy = clean.copy()
-
-    split = np.empty(total, dtype=np.int8)
-    split[:cfg.n_train] = TRAIN
-    split[cfg.n_train:cfg.n_train + cfg.n_val] = VAL
-    split[cfg.n_train + cfg.n_val:] = TEST
+        noisy = clean
     return Dataset(config=cfg, params_disk=ext, params=params, clean=clean,
-                   noisy=noisy, split=split, frequencies=freqs, build=build)
+                   noisy=noisy, frequencies=freqs, build=build)
 
 
 @dataclass(frozen=True)
@@ -274,6 +297,10 @@ def save_dataset(ds: Dataset, path):
     write_json(manifest, os.path.join(path, "manifest.json"))
 
 
+def _array_file(path, manifest, name):
+    return os.path.join(path, manifest["arrays"][name]["file"])
+
+
 def _read_array(path, manifest, name, manifest_path):
     """One array of the dataset directory ``path``. Its manifest entry is checked
     here to name its file and checksum; read_array_bin checks its dtype and shape."""
@@ -283,10 +310,13 @@ def _read_array(path, manifest, name, manifest_path):
             and all(isinstance(entry.get(k), str) for k in ("file", "sha256"))):
         raise ParseError(f"manifest entry arrays.{name} must be an object with string "
                          "file and sha256", path=manifest_path)
-    return read_array_bin(os.path.join(path, entry["file"]), entry)
+    return read_array_bin(_array_file(path, manifest, name), entry)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset directory. An array file whose dtype, shape or (for
+    ``split``) content is not what the config implies is a ``ParseError``
+    naming it."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = read_json(manifest_path)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
@@ -307,16 +337,28 @@ def load_dataset(path) -> Dataset:
             lambda name: _read_array(path, manifest, name, manifest_path), names)))
     except KeyError as exc:
         raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None
-    ext = arrays["params"]
     freqs, build = manifest.get("frequencies"), manifest.get("build")
-    visibilities = get_task(cfg.scenario).visibilities
-    if (freqs is not None, build is not None) != (visibilities, visibilities):
+    task = get_task(cfg.scenario)
+    if (freqs is not None, build is not None) != (task.visibilities, task.visibilities):
         raise ParseError("manifest frequencies and build must both be given for a "
                          "visibility dataset and both be null otherwise", path=manifest_path)
-    return Dataset(config=cfg,
-                   params_disk=ext,
-                   params=to_internal_params(cfg.scenario, ext),
-                   clean=arrays["clean"], noisy=arrays["noisy"],
-                   split=arrays["split"].astype(np.int8).reshape(-1),
-                   frequencies=FrequencySet(freqs) if visibilities else None,
-                   build=LoopBuildConfig.from_dict(build) if visibilities else None)
+    freqs = FrequencySet(freqs) if task.visibilities else None
+    width = 2 * len(freqs) if task.visibilities else task.embedded_dim
+    f8 = np.dtype(np.float64)
+    needs = {"params": (f8, (cfg.total, len(task.params))), "clean": (f8, (cfg.total, width)),
+             "noisy": (f8, (cfg.total, width)), "split": (np.dtype(np.int8), (cfg.total,))}
+    for name, (dtype, shape) in needs.items():
+        found = arrays[name].dtype, arrays[name].shape
+        if found != (dtype, shape):
+            raise ParseError(f"holds {found[0]} {list(found[1])}, the config needs "
+                             f"{dtype} {list(shape)}", path=_array_file(path, manifest, name))
+    ds = Dataset(config=cfg,
+                 params_disk=arrays["params"],
+                 params=to_internal_params(cfg.scenario, arrays["params"]),
+                 clean=arrays["clean"], noisy=arrays["noisy"], frequencies=freqs,
+                 build=LoopBuildConfig.from_dict(build) if task.visibilities else None)
+    if not np.array_equal(arrays["split"], ds.split):
+        raise ParseError(f"does not hold the config's split: blocks of {cfg.n_train} "
+                         f"train, {cfg.n_val} validation and {cfg.n_test} test rows",
+                         path=_array_file(path, manifest, "split"))
+    return ds

@@ -82,10 +82,9 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None)
     stats = fit_standardization(dataset, diag=diag)
     intervals = internal_intervals(dataset.config)
 
-    x_all = apply_standardization(stats, dataset.inputs())
-    y_raw = build_targets(kind, task, dataset.params)
-    tf = _target_transform(kind, spec, intervals, y_raw[dataset.mask(TRAIN)])
-    y_all = _apply_transform(tf, y_raw)
+    y_train, y_val = (build_targets(kind, task, dataset.params[dataset.mask(split)])
+                      for split in (TRAIN, VAL))
+    tf = _target_transform(kind, spec, intervals, y_train)
 
     model = (init_mlp(nn_cfg) if init is None
              else MlpModel(nn_cfg, **init.map_parameters(np.copy)))
@@ -97,8 +96,10 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None)
                       "dataset_config_hash": config_hash(dataset.config.to_dict()),
                       "train_config": train_cfg.to_dict()}
     model, history = train(model,
-                           x_all[dataset.mask(TRAIN)], y_all[dataset.mask(TRAIN)],
-                           x_all[dataset.mask(VAL)], y_all[dataset.mask(VAL)],
+                           apply_standardization(stats, dataset.inputs(TRAIN)),
+                           _apply_transform(tf, y_train),
+                           apply_standardization(stats, dataset.inputs(VAL)),
+                           _apply_transform(tf, y_val),
                            train_cfg)
     return model, history
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo import cli
 from looptopo.cli import build_parser, main
-from looptopo.data import load_dataset
+from looptopo.data import TEST, VAL, load_dataset
 from looptopo.errors import LoopTopoError, ParseError
 from looptopo.mlp import load_checkpoint, save_checkpoint
+from looptopo.serialization import write_array_bin
 
 
 def run(argv):
@@ -524,6 +525,45 @@ def test_unwritable_out_file_is_refused_before_any_work(workspace, tmp_path, cap
 def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
     assert run(UNREADABLE_INPUTS[case](workspace, tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: Arrays of a 600-row dataset (400 train, 100 val, 100 test) replaced by ones
+#: that disagree with its config, and the file the refusal names.
+DISAGREEING_ARRAYS = {
+    "split_changed": ("split.bin", lambda ds: {"split": np.where(ds.split == TEST, VAL,
+                                                                 ds.split)}),
+    "rows_cut": ("clean.bin", lambda ds: {"clean": ds.clean[:500], "noisy": ds.noisy[:500]}),
+    "params_six_wide": ("params.bin", lambda ds: {"params": ds.params_disk[:, :6]}),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset_600(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ds600") / "ds"
+    assert run(["gen-dataset", "--scenario", "simple", "--seed", "3", "--n-train", 400,
+                "--n-val", 100, "--n-test", 100, "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(DISAGREEING_ARRAYS))
+def test_arrays_that_disagree_with_the_config_are_refused(workspace, dataset_600, tmp_path,
+                                                          capsys, case):
+    # each file is re-signed in the manifest, so only the config check can refuse it
+    file, edit = DISAGREEING_ARRAYS[case]
+    ds = shutil.copytree(dataset_600, tmp_path / "ds")
+    manifest = json.loads((ds / "manifest.json").read_text())
+    for name, arr in edit(load_dataset(ds)).items():
+        manifest["arrays"][name] = write_array_bin(arr, ds / f"{name}.bin")
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError) as raised:
+        load_dataset(ds)
+    assert raised.value.path == str(ds / file)
+    for argv in ([*_train_args({"ds": ds}), "--out", tmp_path / "m.ckpt"],
+                 ["evaluate", "--dataset", ds, "--model", workspace["emb"],
+                  "--out", tmp_path / "e"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and file in err and "Traceback" not in err
 
 
 def test_checkpoint_without_stats_is_an_error(workspace, tmp_path, capsys):

@@ -18,6 +18,7 @@ from looptopo.diagnostics import Diagnostics
 from looptopo.errors import (ChecksumError, FormatVersionError, LoopTopoError,
                              ParseError, ValidationError)
 from looptopo.forward_model import visibilities_closed_form_batch
+from looptopo.serialization import write_array_bin
 from looptopo.tasks import TASKS
 
 PI = math.pi
@@ -69,9 +70,10 @@ class TestSampling:
     @given(task=st.sampled_from(sorted(TASKS)), size=st.integers(1, 500),
            fraction=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
     def test_batched_draw(self, task, size, fraction, seed):
-        cfg = SamplingConfig.default(task, 0, circular_fraction=fraction)
-        rng = np.random.default_rng(seed)
         spec = TASKS[task]
+        cfg = SamplingConfig.default(task, 0,
+                                     circular_fraction=fraction if spec.collapses else 0.0)
+        rng = np.random.default_rng(seed)
         iv = cfg.resolved_intervals()
         assert sample_params_external(cfg, rng).shape == (len(spec.params),)
 
@@ -111,10 +113,25 @@ class TestGeneration:
     def test_split_sizes_and_partition(self):
         ds = generate_dataset(small_cfg("simple"))
         assert ds.n_samples == 200
-        assert (ds.split == TRAIN).sum() == 120
-        assert (ds.split == VAL).sum() == 40
-        assert (ds.split == TEST).sum() == 40
-        assert np.all(np.isin(ds.split, [TRAIN, VAL, TEST]))
+        blocks = np.array([TRAIN] * 120 + [VAL] * 40 + [TEST] * 40, dtype=np.int8)
+        assert ds.split.dtype == np.int8 and ds.split.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("scenario", sorted(TASKS))
+    def test_splits_are_slices_in_order(self, scenario):
+        ds = generate_dataset(small_cfg(scenario, n_train=7, n_val=3, n_test=5))
+        assert [ds.mask(split) for split in (TRAIN, VAL, TEST)] == \
+            [slice(0, 7), slice(7, 10), slice(10, 15)]
+
+    def test_inputs_are_views(self):
+        ds = generate_dataset(small_cfg("complete"))
+        for split in (TRAIN, VAL, TEST):
+            assert np.shares_memory(ds.inputs(split), ds.noisy)
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("circle", {}), ("simple", {}), ("complete", {"noise": False})])
+    def test_noise_free_dataset_holds_one_channel(self, scenario, extra):
+        ds = generate_dataset(small_cfg(scenario, **extra))
+        assert ds.noisy is ds.clean
 
     def test_determinism(self):
         cfg = small_cfg("complete")
@@ -350,6 +367,34 @@ class TestDiskFormat:
         with pytest.raises(ChecksumError) as raised:
             load_dataset(tmp_path / "ds")
         assert str(raised.value) == f"checksum mismatch for {target}"
+
+    @pytest.mark.parametrize("file, edit", [
+        ("split.bin", lambda ds: {"split": np.where(ds.split == TEST, VAL, ds.split)}),
+        ("split.bin", lambda ds: {"split": ds.split.astype(np.int16)}),
+        ("split.bin", lambda ds: {"split": ds.split[:, None]}),
+        ("params.bin", lambda ds: {"params": ds.params_disk[:, :6]}),
+        ("params.bin", lambda ds: {"params": ds.params_disk[:-1]}),
+        ("clean.bin", lambda ds: {"clean": ds.clean.astype(np.float32)}),
+        ("clean.bin", lambda ds: {"clean": ds.clean[:150], "noisy": ds.noisy[:150]}),
+        ("noisy.bin", lambda ds: {"noisy": ds.noisy[:, :58]}),
+        ("noisy.bin", lambda ds: {"noisy": ds.noisy.ravel()}),
+        ("clean.bin", lambda ds: {"frequencies": ds.frequencies.uv[:29].tolist()})])
+    def test_arrays_must_agree_with_the_config(self, tmp_path, file, edit):
+        # re-signed, so each file matches its checksum; its shape or content does not
+        # match what the config and the frequencies imply
+        ds = generate_dataset(small_cfg("simple"))
+        save_dataset(ds, tmp_path / "ds")
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for name, value in edit(ds).items():
+            if name == "frequencies":
+                manifest[name] = value
+            else:
+                manifest["arrays"][name] = write_array_bin(value, tmp_path / "ds" / f"{name}.bin")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as raised:
+            load_dataset(tmp_path / "ds")
+        assert raised.value.path == str(tmp_path / "ds" / file)
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = small_cfg("simple")

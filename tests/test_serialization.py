@@ -166,7 +166,7 @@ class TestConfigFromDict:
 #: Valid fields of each config class; a case of BROKEN_RULES replaces some of them.
 VALID_FIELDS = {
     SamplingConfig: {"scenario": "complete", "n_train": 8, "n_val": 2, "n_test": 2,
-                     "seed": 1, "noise": True},
+                     "seed": 1, "noise": True, "circular_fraction": 0.05},
     LoopBuildConfig: {}, FrequencyConfig: {}, MlpConfig: {}, TrainConfig: {},
     GridSpec: {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0},
 }
@@ -196,6 +196,9 @@ BROKEN_RULES = {
         (SamplingConfig, {"scenario": "circle"}, "noise-free"),
     "SamplingConfig circular_fraction one":
         (SamplingConfig, {"circular_fraction": 1.0}, "circular_fraction must be in [0, 1)"),
+    "SamplingConfig circular_fraction on a task without eps = 0 draws":
+        (SamplingConfig, {"scenario": "simple"},
+         "circular_fraction must be 0 for the simple scenario"),
     "SamplingConfig circular_fraction nan":
         (SamplingConfig, {"circular_fraction": float("nan")},
          "SamplingConfig.circular_fraction must be a finite number"),
