@@ -6,7 +6,7 @@ import numpy as np
 
 from .embeddings import gamma_g, moebius_distance
 from .errors import ValidationError
-from .serialization import format_csv, is_integer, write_bytes
+from .serialization import float_array, format_csv, is_integer, write_bytes
 from .tasks import get_task
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -37,11 +37,16 @@ def moebius_error_scaled(pred_params, truth_params):
                           axis=-1)
 
 
-def nearest_rank_quantile(values, q):
-    """Nearest-rank quantile: smallest x with #{v <= x} >= q * n."""
-    a = np.sort(np.asarray(values, dtype=float).ravel())
+def _sorted(values):
+    """The values, flattened and sorted; an empty array is refused."""
+    a = np.sort(float_array(values, "values").ravel())
     if a.size == 0:
         raise ValidationError("quantile of an empty array")
+    return a
+
+
+def _rank(a, q):
+    """Nearest-rank quantile of the sorted, nonempty ``a``."""
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"quantile level must be in [0, 1], got {q}")
     if q == 0.0:
@@ -50,21 +55,26 @@ def nearest_rank_quantile(values, q):
     return float(a[min(rank, a.size) - 1])
 
 
+def nearest_rank_quantile(values, q):
+    """Nearest-rank quantile: smallest x with #{v <= x} >= q * n."""
+    return _rank(_sorted(values), q)
+
+
 def quantile_summary(values):
-    out = {"min": float(np.min(values)), "max": float(np.max(values)),
-           "mean": float(np.mean(values)), "count": int(np.size(values))}
+    """min / max / mean / count and the ``QUANTILE_LEVELS``, from one sort."""
+    a = _sorted(values)
+    out = {"min": float(np.min(a)), "max": float(np.max(a)),
+           "mean": float(np.mean(values)), "count": int(a.size)}
     for q in QUANTILE_LEVELS:
-        out[f"q{int(round(q * 100)):02d}"] = nearest_rank_quantile(values, q)
+        out[f"q{int(round(q * 100)):02d}"] = _rank(a, q)
     return out
 
 
 def boxplot_stats(values):
-    """min / q25 / median / q75 / max, nearest-rank convention."""
-    return {"min": float(np.min(values)),
-            "q25": nearest_rank_quantile(values, 0.25),
-            "median": nearest_rank_quantile(values, 0.5),
-            "q75": nearest_rank_quantile(values, 0.75),
-            "max": float(np.max(values))}
+    """min / q25 / median / q75 / max, nearest-rank convention, from one sort."""
+    a = _sorted(values)
+    return {"min": float(np.min(a)), "q25": _rank(a, 0.25), "median": _rank(a, 0.5),
+            "q75": _rank(a, 0.75), "max": float(np.max(a))}
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,12 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     are those of the task's entry in ``tasks.TASKS``.
     """
     spec = get_task(task)
-    truth = np.asarray(truth, dtype=float)
-    pred = np.asarray(pred, dtype=float)
+    truth, pred = float_array(truth, "truth"), float_array(pred, "pred")
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
+    if truth.ndim != 2 or truth.shape[1] < len(spec.free):
+        raise ValidationError(f"expected rows of at least the {len(spec.free)} free "
+                              f"parameters, got shape {truth.shape}")
     if not truth.size:
         raise ValidationError("no rows to evaluate")
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])

@@ -15,6 +15,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .errors import ValidationError
+from .serialization import float_array
 
 C_MIN_DEFAULT = -0.05
 C_MAX_DEFAULT = 0.05
@@ -46,7 +47,7 @@ def validate_param_rows(thetas):
 
 def _coords(x):
     """Accept pairs or (..., 2) arrays."""
-    a = np.asarray(x, dtype=float)
+    a = float_array(x, "(alpha, c) pairs")
     if a.shape[-1:] != (2,):
         raise ValidationError(f"expected (alpha, c) pairs, got shape {a.shape}")
     return a
@@ -73,8 +74,7 @@ def gamma(alpha, c):
     the identification (0, c) ~ (pi, -c). Broadcasts over array inputs;
     returns shape broadcast(alpha, c) + (3,).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    c = np.asarray(c, dtype=float)
+    alpha, c = float_array(alpha, "alpha"), float_array(c, "c")
     radial = 1.0 + c * np.sin(alpha)
     return np.stack([radial * np.cos(2.0 * alpha),
                      radial * np.sin(2.0 * alpha),
@@ -97,7 +97,7 @@ def gamma_inv(p, diag: Diagnostics | None = None):
     ``degenerate_direction`` event is recorded when a Diagnostics is given.
     Returns (alpha, c) as floats for a single point, arrays for batches.
     """
-    p = np.asarray(p, dtype=float)
+    p = float_array(p, "3-space points")
     if p.shape[-1:] != (3,):
         raise ValidationError(f"expected 3-space points, got shape {p.shape}")
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
@@ -114,7 +114,7 @@ def gamma_g(theta):
 
     Accepts (..., 7) arrays, returns (..., 8).
     """
-    a = np.asarray(theta, dtype=float)
+    a = float_array(theta, "7-parameter vectors")
     if a.shape[-1:] != (7,):
         raise ValidationError(f"expected 7-parameter vectors, got shape {a.shape}")
     eps = a[..., 4]
@@ -133,7 +133,7 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
 
     Accepts (..., 8) arrays, returns (..., 7).
     """
-    p = np.asarray(p, dtype=float)
+    p = float_array(p, "8-vectors")
     if p.shape[-1:] != (8,):
         raise ValidationError(f"expected 8-vectors, got shape {p.shape}")
     if floors is None:
@@ -168,7 +168,7 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
 
 def circle_embed(theta):
     """theta -> (cos theta, sin theta); broadcasts, returns (..., 2)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = float_array(theta, "theta")
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
@@ -177,7 +177,7 @@ def circle_inv(p, diag: Diagnostics | None = None):
 
     The zero vector has no direction: returns 0 with a warning event.
     """
-    p = np.asarray(p, dtype=float)
+    p = float_array(p, "2-space points")
     if p.shape[-1:] != (2,):
         raise ValidationError(f"expected 2-space points, got shape {p.shape}")
     angle = _direction(p[..., 0], p[..., 1], "theta", diag)

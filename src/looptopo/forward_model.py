@@ -52,9 +52,13 @@ otherwise refuses its row. The scalar ``visibilities_closed_form`` sums one comp
 phase per component and is the reference the batch kernel is tested against; the
 two agree to rounding, not bit for bit.
 
-The batch kernel's row chunks are independent, so they run on every CPU the
-process may use, through ``pool.ordered_map``. The chunks' order is kept: the
-refused row is the first, and the bytes of the result are the same on any
+The batch kernel runs on every CPU the process may use, through
+``pool.ordered_map``, in two maps over independent rows. ``_loop_half`` first
+checks the range of every row's layout in one serial pass, so a row it refuses
+is named ahead of any that the arc-length solve refuses; it then solves the
+layout in pieces of ``_LAYOUT_PIECE`` rows, and the kernel sums the
+visibilities in chunks of ``CLOSED_FORM_CHUNK`` rows. Each map keeps its order:
+the refused row is the first, and the bytes of the result are the same on any
 number of CPUs.
 """
 
@@ -67,8 +71,8 @@ from .diagnostics import Diagnostics
 from .embeddings import validate_param_rows
 from .errors import ParseError, ValidationError
 from .pool import ordered_map
-from .serialization import (check_fields, config_from_dict, config_to_dict, parse_csv,
-                            read_bytes)
+from .serialization import (check_fields, config_from_dict, config_to_dict, float_array,
+                            parse_csv, read_bytes)
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -79,6 +83,12 @@ EXPONENT_MODES = ("fwhm", "verbatim")
 #: At 256 rows each (chunk, 5, 30) float64 temporary is 300 kB, and the few alive at
 #: once stay in a 2 MB L2 cache; 2048 rows spill them and make the kernel ~1.3x slower.
 CLOSED_FORM_CHUNK = 256
+#: Rows per piece of ``_loop_half``'s layout; a row's layout is the same at any size.
+#: Solved for the whole batch at once, the arc-length Newton held ~750 B of
+#: temporaries a row; a 1,024-row piece holds under 1 MB. Smaller pieces cost more
+#: calls: a 256-row layout inside each kernel chunk made the kernel slower, as its
+#: many small numpy calls contend for the GIL.
+_LAYOUT_PIECE = 1024
 #: Newton on the arc length: the relative step that freezes an entry, and the cap.
 _ARC_TOL, _ARC_MAX_ITER = 1e-13, 60
 
@@ -153,10 +163,7 @@ class FrequencySet:
     uv: np.ndarray
 
     def __post_init__(self):
-        try:
-            uv = np.asarray(self.uv, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f"uv must be numeric, got {self.uv!r:.60}") from None
+        uv = float_array(self.uv, "uv")
         if uv.ndim != 2 or uv.shape[1] != 2:
             raise ValidationError(f"uv must be (n, 2), got shape {uv.shape}")
         if uv.shape[0] < 1:
@@ -276,22 +283,37 @@ def _loop_half(thetas, cfg: LoopBuildConfig):
     L = span_factor * eps * sigma. Their weights, relative to the vertex's 1,
     fall off as exp(-d^2 / (2 (L/2 + s)^2)) with s the component std.
     Returns the x positions and the weights, both (S, h); needs h >= 1.
-    A row whose d_h^2 overflows or whose 2 (L/2 + s)^2 is not a normal float
-    (NaN or digitless weights) raises ``ValidationError`` naming it.
+
+    One range check over all rows comes first: a row whose d_h^2 overflows or
+    whose 2 (L/2 + s)^2 is not a normal float (NaN or digitless weights)
+    raises ``ValidationError`` naming it, ahead of any row the arc-length
+    Newton would refuse. The steps, the weights and the Newton solve then run
+    ``_LAYOUT_PIECE`` rows at a time through ``ordered_map``, each piece
+    writing its rows of the two results, so no temporary spans every row; the
+    earliest piece's refusal is raised. Every entry is solved on its own, so
+    the result does not depend on the piece size or the number of CPUs.
     """
     half = (cfg.n_components - 1) // 2
     sigma, eps, c = thetas[:, 3], thetas[:, 4], thetas[:, 6]
     with np.errstate(over="ignore"):  # rows that overflow are refused below
         span = cfg.span_factor * eps * sigma
-        d_pos = (span / half)[:, None] * np.arange(1, half + 1)
+        last = (span / half) * half  # d_h, with the bits of the steps' last column
         width = 0.5 * span + fwhm_to_std(sigma)
         two_var = 2.0 * width * width
-        bad = ~((two_var >= 2.0 ** -1022) & (two_var < np.inf) & (d_pos[:, -1] ** 2 < np.inf))
+        bad = ~((two_var >= 2.0 ** -1022) & (two_var < np.inf) & (last * last < np.inf))
     if bad.any():
         raise ValidationError(f"row {np.argmax(bad)}: sigma and eps put the loop "
                               "layout out of floating-point range")
-    w = np.exp(-d_pos * d_pos / two_var[:, None])
-    return _batch_x_at_arc(d_pos, c), w
+    x_pos, w = np.empty((len(thetas), half)), np.empty((len(thetas), half))
+
+    def place(lo):  # rows lo.. of x_pos and w
+        rows = slice(lo, lo + _LAYOUT_PIECE)
+        d_pos = (span[rows] / half)[:, None] * np.arange(1, half + 1)
+        np.exp(-d_pos * d_pos / two_var[rows, None], out=w[rows])
+        x_pos[rows] = _batch_x_at_arc(d_pos, c[rows], first_row=lo)
+
+    ordered_map(place, range(0, len(thetas), _LAYOUT_PIECE))
+    return x_pos, w
 
 
 def _component_mass_var(flux, sigma, mode):
@@ -333,21 +355,24 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     parts (re_1..re_n, im_1..im_n), the layout a dataset stores; each chunk
     writes its rows in place, with no complex array between.
 
-    The layout of ``_loop_half`` for all rows at once, summed in mirrored
-    pairs (see the module docstring) on (chunk, half, n) arrays,
-    ``CLOSED_FORM_CHUNK`` rows at a time. Each (row, frequency) costs 2 h + 1
-    tangents through ``_cos_sin`` and no cos or sin: h along the axis, h across
-    it and one for the centre phase; 11 at 11 components, where cos and sin take 17.
-    Rows are checked by ``validate_param_rows`` and ``_loop_half``, each chunk's
-    result by the range rule (finite entries stay as computed); the first refused
-    row raises ``ValidationError``. The layout is placed for all rows first; the
-    chunks then run on the CPUs through ``ordered_map``, and a chunk's refusal is
-    raised only when no earlier chunk refuses, so the row named and the bytes of the
-    result are those of one chunk after another. The result agrees with
-    ``visibilities_closed_form`` to rounding (a few 1e-15 of the flux), not bit for
-    bit: the sums run in another order and the phases go through ``_cos_sin``. A
-    row's result does not depend on its batch: ``_batch_x_at_arc`` solves each
-    entry on its own, and all else is elementwise or a sum within the row.
+    The layout of ``_loop_half``, summed in mirrored pairs (see the module
+    docstring) on (chunk, half, n) arrays, ``CLOSED_FORM_CHUNK`` rows at a time.
+    Each (row, frequency) costs 2 h + 1 tangents through ``_cos_sin`` and no cos or
+    sin: h along the axis, h across it and one for the centre phase; 11 at 11
+    components, where cos and sin take 17. Rows are checked by
+    ``validate_param_rows`` and ``_loop_half``, each chunk's result by the range
+    rule (finite entries stay as computed); the first refused row raises
+    ``ValidationError``. The layout comes first: its range check over all rows,
+    then its pieces on the CPUs through ``ordered_map``, writing the (S, h)
+    positions and weights; the chunks then run the same way, each taking its
+    y = c x^2 from its rows of the positions. A piece's or a chunk's refusal is
+    raised only when no earlier one refuses, so the row named and the bytes of the
+    result are those of one piece, then one chunk, after another. The result
+    agrees with ``visibilities_closed_form`` to rounding (a few 1e-15 of the
+    flux), not bit for bit: the sums run in another order and the phases go
+    through ``_cos_sin``. A row's result does not depend on its batch:
+    ``_batch_x_at_arc`` solves each entry on its own, and all else is elementwise
+    or a sum within the row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 7:
@@ -363,7 +388,6 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
         x_pos, w = _loop_half(thetas, cfg)
         w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
         w *= 2.0 * w0[:, None]  # each pair carries twice its weight
-        y_pos = thetas[:, 6:7] * x_pos * x_pos  # c x^2 first: 2 pi c may overflow
 
     def fill_chunk(lo):  # rows lo.. of out, or refuses the first bad one
         chunk = slice(lo, lo + CLOSED_FORM_CHUNK)
@@ -374,8 +398,10 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
                 cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
                 p = cos_a * u + sin_a * v  # frequency along the loop axis
                 q = cos_a * v - sin_a * u  # frequency across it
-                along = _cos_sin((two_pi * x_pos[chunk])[:, :, None] * p[:, None, :])[0]
-                across = (two_pi * y_pos[chunk])[:, :, None] * q[:, None, :]
+                x = x_pos[chunk]
+                y = thetas[chunk, 6:7] * x * x  # c x^2 first: 2 pi c may overflow
+                along = _cos_sin((two_pi * x)[:, :, None] * p[:, None, :])[0]
+                across = (two_pi * y)[:, :, None] * q[:, None, :]
                 cos_across, sin_across = _cos_sin(across)
                 cos_across *= along
                 sin_across *= along
@@ -417,12 +443,13 @@ def _cos_sin(theta):
     return cos, np.divide(t, denom, out=t)
 
 
-def _batch_x_at_arc(s, c):
+def _batch_x_at_arc(s, c, first_row=0):
     """Invert the arc length of y = c x^2 entry by entry: x >= 0 with arclen(x) = s.
 
     s is (S, k), nonnegative, and c is (S,). Newton runs on each entry alone
     until its step is at most ``_ARC_TOL`` x, so x depends on (s, c) only; at
-    ``_ARC_MAX_ITER`` steps a moving entry raises naming its row.
+    ``_ARC_MAX_ITER`` steps a moving entry raises naming its row, counted from
+    ``first_row``.
     arclen(x) >= max(x, |c| x^2), as the integrand sqrt(1 + 4 c^2 t^2) is at
     least max(1, 2 |c| t): the start min(s, sqrt(s / |c|)) lies at or right of
     the root, and Newton on the increasing, convex arc length descends from it.
@@ -448,7 +475,7 @@ def _batch_x_at_arc(s, c):
         todo, x_todo, s_todo, c_todo = (a[moving] for a in (todo, x_todo, s_todo, c_todo))
         if not todo.size:
             return x.reshape(-1, k)
-    raise ValidationError(f"row {todo[0] // k}: arc length did not converge")
+    raise ValidationError(f"row {first_row + todo[0] // k}: arc length did not converge")
 
 
 def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> np.ndarray:

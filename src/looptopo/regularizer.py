@@ -19,7 +19,7 @@ from .data import (TRAIN, VAL, Dataset,
 from .diagnostics import Diagnostics
 from .errors import ValidationError
 from .mlp import MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
-from .serialization import config_hash, is_finite_number
+from .serialization import config_hash, float_array, is_finite_number
 from .tasks import KINDS, TASKS, get_task
 
 
@@ -171,7 +171,7 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     Non-finite inputs, and inputs whose network output overflows, are rejected.
     """
     kind, task = check_model_consistency(model)
-    v = np.asarray(v, dtype=float)
+    v = float_array(v, "input")
     if not np.all(np.isfinite(v)):
         raise ValidationError("input holds non-finite values")
     single = v.ndim == 1

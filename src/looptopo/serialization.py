@@ -71,6 +71,15 @@ def is_integer(v) -> bool:
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
+def float_array(x, what):
+    """``np.asarray(x, dtype=float)``; input that is not numeric, or is ragged,
+    raises ``ValidationError`` naming ``what``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {x!r:.60}") from None
+
+
 def is_finite_number(v) -> bool:
     """An int or a finite float (numpy scalars included), not a bool."""
     if type(v) is float:  # a plain float first, as in is_integer

@@ -99,9 +99,22 @@ class TestQuantiles:
         b = boxplot_stats(np.random.default_rng(0).normal(size=200))
         assert b["min"] <= b["q25"] <= b["median"] <= b["q75"] <= b["max"]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            nearest_rank_quantile([], 0.5)
+    @pytest.mark.parametrize("stats", [lambda v: nearest_rank_quantile(v, 0.5),
+                                       quantile_summary, boxplot_stats])
+    def test_empty_rejected(self, stats):
+        with pytest.raises(ValidationError, match="quantile of an empty array"):
+            stats(np.array([]))
+
+    def test_summaries_match_their_quantiles(self):
+        # one sort gives each level the value of its own nearest-rank call
+        values = np.random.default_rng(4).normal(size=999)
+        s, b = quantile_summary(values), boxplot_stats(values)
+        assert (s["min"], s["max"], b["min"], b["max"]) == (values.min(), values.max()) * 2
+        assert s["mean"] == values.mean() and s["count"] == 999
+        for key, q in [("q05", 0.05), ("q25", 0.25), ("q50", 0.5), ("q75", 0.75),
+                       ("q95", 0.95)]:
+            assert s[key] == nearest_rank_quantile(values, q)
+        assert [b["q25"], b["median"], b["q75"]] == [s["q25"], s["q50"], s["q75"]]
 
 
 class TestPca:
@@ -198,10 +211,15 @@ class TestEvaluatePredictions:
         for s in report.summaries.values():
             assert s["q25"] <= s["q50"] <= s["q75"]
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("task, truth, pred", [
+        ("circle", np.zeros((3, 1)), np.zeros((4, 1))),
+        ("circle", np.zeros(3), np.zeros(3)),  # rows of one parameter must be (S, 1)
+        ("complete", np.zeros((3, 2)), np.zeros((3, 2))),  # fewer columns than free parameters
+        ("simple", [[0.0, 1.0], [0.0]], [[0.0, 1.0], [0.0, 1.0]]),
+        ("simple", [["a", "b"]], [[0.0, 1.0]])])
+    def test_shape_mismatch_rejected(self, task, truth, pred):
         with pytest.raises(ValidationError):
-            evaluate_predictions("circle", "naive", np.zeros((3, 1)),
-                                 np.zeros((4, 1)), {})
+            evaluate_predictions(task, "naive", truth, pred, {})
 
     @pytest.mark.parametrize("task, width", [("circle", 1), ("simple", 2), ("complete", 7)])
     def test_zero_rows_rejected(self, task, width):

@@ -246,6 +246,10 @@ class TestCircle:
 def test_scalar_input_is_a_validation_error(inverse):
     with pytest.raises(ValidationError, match="got shape"):
         inverse(5.0)
+    # nor does input that is not numeric, or is ragged, end in numpy's error
+    for bad in (["a"] * 8, [[1.0] * 8, [1.0] * 7]):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            inverse(bad)
 
 
 class TestTypes:

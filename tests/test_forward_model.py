@@ -1,11 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from looptopo import forward_model
+from looptopo import forward_model, pool
 from looptopo.diagnostics import Diagnostics
 from looptopo.errors import ParseError, ValidationError
 from looptopo.forward_model import (DEFAULT_BUILD, EXPONENT_MODES, FrequencyConfig,
@@ -326,9 +327,10 @@ def extreme_frequencies(draw):
     return radius * math.cos(angle), radius * math.sin(angle)
 
 
-def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD):
+def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD, piece=forward_model._LAYOUT_PIECE):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
+        mp.setattr(forward_model, "_LAYOUT_PIECE", piece)
         return visibilities_closed_form_batch(thetas, FREQS, cfg)
 
 
@@ -361,13 +363,14 @@ class TestClosedFormBatch:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(any_curvature_loops(), min_size=1, max_size=12),
            picks=st.lists(st.integers(0, 999), min_size=1, max_size=40),
-           chunk=st.integers(1, 16), n_components=st.sampled_from((3, 11)))
-    def test_row_is_its_own_answer(self, rows, picks, chunk, n_components):
-        # shuffled and repeated rows, cut at any chunk size, give each row the
-        # bytes of its one-row call
+           chunk=st.integers(1, 16), piece=st.integers(1, 16),
+           n_components=st.sampled_from((3, 11)))
+    def test_row_is_its_own_answer(self, rows, picks, chunk, piece, n_components):
+        # shuffled and repeated rows, cut at any chunk size and laid out in
+        # pieces of any size, give each row the bytes of its one-row call
         cfg = LoopBuildConfig(n_components=n_components)
         thetas = np.array(rows)[[i % len(rows) for i in picks]]
-        batch = batch_at_chunk(chunk, thetas, cfg)
+        batch = batch_at_chunk(chunk, thetas, cfg, piece)
         for theta, vis in zip(thetas, batch):
             np.testing.assert_array_equal(
                 vis, visibilities_closed_form_batch(theta[None], FREQS, cfg)[0])
@@ -386,26 +389,53 @@ class TestClosedFormBatch:
         assert np.all(np.isfinite(visibilities_closed_form_batch(
             np.array([[0, 0, 1000, 8, 5, 0.5, c]]), FREQS)))
 
-    def test_unconverged_arc_names_its_row(self, monkeypatch):
-        # row 2 opens the second chunk
-        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+    @pytest.mark.parametrize("piece", [1, 2, 7, forward_model._LAYOUT_PIECE])
+    def test_unconverged_arc_names_its_row(self, monkeypatch, piece):
+        # rows 3 and 4 need Newton steps, rows 0-2 none; at piece size 2, row 3
+        # ends the second piece, and each piece may run on another worker
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", piece)
         monkeypatch.setattr(forward_model, "_ARC_MAX_ITER", 1)
         thetas = np.array([[0, 0, 1000, 8, 5, 0.5, 0.0], [0, 0, 1000, 8, 0, 0, 0.05],
-                           [0, 0, 1000, 8, 5, 0.5, 0.05]])
-        with pytest.raises(ValidationError, match="row 2: arc length did not converge"):
+                           [0, 0, 1000, 8, 5, 0.5, 0.0], [0, 0, 1000, 8, 5, 0.5, 0.05],
+                           [0, 0, 1000, 8, 5, 0.5, -0.05]])
+        with pytest.raises(ValidationError, match="^row 3: arc length did not converge"):
             visibilities_closed_form_batch(thetas, FREQS)
 
+    @pytest.mark.parametrize("max_iter", [forward_model._ARC_MAX_ITER, 1])
     @pytest.mark.parametrize("sigma, eps, c", [(1e200, 1e200, 0.0), (1e200, 1e200, 0.05),
                                                 (1e-310, 5.0, 1e308), (8.0, 1e300, 0.05),
                                                 (1e-170, 0.0, 0.0)])
-    def test_layout_out_of_range_names_its_row(self, monkeypatch, sigma, eps, c):
+    def test_layout_out_of_range_names_its_row(self, monkeypatch, sigma, eps, c, max_iter):
         # finite rows whose span or weight width overflows or underflows; row 3
-        # sits in the second chunk
+        # sits in the second chunk and the second layout piece. At one Newton
+        # step every other row fails the arc length, row 0 first: the range
+        # check over all rows still names row 3
         monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
+        monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", 2)
+        monkeypatch.setattr(forward_model, "_ARC_MAX_ITER", max_iter)
         thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
         thetas[3, [3, 4, 6]] = sigma, eps, c
         with pytest.raises(ValidationError, match="row 3: .* out of floating-point range"):
             visibilities_closed_form_batch(thetas, FREQS)
+        if max_iter == 1:
+            with pytest.raises(ValidationError, match="^row 0: arc length did not converge"):
+                visibilities_closed_form_batch(np.delete(thetas, 3, axis=0), FREQS)
+
+    def test_temporaries_do_not_grow_with_every_row(self, monkeypatch):
+        # traced peak beyond the result: 183 B a row at 32,768 rows on two workers,
+        # against 755 when the layout was solved for every row at once
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        rng = np.random.default_rng(3)
+        thetas = np.array([random_loop(rng) for _ in range(32768)])
+        visibilities_closed_form_batch(thetas[:2000], FREQS)  # the pool's threads started
+        tracemalloc.start()
+        try:
+            vis = visibilities_closed_form_batch(thetas, FREQS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - vis.nbytes) / len(thetas) < 300
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("columns, values, uv", [

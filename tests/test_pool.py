@@ -8,7 +8,7 @@ import pytest
 
 from looptopo import forward_model, pool
 from looptopo.errors import ValidationError
-from looptopo.forward_model import (FrequencySet, default_frequencies,
+from looptopo.forward_model import (DEFAULT_BUILD, FrequencySet, default_frequencies,
                                     visibilities_closed_form_batch)
 from looptopo.pool import ordered_map
 
@@ -151,11 +151,22 @@ class TestPooledKernel:
                 visibilities_closed_form_batch(rows, FREQS)
         visibilities_closed_form_batch(thetas, FREQS)  # no raise under the default
 
-    def test_bytes_do_not_depend_on_the_workers(self, monkeypatch):
-        thetas = loops(41)
-        pooled = visibilities_closed_form_batch(thetas, FREQS)
+    @pytest.mark.parametrize("piece", [1, 7, forward_model._LAYOUT_PIECE, 1101])
+    def test_bytes_do_not_depend_on_the_workers(self, monkeypatch, piece):
+        # nor on the layout's piece size: 1,100 rows are two default pieces, and
+        # one piece at 1,101, on one worker: the whole layout at once
+        thetas = loops(1100)
+        monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", 1101)
         monkeypatch.setattr(pool, "WORKERS", 1)
-        assert pooled.tobytes() == visibilities_closed_form_batch(thetas, FREQS).tobytes()
+        whole = (visibilities_closed_form_batch(thetas, FREQS),
+                 *forward_model._loop_half(thetas, DEFAULT_BUILD))
+        monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", piece)
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "WORKERS", workers)
+            pieces = (visibilities_closed_form_batch(thetas, FREQS),
+                      *forward_model._loop_half(thetas, DEFAULT_BUILD))
+            assert [a.tobytes() for a in pieces] == [a.tobytes() for a in whole]
+            assert visibilities_closed_form_batch(thetas[:0], FREQS).shape == (0, 60)
 
 
 def _kernel_in_child(conn, thetas):

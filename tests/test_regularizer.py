@@ -186,6 +186,10 @@ class TestPredictTotality:
         row[3] = np.inf
         with pytest.raises(ValidationError):
             predict(model, row)
+        # not numeric, or ragged: refused before numpy's conversion fails
+        for bad in (["a"] * 60, [[1.0] * 60, [1.0] * 59]):
+            with pytest.raises(ValidationError, match="input must be numeric"):
+                predict(model, bad)
 
     @pytest.mark.parametrize("kind", ["naive", "embedded"])
     def test_input_too_large_for_the_network_rejected(self, kind):
