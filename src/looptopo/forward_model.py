@@ -52,14 +52,13 @@ otherwise refuses its row. The scalar ``visibilities_closed_form`` sums one comp
 phase per component and is the reference the batch kernel is tested against; the
 two agree to rounding, not bit for bit.
 
-The batch kernel runs on every CPU the process may use, through
-``pool.ordered_map``, in two maps over independent rows. ``_loop_half`` first
-checks the range of every row's layout in one serial pass, so a row it refuses
-is named ahead of any that the arc-length solve refuses; it then solves the
-layout in pieces of ``_LAYOUT_PIECE`` rows, and the kernel sums the
-visibilities in chunks of ``CLOSED_FORM_CHUNK`` rows. Each map keeps its order:
-the refused row is the first, and the bytes of the result are the same on any
-number of CPUs.
+The batch kernel lays out the loops on the calling thread: ``_loop_half``
+checks the range of every row's layout in one pass, so a row it refuses is
+named ahead of any that the arc-length solve refuses, then solves the layout
+in pieces of ``_LAYOUT_PIECE`` rows. The kernel then sums the visibilities in
+chunks of ``CLOSED_FORM_CHUNK`` rows on every CPU the process may use, through
+``pool.ordered_map``, which keeps their order: the refused row is the first,
+and the bytes of the result are the same on any number of CPUs.
 """
 
 import math
@@ -87,7 +86,10 @@ CLOSED_FORM_CHUNK = 256
 #: Solved for the whole batch at once, the arc-length Newton held ~750 B of
 #: temporaries a row; a 1,024-row piece holds under 1 MB. Smaller pieces cost more
 #: calls: a 256-row layout inside each kernel chunk made the kernel slower, as its
-#: many small numpy calls contend for the GIL.
+#: many small numpy calls contend for the GIL. For the same reason the pieces run
+#: on the calling thread: mapped over the pool they were no faster, as during
+#: ``generate_dataset`` the pool's helper is drawing the noise, and which pieces
+#: it took depended on when it came free.
 _LAYOUT_PIECE = 1024
 #: Newton on the arc length: the relative step that freezes an entry, and the cap.
 _ARC_TOL, _ARC_MAX_ITER = 1e-13, 60
@@ -288,10 +290,10 @@ def _loop_half(thetas, cfg: LoopBuildConfig):
     whose 2 (L/2 + s)^2 is not a normal float (NaN or digitless weights)
     raises ``ValidationError`` naming it, ahead of any row the arc-length
     Newton would refuse. The steps, the weights and the Newton solve then run
-    ``_LAYOUT_PIECE`` rows at a time through ``ordered_map``, each piece
-    writing its rows of the two results, so no temporary spans every row; the
-    earliest piece's refusal is raised. Every entry is solved on its own, so
-    the result does not depend on the piece size or the number of CPUs.
+    ``_LAYOUT_PIECE`` rows at a time, in order, each piece writing its rows of
+    the two results, so no temporary spans every row; the first piece's
+    refusal is raised. Every entry is solved on its own, so the result does not
+    depend on the piece size.
     """
     half = (cfg.n_components - 1) // 2
     sigma, eps, c = thetas[:, 3], thetas[:, 4], thetas[:, 6]
@@ -305,14 +307,11 @@ def _loop_half(thetas, cfg: LoopBuildConfig):
         raise ValidationError(f"row {np.argmax(bad)}: sigma and eps put the loop "
                               "layout out of floating-point range")
     x_pos, w = np.empty((len(thetas), half)), np.empty((len(thetas), half))
-
-    def place(lo):  # rows lo.. of x_pos and w
+    for lo in range(0, len(thetas), _LAYOUT_PIECE):
         rows = slice(lo, lo + _LAYOUT_PIECE)
         d_pos = (span[rows] / half)[:, None] * np.arange(1, half + 1)
         np.exp(-d_pos * d_pos / two_var[rows, None], out=w[rows])
         x_pos[rows] = _batch_x_at_arc(d_pos, c[rows], first_row=lo)
-
-    ordered_map(place, range(0, len(thetas), _LAYOUT_PIECE))
     return x_pos, w
 
 
@@ -362,12 +361,12 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     components, where cos and sin take 17. Rows are checked by
     ``validate_param_rows`` and ``_loop_half``, each chunk's result by the range
     rule (finite entries stay as computed); the first refused row raises
-    ``ValidationError``. The layout comes first: its range check over all rows,
-    then its pieces on the CPUs through ``ordered_map``, writing the (S, h)
-    positions and weights; the chunks then run the same way, each taking its
-    y = c x^2 from its rows of the positions. A piece's or a chunk's refusal is
-    raised only when no earlier one refuses, so the row named and the bytes of the
-    result are those of one piece, then one chunk, after another. The result
+    ``ValidationError``. The layout comes first, on the calling thread: its range
+    check over all rows, then its pieces, writing the (S, h) positions and
+    weights. The chunks then run on the CPUs through ``ordered_map``, each taking
+    its y = c x^2 from its rows of the positions; a chunk's refusal is raised only
+    when no earlier chunk refuses, so the row named and the bytes of the result
+    are those of one piece, then one chunk, after another. The result
     agrees with ``visibilities_closed_form`` to rounding (a few 1e-15 of the
     flux), not bit for bit: the sums run in another order and the phases go
     through ``_cos_sin``. A row's result does not depend on its batch:

@@ -392,8 +392,7 @@ class TestClosedFormBatch:
     @pytest.mark.parametrize("piece", [1, 2, 7, forward_model._LAYOUT_PIECE])
     def test_unconverged_arc_names_its_row(self, monkeypatch, piece):
         # rows 3 and 4 need Newton steps, rows 0-2 none; at piece size 2, row 3
-        # ends the second piece, and each piece may run on another worker
-        monkeypatch.setattr(pool, "WORKERS", 2)
+        # ends the second piece
         monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", piece)
         monkeypatch.setattr(forward_model, "_ARC_MAX_ITER", 1)
         thetas = np.array([[0, 0, 1000, 8, 5, 0.5, 0.0], [0, 0, 1000, 8, 0, 0, 0.05],
