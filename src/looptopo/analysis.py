@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import gamma_g, moebius_distance
+from .embeddings import moebius_distance, scaled_strip
 from .errors import ValidationError
 from .serialization import float_array, format_csv, is_integer, write_bytes
 from .tasks import get_task
@@ -17,12 +17,12 @@ def normalized_abs_error(pred, truth, interval):
     lo, hi = interval
     if not hi > lo:
         raise ValidationError(f"interval must have positive length, got ({lo}, {hi})")
-    return np.abs(np.asarray(pred, dtype=float) - np.asarray(truth, dtype=float)) / (hi - lo)
+    return np.abs(float_array(pred, "pred") - float_array(truth, "truth")) / (hi - lo)
 
 
 def circular_error(pred, truth):
     """Shortest angular distance on the circle, range [0, pi]."""
-    d = np.abs(np.asarray(pred, dtype=float) - np.asarray(truth, dtype=float)) % (2 * np.pi)
+    d = np.abs(float_array(pred, "pred") - float_array(truth, "truth")) % (2 * np.pi)
     return np.minimum(d, 2 * np.pi - d)
 
 
@@ -33,8 +33,7 @@ def moebius_error_scaled(pred_params, truth_params):
     Collapsed shapes (both eps near 0) score near zero regardless of angles,
     matching the rotation invariance of circular sources.
     """
-    return np.linalg.norm(gamma_g(pred_params)[..., 5:] - gamma_g(truth_params)[..., 5:],
-                          axis=-1)
+    return np.linalg.norm(scaled_strip(pred_params) - scaled_strip(truth_params), axis=-1)
 
 
 def _sorted(values):
@@ -94,7 +93,7 @@ def pca_fit(x, k=3) -> PcaModel:
     cheap and exact. Axis signs follow a fixed convention: the entry of
     largest magnitude in each axis is made positive.
     """
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "samples")
     if x.ndim != 2:
         raise ValidationError(f"expected a 2-D sample matrix, got shape {x.shape}")
     n, d = x.shape
@@ -123,8 +122,7 @@ def pca_fit(x, k=3) -> PcaModel:
 
 def pca_project(model: PcaModel, v):
     """Coordinates of v along the principal axes; accepts (d,) or (n, d)."""
-    v = np.asarray(v, dtype=float)
-    return (v - model.mean) @ model.axes.T
+    return (float_array(v, "samples") - model.mean) @ model.axes.T
 
 
 @dataclass
@@ -198,10 +196,10 @@ def evaluation_scatter(task, truth, pred, inputs, report):
         return [(f"{n}_{tag}_deg" if n in spec.angles else f"{n}_{tag}", col)
                 for n, col in zip(spec.free, _free_columns(spec, arr).T)]
 
-    columns = params("true", np.asarray(truth, dtype=float))
+    columns = params("true", float_array(truth, "truth"))
     if not spec.visibilities:
-        columns += zip(spec.data_header, np.asarray(inputs, dtype=float).T)
-    columns += params("pred", np.asarray(pred, dtype=float))
+        columns += zip(spec.data_header, float_array(inputs, "inputs").T)
+    columns += params("pred", float_array(pred, "pred"))
     columns += [(m.header, report.per_param[m.name]) for m in spec.metrics]
     header = [h for h, _ in columns]
     rows = np.column_stack([np.degrees(c) if h.endswith("_deg") else c for h, c in columns])

@@ -38,14 +38,18 @@ from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       visibilities_closed_form_batch)
 from .pool import ordered_map
 from .serialization import (check_fields, config_from_dict, config_hash, config_to_dict,
-                            is_finite_number, make_dir, read_array_bin, read_json,
-                            write_array_bin, write_json)
+                            float_array, is_finite_number, make_dir, read_array_bin,
+                            read_json, write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
 
 PARAM_ORDER = LOOP_PARAMS
 TRAIN, VAL, TEST = 0, 1, 2
+
+#: Rows per pass of ``apply_standardization`` and ``mlp.forward``; up to this
+#: many rows, ``mlp.forward`` gives the same bytes as one unchunked pass.
+EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -279,8 +283,27 @@ def fit_standardization(ds: Dataset, diag: Diagnostics | None = None) -> Standar
     return StandardizationStats(mean=mean, std=std)
 
 
-def apply_standardization(stats: StandardizationStats, x):
-    return (np.asarray(x, dtype=float) - stats.mean) / stats.std
+def apply_standardization(stats: StandardizationStats, x, dtype=np.float64):
+    """(x - mean) / std of (M,) or (rows, M) inputs, stored as ``dtype``.
+
+    Computed in float64, ``EVAL_CHUNK`` rows at a time through one chunk
+    buffer, each chunk rounded once into the ``dtype`` result: the bits of the
+    float64 result cast to ``dtype``, with no float64 array of the result's
+    size between. Input that is not numeric, is ragged or complex, or is not
+    M wide raises ``ValidationError``.
+    """
+    x = float_array(x, "inputs")
+    width = stats.mean.shape[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValidationError(f"inputs must be ({width},) or (rows, {width}), "
+                              f"got shape {x.shape}")
+    out = np.empty(x.shape, dtype)
+    rows, out_rows = x.reshape(-1, width), out.reshape(-1, width)
+    buf = np.empty((min(len(rows), EVAL_CHUNK), width))
+    for lo in range(0, len(rows), EVAL_CHUNK):
+        chunk = np.subtract(rows[lo:lo + EVAL_CHUNK], stats.mean, out=buf[:len(rows) - lo])
+        np.divide(chunk, stats.std, out=out_rows[lo:lo + EVAL_CHUNK])
+    return out
 
 
 def save_dataset(ds: Dataset, path):

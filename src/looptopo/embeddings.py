@@ -115,11 +115,17 @@ def gamma_g(theta):
     Accepts (..., 7) arrays, returns (..., 8).
     """
     a = float_array(theta, "7-parameter vectors")
+    strip = scaled_strip(a)
+    return np.concatenate([a[..., :5], strip], axis=-1)
+
+
+def scaled_strip(theta):
+    """eps * gamma(alpha, c), the last three components of ``gamma_g``, of
+    (..., 7) parameter vectors; returns (..., 3)."""
+    a = float_array(theta, "7-parameter vectors")
     if a.shape[-1:] != (7,):
         raise ValidationError(f"expected 7-parameter vectors, got shape {a.shape}")
-    eps = a[..., 4]
-    t = eps[..., None] * gamma(a[..., 5], a[..., 6])
-    return np.concatenate([a[..., :5], t], axis=-1)
+    return a[..., 4:5] * gamma(a[..., 5], a[..., 6])
 
 
 def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
@@ -141,15 +147,14 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
     flux_floor, sigma_floor, eps_floor = floors
 
     flat = p.reshape(-1, 8)
-    s = flat[:, :5].copy()
-    t = flat[:, 5:8]
-    eps = s[:, 4]
+    out = np.zeros((len(flat), 7))  # the result, filled column block by block
+    s, alpha, c = out[:, :5], out[:, 5], out[:, 6]
+    s[...] = flat[:, :5]
+    eps = flat[:, 4]
 
-    alpha = np.zeros(len(flat))
-    c = np.zeros(len(flat))
     live = eps >= EPS_TOL
     if np.any(live):
-        alpha[live], c[live] = gamma_inv(t[live] / eps[live, None], diag=diag)
+        alpha[live], c[live] = gamma_inv(flat[live, 5:8] / eps[live, None], diag=diag)
 
     # flux and sigma must end up strictly positive, eps nonnegative
     for col, floor, name, strict in ((2, flux_floor, "flux", True),
@@ -162,7 +167,6 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
             if diag is not None:
                 diag.warn("clamped", f"non-positive {name} raised to {floor}", n_bad)
 
-    out = np.concatenate([s, alpha[:, None], c[:, None]], axis=1)
     return out.reshape(p.shape[:-1] + (7,))
 
 

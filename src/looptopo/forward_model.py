@@ -256,7 +256,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
     returns the single circular component. Returns (centers, weights): the
     (n, 2) sky-frame centers and the (n,) weights.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = float_array(theta, "parameters")
     if theta.shape != (7,):
         raise ValidationError(f"expected 7 parameters, got shape {theta.shape}")
     validate_param_rows(theta[None])
@@ -373,7 +373,7 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     ``_batch_x_at_arc`` solves each entry on its own, and all else is elementwise
     or a sum within the row.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = float_array(thetas, "parameters")
     if thetas.ndim != 2 or thetas.shape[1] != 7:
         raise ValidationError(f"expected (S, 7) parameters, got {thetas.shape}")
     validate_param_rows(thetas)
@@ -538,7 +538,7 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
 
 def reals_to_vis(x) -> np.ndarray:
     """Real-coded visibilities (re_1..re_n, im_1..im_n) -> the n complex ones."""
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "real-coded visibilities")
     n = x.shape[-1]
     if n % 2:
         raise ValidationError(f"real-coded visibilities must have even length, got {n}")
@@ -558,14 +558,11 @@ def add_noise(x, flux, normals) -> np.ndarray:
     would broadcast along the data columns. The result has the bytes of
     ``x + rng.normal(0, 2 sqrt(flux))`` from the generator that drew ``normals``.
     """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        raise ValidationError("add_noise takes real-coded visibilities "
-                              "(re_1..re_n, im_1..im_n)")
+    x = float_array(x, "real-coded visibilities (re_1..re_n, im_1..im_n)")
     if not (isinstance(normals, np.ndarray) and normals.dtype == np.float64
             and normals.shape == x.shape):
         raise ValidationError(f"normals must be a float64 array of shape {x.shape}")
-    flux = np.asarray(flux, dtype=float)
+    flux = float_array(flux, "flux")
     if flux.ndim and flux.shape != x.shape[:-1] + (1,):
         raise ValidationError(
             f"flux must be a scalar or a column of shape {x.shape[:-1] + (1,)}, "

@@ -10,13 +10,17 @@ Every pass runs one kernel, ``_forward_into``, which writes each layer into
 the preallocated buffers of a ``Workspace`` with ``np.matmul(..., out=)``
 and in-place bias, ReLU and dropout. ``forward`` runs it without dropout,
 streaming its rows through one workspace in chunks of ``EVAL_CHUNK`` rows.
-``loss_and_grad`` runs it with the dropout masks it is given and writes the
-backward pass into the workspace too. ``train`` draws each batch's masks
-from the epoch's generator (inverted dropout: a mask scales the input of a
-hidden layer by 1/keep where kept, so ``forward`` needs no rescaling) and
-keeps one workspace for the whole fit, whose masks and gradients the next
-batch overwrites. A unit is kept where its 32-bit random word lies below
-round(keep * 2**32), clamped to 2**32 - 1.
+That eval workspace holds two activation buffers whatever the depth: layer i
+writes into buffer i % 2 while it reads layer i - 1 from the other, as no
+activation is kept for a backward pass. ``loss_and_grad`` runs the kernel
+with the dropout masks it is given, on a workspace with one activation
+buffer per layer, and writes the backward pass into it too. ``train``
+draws each batch's masks from the epoch's generator (inverted dropout: a
+mask scales the input of a hidden layer by 1/keep where kept, so
+``forward`` needs no rescaling) and keeps one workspace for the whole fit,
+whose masks and gradients the next batch overwrites. A unit is kept where
+its 32-bit random word lies below round(keep * 2**32), clamped to
+2**32 - 1.
 
 A checkpoint is one file: magic, version, JSON header, the arrays back to
 back, and a sha256 trailer. ``load_checkpoint`` reads it once into one
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import StandardizationStats
+from .data import EVAL_CHUNK, StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, ParseError,
                      TrainingDivergedError, ValidationError)
 from .serialization import (check_fields, config_from_dict, config_to_dict, decode_array,
@@ -42,10 +46,6 @@ CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
 
 DTYPES = {"float32": np.float32, "float64": np.float64}
-
-#: Rows per pass of ``forward``; up to this many rows give the same
-#: bytes as one unchunked pass.
-EVAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,16 @@ class Workspace:
     ``x`` holds the (dropped-out) network input, ``acts[i]`` the post-ReLU
     output of hidden layer i, dropped out in place when it feeds a masked
     layer, and ``out`` the network output, which the backward pass turns
-    into the loss gradient at the output. With ``backward``, ``masks`` (None
-    without dropout), ``deltas[i]`` (the loss gradient at the output of
-    hidden layer i), ``grads`` (shaped like the model's parameters) and a
-    column of ones for the bias gradients are kept as well. A pass of fewer
-    rows uses the leading rows of each buffer.
+    into the loss gradient at the output. Without ``backward`` (an eval
+    workspace) the activations live in two buffers of ``rows`` times the
+    widest layer: ``acts[i]`` is a (rows, width) view of buffer i % 2, so
+    each layer reads the one before from the other buffer, and only the
+    output of the last hidden layer survives a pass. With ``backward``, each
+    layer has a buffer of its own, and ``masks`` (None without dropout),
+    ``deltas[i]`` (the loss gradient at the output of hidden layer i),
+    ``grads`` (shaped like the model's parameters) and a column of ones for
+    the bias gradients are kept as well. A pass of fewer rows uses the
+    leading rows of each buffer.
     """
 
     def __init__(self, model: "MlpModel", rows: int, backward=False):
@@ -128,11 +133,13 @@ class Workspace:
         widths = list(cfg.hidden_widths)
         self.rows = rows
         self.x = np.empty((rows, cfg.input_dim), dt)
-        self.acts = [np.empty((rows, w), dt) for w in widths]
         self.out = np.empty((rows, cfg.output_dim), dt)
         self.masks = None
         if not backward:
+            pair = [np.empty(rows * max(widths), dt) for _ in range(min(2, len(widths)))]
+            self.acts = [pair[i % 2][:rows * w].reshape(rows, w) for i, w in enumerate(widths)]
             return
+        self.acts = [np.empty((rows, w), dt) for w in widths]
         if cfg.dropout_rate > 0.0:
             self.masks = [np.empty((rows, d), dt) for d in [cfg.input_dim, *widths[:-1]]]
         self.deltas = [np.empty((rows, w), dt) for w in widths]

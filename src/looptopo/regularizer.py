@@ -18,7 +18,7 @@ from .data import (TRAIN, VAL, Dataset,
                    internal_intervals)
 from .diagnostics import Diagnostics
 from .errors import ValidationError
-from .mlp import MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
+from .mlp import DTYPES, MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
 from .serialization import config_hash, float_array, is_finite_number
 from .tasks import KINDS, TASKS, get_task
 
@@ -32,7 +32,7 @@ def output_dim(kind, task):
 
 def build_targets(kind, task, params):
     """Training targets in natural units for an (S, P) parameter array."""
-    params = np.asarray(params, dtype=float)
+    params = float_array(params, "parameters")
     spec = get_task(task)
     if kind == "naive":
         return params[:, spec.free_columns]
@@ -59,7 +59,12 @@ def _apply_transform(tf, y):
 
 
 def _invert_transform(tf, y):
-    return y if tf is None else y * np.asarray(tf["scale"]) + np.asarray(tf["offset"])
+    """Undo ``_apply_transform`` on the float64 array ``y``, in place: the two
+    roundings of ``y * scale + offset``."""
+    if tf is not None:
+        y *= np.asarray(tf["scale"])
+        y += np.asarray(tf["offset"])
+    return y
 
 
 def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None):
@@ -95,10 +100,11 @@ def _train_kind(kind, dataset: Dataset, nn_cfg, train_cfg, diag=None, init=None)
                       "intervals": {k: list(v) for k, v in intervals.items()},
                       "dataset_config_hash": config_hash(dataset.config.to_dict()),
                       "train_config": train_cfg.to_dict()}
+    dt = DTYPES[nn_cfg.dtype]  # train then converts neither input
     model, history = train(model,
-                           apply_standardization(stats, dataset.inputs(TRAIN)),
+                           apply_standardization(stats, dataset.inputs(TRAIN), dt),
                            _apply_transform(tf, y_train),
-                           apply_standardization(stats, dataset.inputs(VAL)),
+                           apply_standardization(stats, dataset.inputs(VAL), dt),
                            _apply_transform(tf, y_val),
                            train_cfg)
     return model, history
@@ -169,6 +175,10 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
 
     Accepts (M,) or (B, M); returns (P,) or (B, P) in internal units.
     Non-finite inputs, and inputs whose network output overflows, are rejected.
+
+    The rows are standardized straight into the network's dtype, and the
+    target transform is inverted in place on the network's output, once
+    that is float64.
     """
     kind, task = check_model_consistency(model)
     v = float_array(v, "input")
@@ -177,8 +187,8 @@ def predict(model: MlpModel, v, diag: Diagnostics | None = None):
     single = v.ndim == 1
     batch = v[None, :] if single else v
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(forward(model, apply_standardization(model.stats, batch)),
-                         dtype=float)
+        out = np.asarray(forward(model, apply_standardization(
+            model.stats, batch, DTYPES[model.config.dtype])), dtype=float)
     bad = ~np.isfinite(out).all(axis=1)
     if bad.any():
         raise ValidationError(f"row {int(np.argmax(bad))}: input too large for the model")

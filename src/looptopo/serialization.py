@@ -72,12 +72,16 @@ def is_integer(v) -> bool:
 
 
 def float_array(x, what):
-    """``np.asarray(x, dtype=float)``; input that is not numeric, or is ragged,
-    raises ``ValidationError`` naming ``what``."""
+    """``np.asarray(x, dtype=float)``; input that is not numeric, is ragged or
+    is complex raises ``ValidationError`` naming ``what``. numpy would drop
+    the imaginary part of complex input with only a warning."""
     try:
-        return np.asarray(x, dtype=float)
+        a = np.asarray(x)
+        if a.dtype.kind != "c":
+            return a.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric, got {x!r:.60}") from None
+    raise ValidationError(f"{what} must be real, got complex values {x!r:.60}")
 
 
 def is_finite_number(v) -> bool:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from looptopo.analysis import (boxplot_stats, circular_error,
-                               evaluate_predictions, export_scatter,
+                               evaluate_predictions, evaluation_scatter, export_scatter,
                                moebius_error_scaled,
                                nearest_rank_quantile, normalized_abs_error,
                                pca_fit, pca_project, quantile_summary)
@@ -246,3 +247,32 @@ class TestScatterExport:
         export_scatter(rows, self.HEADER, p1)
         export_scatter(rows, self.HEADER, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _scatter(truth=np.zeros((2, 1)), pred=np.zeros((2, 1)), inputs=np.ones((2, 2))):
+    report = evaluate_predictions("circle", "embedded", np.zeros((2, 1)), np.zeros((2, 1)),
+                                  {"theta": (0.0, 2 * PI)})
+    return evaluation_scatter("circle", truth, pred, inputs, report)
+
+
+#: Each public entry point, with one argument taken from the test.
+ENTRIES = {"normalized_abs_error pred": lambda b: normalized_abs_error(b, 0.0, (0, 1)),
+           "normalized_abs_error truth": lambda b: normalized_abs_error(0.0, b, (0, 1)),
+           "circular_error pred": lambda b: circular_error(b, 0.0),
+           "circular_error truth": lambda b: circular_error(0.0, b),
+           "pca_fit": lambda b: pca_fit(b, k=1),
+           "pca_project": lambda b: pca_project(pca_fit(np.eye(2), k=1), b),
+           "evaluation_scatter truth": lambda b: _scatter(truth=b),
+           "evaluation_scatter pred": lambda b: _scatter(pred=b),
+           "evaluation_scatter inputs": lambda b: _scatter(inputs=b)}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_input_that_is_not_real_numbers_is_a_validation_error(entry):
+    _scatter()  # the valid call the cases below break
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad, rule in (([["a", "b"]], "numeric"), ([[1.0, 2.0], [1.0]], "numeric"),
+                          (np.ones((2, 2)) + 1j, "real"), ([[1.0, 2j]], "real")):
+            with pytest.raises(ValidationError, match=f"must be {rule}"):
+                ENTRIES[entry](bad)

@@ -4,14 +4,15 @@ import math
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from looptopo import forward_model, pool
-from looptopo.data import (TEST, TRAIN, VAL, SamplingConfig, Dataset,
-                           apply_standardization, fit_standardization,
+from looptopo.data import (EVAL_CHUNK, TEST, TRAIN, VAL, SamplingConfig, Dataset,
+                           StandardizationStats, apply_standardization, fit_standardization,
                            generate_dataset, internal_intervals, load_dataset,
                            sample_params_external, save_dataset, to_internal_params)
 from looptopo.diagnostics import Diagnostics
@@ -237,6 +238,34 @@ class TestStandardization:
         stats = fit_standardization(ds)
         full_mean = ds.noisy.mean(axis=0)
         assert not np.allclose(stats.mean, full_mean, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [0, 1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2500])
+    def test_chunks_store_the_float64_result_in_the_dtype_asked(self, rows):
+        rng = np.random.default_rng(rows)
+        stats = StandardizationStats(mean=rng.normal(size=60), std=rng.uniform(0.1, 3, 60))
+        x = rng.normal(size=(rows, 60)) * 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = apply_standardization(stats, x)
+            narrow = apply_standardization(stats, x, np.float32)
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        np.testing.assert_array_equal(wide, (x - stats.mean) / stats.std)  # the old bits
+        np.testing.assert_array_equal(narrow, wide.astype(np.float32))
+        if rows:
+            np.testing.assert_array_equal(apply_standardization(stats, x[-1], np.float32),
+                                          narrow[-1])
+
+    def test_input_that_is_not_real_rows_of_the_width_refused(self):
+        stats = StandardizationStats(mean=np.zeros(3), std=np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad, rule in (([[1.0, 2.0, 3.0], [1.0]], "must be numeric"),
+                              ([["a"] * 3], "must be numeric"),
+                              (np.ones((2, 3)) + 1j, "must be real"),
+                              (np.ones((2, 4)), r"must be \(3,\) or \(rows, 3\)"),
+                              (np.ones((1, 2, 3)), r"must be \(3,\) or \(rows, 3\)")):
+                with pytest.raises(ValidationError, match=rule):
+                    apply_standardization(stats, bad, np.float32)
 
 
 class TestDiskFormat:

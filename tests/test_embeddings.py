@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,12 @@ def test_scalar_input_is_a_validation_error(inverse):
     for bad in (["a"] * 8, [[1.0] * 8, [1.0] * 7]):
         with pytest.raises(ValidationError, match="must be numeric"):
             inverse(bad)
+    # nor is complex input answered as its real part, with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.ones(8) + 5j, [1.0] * 7 + [5j]):
+            with pytest.raises(ValidationError, match="must be real"):
+                inverse(bad)
 
 
 class TestTypes:

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -699,3 +700,30 @@ class TestRealCoding:
     def test_odd_length_rejected(self):
         with pytest.raises(ValidationError):
             reals_to_vis(np.zeros(61))
+
+
+#: Inputs that numpy would refuse with its own ValueError or TypeError, or take
+#: as their real part with only a warning, keyed by the rule they break.
+NOT_REAL_ROWS = {"numeric": (["a"] * 7, [[1.0, 2.0], [1.0]]),
+                 "real": (np.array([0, 0, 1000, 8, 5, 0.3, 0.01]) + 1j,
+                          [0, 0, 1000, 8, 5, 0.3, 0.01j])}
+ONE_LOOP = {"build_loop_components": build_loop_components,
+            "visibilities_closed_form": lambda t: visibilities_closed_form(t, FREQS),
+            "eval_image": lambda t: eval_image(t, GridSpec.centered(20.0, 8)),
+            "visibilities_quadrature_oracle":
+                lambda t: visibilities_quadrature_oracle(t, FREQS, GridSpec.centered(20.0, 8)),
+            "visibilities_closed_form_batch":
+                lambda t: visibilities_closed_form_batch([t], FREQS),
+            "reals_to_vis": reals_to_vis,
+            "add_noise": lambda x: add_noise(x, 1000.0, np.zeros(7)),
+            "add_noise flux": lambda f: add_noise(np.zeros(7), f, np.zeros(7))}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_LOOP))
+@pytest.mark.parametrize("rule", sorted(NOT_REAL_ROWS))
+def test_input_that_is_not_real_numbers_is_a_validation_error(entry, rule):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in NOT_REAL_ROWS[rule]:
+            with pytest.raises(ValidationError, match=f"must be {rule}"):
+                ONE_LOOP[entry](bad)

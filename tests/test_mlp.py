@@ -175,11 +175,13 @@ class TestForward:
 
 class TestKernel:
     @settings(max_examples=60, deadline=None)
-    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
            dims=st.tuples(st.integers(1, 12), st.integers(1, 8)),
            rows=st.integers(1, 3000), dtype=st.sampled_from(["float32", "float64"]),
            seed=st.integers(0, 2 ** 16))
     @example(widths=[7, 5], dims=(3, 2), rows=2 * EVAL_CHUNK + 1, dtype="float32", seed=1)
+    @example(widths=[9, 40, 3, 25, 1, 12], dims=(5, 3), rows=EVAL_CHUNK + 7,
+             dtype="float32", seed=2)  # alternating views of unequal widths
     def test_chunked_eval_matches_unchunked_reference(self, widths, dims, rows, dtype, seed):
         m = init_mlp(MlpConfig(input_dim=dims[0], hidden_widths=tuple(widths),
                                output_dim=dims[1], seed=seed, dtype=dtype))
@@ -196,6 +198,21 @@ class TestKernel:
             eps = np.finfo(ref.dtype).eps
             np.testing.assert_allclose(got, ref, rtol=64 * eps,
                                        atol=64 * eps * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("widths", [(5,), (8, 3), (4, 16, 2), (30, 7, 30, 1, 12, 9)])
+    def test_eval_workspace_holds_two_activation_buffers(self, widths):
+        m = init_mlp(MlpConfig(input_dim=6, hidden_widths=widths, output_dim=2))
+        ws = Workspace(m, 10)
+        assert [a.shape for a in ws.acts] == [(10, w) for w in widths]
+        for i, a in enumerate(ws.acts):
+            for j, b in enumerate(ws.acts):
+                assert np.shares_memory(a, b) == (i % 2 == j % 2)
+        buffers = {a.base.ctypes.data: a.base.nbytes for a in ws.acts}
+        assert list(buffers.values()) == [10 * max(widths) * 4] * min(2, len(widths))
+        # a backward pass reads every layer's activation: one buffer each
+        train_ws = Workspace(m, 10, backward=True)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(train_ws.acts)
+                       for b in train_ws.acts[i + 1:])
 
     def test_reused_workspace_matches_fresh_calls(self):
         m = init_mlp(MlpConfig(input_dim=12, hidden_widths=(32, 24, 16), output_dim=5,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,15 @@ class TestTargets:
         embedded = build_targets("embedded", "complete", ds.params)
         np.testing.assert_allclose(embedded, gamma_g(ds.params))
         assert embedded.shape == (ds.n_samples, 8)
+
+    @pytest.mark.parametrize("kind", ["naive", "embedded"])
+    def test_parameters_that_are_not_real_numbers_refused(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad, rule in (([[1.0] * 7, [1.0]], "numeric"), ([["a"] * 7], "numeric"),
+                              (np.ones((2, 7)) + 1j, "real")):
+                with pytest.raises(ValidationError, match=f"parameters must be {rule}"):
+                    build_targets(kind, "complete", bad)
 
 
 class TestTrainedModels:
@@ -190,6 +200,12 @@ class TestPredictTotality:
         for bad in (["a"] * 60, [[1.0] * 60, [1.0] * 59]):
             with pytest.raises(ValidationError, match="input must be numeric"):
                 predict(model, bad)
+        # nor answered as the real part of complex rows, with only a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (row + 5j, ds.inputs(TEST)[:3] + 0j, [*row[:59], 1j]):
+                with pytest.raises(ValidationError, match="input must be real"):
+                    predict(model, bad)
 
     @pytest.mark.parametrize("kind", ["naive", "embedded"])
     def test_input_too_large_for_the_network_rejected(self, kind):
@@ -208,6 +224,28 @@ class TestPredictTotality:
                 with pytest.raises(ValidationError, match="row 0: input too large"):
                     predict(model, x[row])
                 assert np.all(np.isfinite(predict(model, np.delete(x, row, axis=0))))
+
+
+class TestPredictMemory:
+    def test_batch_predict_allocates_little_beyond_its_output(self):
+        # a 6x256 float32 net on 20k rows: the rows standardized straight into
+        # float32 (240 B a row), two activation buffers and the outputs; a
+        # float64 standardized copy alone would be 480 B a row
+        ds = tiny_dataset("complete")
+        model, _ = train_embedded(
+            ds, nn_cfg=MlpConfig(input_dim=60, hidden_widths=(256,) * 6, output_dim=8),
+            train_cfg=TrainConfig(epochs=1, batch_size=64, seed=1))
+        rows = 20000
+        x = model.stats.mean + model.stats.std * np.random.default_rng(0).normal(size=(rows, 60))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, 7) and np.all(np.isfinite(out))
+        assert (peak - base - out.nbytes) / rows < 450
 
 
 class TestConsistency:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from looptopo.errors import ParseError, ValidationError
 from looptopo.forward_model import FrequencyConfig, GridSpec, LoopBuildConfig
 from looptopo.mlp import MlpConfig, TrainConfig
 from looptopo.serialization import (config_from_dict, config_hash, config_to_dict,
-                                    format_csv, parse_csv)
+                                    float_array, format_csv, parse_csv)
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
@@ -311,3 +312,20 @@ def test_broken_rule_refused_when_built_and_when_read(case):
     with pytest.raises(ValidationError) as read:
         config_from_dict(cls, fields)
     assert str(read.value) == str(built.value)
+
+
+@pytest.mark.parametrize("bad,rule", [
+    (np.ones(8) + 5j, "must be real"), (np.ones(3, np.complex64), "must be real"),
+    (5j, "must be real"), ([1.0, 2j], "must be real"),
+    ([[1.0, 2.0], [1.0]], "must be numeric"), (["a", "b"], "must be numeric"),
+    (np.array([1.0, 2j], dtype=object), "must be numeric")])
+def test_float_array_refuses_what_numpy_would_convert_lossily_or_not_at_all(bad, rule):
+    # numpy drops an imaginary part with only a ComplexWarning: made an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"rows {rule}"):
+            float_array(bad, "rows")
+        for good in (np.arange(3), [1, 2.5], np.float32(2.5), np.ones(2, bool)):
+            assert float_array(good, "rows").dtype == np.float64
+        x = np.ones((2, 3))
+        assert float_array(x, "rows") is x
