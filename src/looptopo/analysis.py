@@ -1,4 +1,11 @@
-"""Evaluation metrics, percentile statistics, PCA projection, CSV exports."""
+"""Evaluation metrics, percentile statistics, PCA projection, CSV exports.
+
+The paper's claim lives at the seam: the point where a task's angle meets its
+own identification, theta at 0 ~ 2 pi on the circle and alpha at 0 ~ pi on the
+Moebius strip. There a naive operator, which regresses the angle itself, must
+break, and an embedded one need not. ``seam_distance`` is the one definition of
+how near a row lies to it.
+"""
 
 from dataclasses import dataclass, field
 
@@ -151,8 +158,24 @@ _ERRORS = {"raw": lambda p, t, iv: np.abs(p - t),
 
 
 def _free_columns(spec, arr):
-    """The columns of the task's free parameters: the last ones of arr."""
+    """The columns of the task's free parameters: the last ones of the rows arr."""
+    if arr.ndim != 2 or arr.shape[1] < len(spec.free):
+        raise ValidationError(f"expected rows of at least the {len(spec.free)} free "
+                              f"parameters, got shape {arr.shape}")
     return arr[:, arr.shape[1] - len(spec.free):]
+
+
+def seam_distance(task, params):
+    """Each row's angular distance in radians to the task's seam, in [0, period / 2]:
+    the angle is the one in ``Task.angles``, its period the length of its interval
+    (2 pi for theta, pi for alpha). Rows are as ``evaluate_predictions`` takes
+    them; collapsed complete rows (eps = 0, alpha = 0) read 0."""
+    spec = get_task(task)
+    (angle,) = spec.angles
+    lo, hi = np.radians(spec.intervals[angle])
+    col = _free_columns(spec, float_array(params, "params"))[:, spec.free.index(angle)]
+    d = (col - lo) % (hi - lo)
+    return np.minimum(d, hi - lo - d)
 
 
 def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
@@ -165,13 +188,10 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     truth, pred = float_array(truth, "truth"), float_array(pred, "pred")
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
-    if truth.ndim != 2 or truth.shape[1] < len(spec.free):
-        raise ValidationError(f"expected rows of at least the {len(spec.free)} free "
-                              f"parameters, got shape {truth.shape}")
+    truth, pred = _free_columns(spec, truth), _free_columns(spec, pred)
     if not truth.size:
         raise ValidationError("no rows to evaluate")
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])
-    truth, pred = _free_columns(spec, truth), _free_columns(spec, pred)
     for m in spec.metrics:
         p, t = pred, truth
         if m.param is not None:

@@ -50,6 +50,9 @@ TRAIN, VAL, TEST = 0, 1, 2
 #: Rows per pass of ``apply_standardization`` and ``mlp.forward``; up to this
 #: many rows, ``mlp.forward`` gives the same bytes as one unchunked pass.
 EVAL_CHUNK = 1024
+#: The most samples a dataset may hold: the most float64 values one numpy array
+#: can hold. A larger size is refused by the config, not by numpy's draw.
+MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,9 @@ class SamplingConfig:
         task = get_task(self.scenario)
         if self.total < 1:
             raise ValidationError("dataset must contain at least one sample")
+        if self.total > MAX_SAMPLES:
+            raise ValidationError(f"split sizes {self.n_train}/{self.n_val}/{self.n_test} "
+                                  f"exceed the {MAX_SAMPLES} samples a dataset may hold")
         if not (0.0 <= self.circular_fraction < 1.0):
             raise ValidationError(
                 f"circular_fraction must be in [0, 1), got {self.circular_fraction}")

@@ -481,21 +481,29 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     """Pixel values of the loop on a grid; array shape (ny, nx).
 
     img[i, j] = phi(xs[j], ys[i]). In fwhm mode the Riemann sum times the
-    pixel area approximates the flux.
+    pixel area approximates the flux. A row whose exponent denominator 2 var
+    or pixel values leave floating-point range (at a variance of 0, say, or a
+    peak density mass / (2 pi var) past the float maximum) raises
+    ``ValidationError``; the batch kernel takes its envelope from the variance
+    alone and needs neither.
     """
     centers, weights = build_loop_components(theta, cfg)
     _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
     xs, ys = grid.xs(), grid.ys()
     img = np.zeros((grid.ny, grid.nx))
-    mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
-    two_var, norm = 2.0 * var, mass / (2.0 * math.pi * var)
     # a squared distance that overflows is a pixel the component does not reach:
-    # its exponent is -inf and its value the 0 it is
-    with np.errstate(over="ignore"):
+    # its exponent is -inf and its value the 0 it is; any other value out of
+    # range leaves a pixel infinite or NaN, and the row is refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
+        two_var, norm = 2.0 * var, mass / (2.0 * math.pi * var)
         for (cx, cy), w in zip(centers, weights):
             dx2 = (xs - cx) ** 2
             dy2 = (ys - cy) ** 2
             img += (w * norm) * np.exp(-(dy2[:, None] + dx2[None, :]) / two_var)
+    if not (two_var < np.inf and np.isfinite(img).all()):
+        raise ValidationError("row 0: flux and sigma put the component density out of "
+                              "floating-point range")
     return img
 
 
@@ -507,13 +515,20 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     Independent of the closed form: integrates eval_image numerically. The
     default grid has 1024 x 1024 points over the components' bounding box
     padded by 10 sigma. The separable phase exp(2 pi i (xu + yv)) factorizes,
-    so each frequency costs one bilinear form in the image.
+    so each frequency costs one bilinear form in the image. A row that
+    ``eval_image`` refuses, whose default grid has no finite positive extent,
+    or whose phases or sums leave floating-point range raises ``ValidationError``.
     """
     centers, _ = build_loop_components(theta, cfg)
     _, _, _, sigma, _, _, _ = np.asarray(theta, dtype=float)
     if grid is None:
-        pad = 10.0 * sigma
-        lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            pad = 10.0 * sigma
+            lo, hi = centers.min(axis=0) - pad, centers.max(axis=0) + pad
+            extent = hi - lo
+        if not np.all((extent > 0.0) & (extent < np.inf)):
+            raise ValidationError("row 0: the loop's place and size put the default "
+                                  "quadrature grid out of floating-point range")
         grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), 1024, 1024)
     step = max(grid.dx, grid.dy)
     comp_std = fwhm_to_std(sigma)
@@ -529,10 +544,13 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     wy[0] = wy[-1] = 0.5 * grid.dy
 
     out = np.empty(len(freqs), dtype=complex)
-    for j, (u, v) in enumerate(freqs.uv):
-        ax = wx * np.exp(2j * math.pi * xs * u)
-        ay = wy * np.exp(2j * math.pi * ys * v)
-        out[j] = ay @ img @ ax
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for j, (u, v) in enumerate(freqs.uv):
+            ax = wx * np.exp(2j * math.pi * xs * u)
+            ay = wy * np.exp(2j * math.pi * ys * v)
+            out[j] = ay @ img @ ax
+    if not np.isfinite(out).all():
+        raise ValidationError("row 0: a quadrature phase or sum is out of floating-point range")
     return out
 
 

@@ -6,6 +6,7 @@ the whole module finishes in 255-280 s on 2 cores.
 """
 
 
+import json
 import math
 import os
 import time
@@ -13,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from looptopo.analysis import (circular_error, nearest_rank_quantile,
-                               normalized_abs_error, pca_fit)
+from looptopo.analysis import (nearest_rank_quantile, normalized_abs_error, pca_fit,
+                               seam_distance)
 from looptopo.cli import main as cli_main
 from looptopo.data import (TEST, SamplingConfig, generate_dataset,
                            internal_intervals)
@@ -166,32 +167,19 @@ def test_gradient_correctness():
            f"max relative deviation {worst:.2e} (tol 1e-5)", started)
 
 
-def test_circle_demo():
+def test_circle_demo(tmp_path):
     # the naive regressor must break at the seam while the embedded one
     # stays accurate everywhere
     started = time.time()
-    cfg = SamplingConfig.default("circle", 1301, n_train=5000, n_val=1000,
-                                 n_test=1000)
-    ds = generate_dataset(cfg)
-    train_cfg = TrainConfig(epochs=60, batch_size=64, learning_rate=3e-3,
-                            patience=0, seed=1301)
-    models = {}
-    for kind, out_dim in (("naive", 1), ("embedded", 2)):
-        nn_cfg = MlpConfig(input_dim=2, hidden_widths=(64, 64, 64),
-                           output_dim=out_dim, seed=1301)
-        trainer = train_naive if kind == "naive" else train_embedded
-        models[kind], _ = trainer(ds, nn_cfg=nn_cfg, train_cfg=train_cfg)
-
-    band = np.concatenate([np.linspace(1e-6, 0.05, 250, endpoint=False),
-                           2 * PI - np.linspace(1e-6, 0.05, 250, endpoint=False)])
-    band_pts = np.stack([np.cos(band), np.sin(band)], axis=1)
-    naive_band = predict(models["naive"], band_pts)[:, 0]
-    naive_max = float(np.max(np.abs(naive_band - band)))
-
-    sweep = np.linspace(0, 2 * PI, 2000, endpoint=False)
-    sweep_pts = np.stack([np.cos(sweep), np.sin(sweep)], axis=1)
-    embedded = predict(models["embedded"], sweep_pts)[:, 0]
-    embedded_mean = float(np.mean(circular_error(embedded, sweep)))
+    cfg = tmp_path / "demo.json"
+    cfg.write_text(json.dumps({
+        "seed": 1301, "dataset": {"n_train": 5000, "n_val": 1000, "n_test": 1000},
+        "nn": {"hidden_widths": [64, 64, 64]},
+        "train": {"epochs": 60, "batch_size": 64, "learning_rate": 3e-3, "patience": 0}}))
+    assert cli_main(["demo-circle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "seam_summary.json").read_text())
+    naive_max = summary["naive_seam_max_raw_error_rad"]
+    embedded_mean = summary["embedded_mean_circular_error_rad"]
 
     elapsed = time.time() - started
     ok = naive_max > PI / 2 and embedded_mean < 0.02 and elapsed < 300
@@ -228,8 +216,7 @@ def test_simple_scenario():
 
     q95_all = nearest_rank_quantile(moebius_distance(pred_emb, truth), 0.95)
 
-    alpha_deg = np.degrees(truth[:, 0])
-    band = (alpha_deg <= 2.0) | (alpha_deg >= 178.0)
+    band = seam_distance("simple", truth) <= np.radians(2.0)
     naive_band_max = float(np.max(np.abs(pred_nai[band][:, 0] - truth[band][:, 0])))
     emb_band_q95 = nearest_rank_quantile(moebius_distance(pred_emb[band], truth[band]),
                                          0.95)

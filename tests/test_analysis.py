@@ -3,14 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looptopo.analysis import (boxplot_stats, circular_error,
                                evaluate_predictions, evaluation_scatter, export_scatter,
                                moebius_error_scaled,
                                nearest_rank_quantile, normalized_abs_error,
-                               pca_fit, pca_project, quantile_summary)
+                               pca_fit, pca_project, quantile_summary, seam_distance)
+from looptopo.data import SamplingConfig, generate_dataset
 from looptopo.embeddings import moebius_distance
 from looptopo.errors import ValidationError
+from looptopo.tasks import TASKS
 
 PI = math.pi
 
@@ -70,6 +73,52 @@ class TestMoebiusError:
         b = np.array([0, 0, 1000, 8, 1.0, 2.1, -0.03])
         expected = moebius_distance((0.3, 0.01), (2.1, -0.03))
         assert abs(moebius_error_scaled(a, b) - expected) < 1e-12
+
+
+#: Each task's angle period in radians.
+PERIODS = {"circle": 2 * PI, "simple": PI, "complete": PI}
+
+
+def _rows(task, angles):
+    """Rows of the task's free parameters, zero but for its angle column."""
+    spec = TASKS[task]
+    rows = np.zeros((len(angles), len(spec.free)))
+    rows[:, spec.free.index(spec.angles[0])] = angles
+    return rows
+
+
+class TestSeamDistance:
+    def test_free_parameters_are_the_last_columns(self):
+        full = np.array([[0, 0, 1000, 8, 5, PI - 0.25, 0.01]])
+        assert seam_distance("simple", full) == seam_distance("simple", full[:, 5:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(task=st.sampled_from(sorted(TASKS)),
+           angles=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=20))
+    def test_nearest_seam_period_and_mirror(self, task, angles):
+        period, a = PERIODS[task], np.array(angles)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = seam_distance(task, _rows(task, a))
+            assert np.all((d >= 0.0) & (d <= period / 2))
+            np.testing.assert_allclose(d, np.abs(a - period * np.round(a / period)),
+                                       rtol=0, atol=1e-12)  # to the nearest seam
+            for same in (a + period, period - a):
+                np.testing.assert_allclose(seam_distance(task, _rows(task, same)), d,
+                                           rtol=0, atol=1e-12)
+            assert np.all(seam_distance(task, _rows(task, [0.0, period])) == 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_simple_band_is_the_alpha_degree_band(self, seed):
+        # the band test_simple_scenario took before it read seam_distance
+        ds = generate_dataset(SamplingConfig.default("simple", seed, n_train=300,
+                                                     n_val=0, n_test=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = seam_distance("simple", ds.params) <= np.radians(2.0)
+        alpha_deg = np.degrees(ds.params[:, 5])
+        np.testing.assert_array_equal(band, (alpha_deg <= 2.0) | (alpha_deg >= 178.0))
 
 
 class TestQuantiles:
@@ -261,6 +310,7 @@ ENTRIES = {"normalized_abs_error pred": lambda b: normalized_abs_error(b, 0.0, (
            "circular_error pred": lambda b: circular_error(b, 0.0),
            "circular_error truth": lambda b: circular_error(0.0, b),
            "pca_fit": lambda b: pca_fit(b, k=1),
+           "seam_distance": lambda b: seam_distance("simple", b),
            "pca_project": lambda b: pca_project(pca_fit(np.eye(2), k=1), b),
            "evaluation_scatter truth": lambda b: _scatter(truth=b),
            "evaluation_scatter pred": lambda b: _scatter(pred=b),

@@ -74,6 +74,15 @@ class TestGenDataset:
         assert run(["gen-dataset", "--config", cfg, "--out", tmp_path / "x"]) == 1
         assert "n_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-val", "--n-test"])
+    def test_split_size_past_numpy_is_an_error(self, tmp_path, capsys, flag):
+        # past numpy's maximum dimension: refused by the config, before any draw
+        assert run(["gen-dataset", "--seed", 0, "--scenario", "circle",
+                    flag, 99999999999999999999, "--out", tmp_path / "d"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: split sizes ") and err.count("\n") == 1
+        assert "99999999999999999999" in err and not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_history_written(self, workspace):
@@ -1024,6 +1033,15 @@ class TestVisForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["vis-forward", f"--theta={theta}", "--out", tmp_path / "v.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: row 0: ")
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("theta", ["0,0,1,1e-300,0,30,0.05", "0,0,1,1e308,0,30,0.05"])
+    def test_oracle_density_out_of_range_is_an_error(self, tmp_path, capsys, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["vis-forward", "--oracle", f"--theta={theta}",
+                        "--out", tmp_path / "v.csv"]) == 1
         assert capsys.readouterr().err.startswith("error: row 0: ")
         assert not (tmp_path / "v.csv").exists()
 

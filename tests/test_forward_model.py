@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -310,10 +311,13 @@ def _signed_or_zero(magnitude):
                                              magnitude))
 
 
+#: Magnitudes log-uniform from a subnormal up to the float maximum.
+ANY_MAGNITUDE = st.one_of(_log_uniform(-320, 308.25), st.just(sys.float_info.max))
+
+
 @st.composite
-def extreme_loops(draw):
+def extreme_loops(draw, spread=_log_uniform(-300, 308)):
     """One (7,) loop meeting the parameter rules, each value anywhere in float range."""
-    spread = _log_uniform(-300, 308)
     return [draw(_signed_or_zero(spread)), draw(_signed_or_zero(spread)), draw(spread),
             draw(spread), draw(st.one_of(st.just(0.0), spread)),
             draw(st.floats(allow_nan=False, allow_infinity=False)),
@@ -560,12 +564,18 @@ class TestQuadratureOracle:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_loop_far_off_an_explicit_grid_is_zero(self):
-        # the squared distances to the grid overflow; the default grid refuses the row
+        # the squared distances to the grid overflow
         theta = np.array([1e308, 0, 1000, 8, 5, 0.5, 0.05])
         vis = visibilities_quadrature_oracle(theta, FREQS, grid=GridSpec.centered(50, 16))
         assert np.all(vis == 0.0)
-        with pytest.raises(ValidationError, match="grid bounds must be increasing"):
-            visibilities_quadrature_oracle(theta, FREQS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [[1e308, 0, 1000, 8, 5, 0.5, 0.05],  # no extent left
+                                       [0, 0, 1, 1e308, 0, 30, 0.05]])  # 10 sigma overflows
+    def test_default_grid_out_of_range_is_refused(self, theta):
+        with pytest.raises(ValidationError, match="^row 0: the loop's place and size put "
+                                                  "the default quadrature grid out of"):
+            visibilities_quadrature_oracle(np.array(theta), FREQS)
 
     def test_verbatim_mode_consistency(self):
         # the audit variant changes the formula; both routes must track it
@@ -607,6 +617,68 @@ class TestEvalImage:
         i_a = eval_image(np.array([3, -7, 1000, 8, 5, 0.0, 0.05]), grid)
         i_b = eval_image(np.array([3, -7, 1000, 8, 5, PI, -0.05]), grid)
         assert np.max(np.abs(i_a - i_b)) < 1e-9
+
+
+IMAGE_GRID = GridSpec.centered(60.0, 16)
+ONE_LOOP_IMAGES = {
+    "eval_image": lambda theta, cfg: eval_image(theta, IMAGE_GRID, cfg),
+    "visibilities_quadrature_oracle":
+        lambda theta, cfg: visibilities_quadrature_oracle(theta, FREQS, IMAGE_GRID, cfg)}
+
+
+class TestOneLoopImageRange:
+    """``eval_image`` and the quadrature oracle give finite values or refuse the
+    row by name, and raise no numpy warning on the way."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", sorted(ONE_LOOP_IMAGES))
+    @pytest.mark.parametrize("theta", [
+        [0, 0, 1, 1e-300, 0, 30, 0.05],  # the variance underflows to 0
+        [0, 0, 1, 1e308, 0, 30, 0.05],  # fwhm_to_std(sigma) ** 2 overflows
+        [0, 0, 1.7e308, 0.1, 0, 0, 0],  # mass / (2 pi var) overflows
+        # a subnormal variance under a layout wide enough for _loop_half:
+        # mass / (2 pi var) overflows with eps > 0
+        [0, 0, 1000, 2.35e-160, 1e7, 0.5, 0.0]])
+    def test_component_density_out_of_range_is_refused(self, entry, theta):
+        with pytest.raises(ValidationError, match=r"^row 0: flux and sigma put the "
+                                                  "component density out of"):
+            ONE_LOOP_IMAGES[entry](np.array(theta), DEFAULT_BUILD)
+
+    @pytest.mark.filterwarnings("error")
+    def test_components_summing_past_the_float_maximum_are_refused(self):
+        # each component's density is finite; their sum at the vertex pixel is not
+        theta = np.array([0, 0, 4.0477454495392083e304, 0.01409667238156497,
+                          1.320452937000275e-09, 0.3, 0.0])
+        with pytest.raises(ValidationError, match=r"^row 0: flux and sigma put the "
+                                                  "component density out of"):
+            eval_image(theta, GridSpec.centered(1.0, 3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_quadrature_phase_out_of_range_is_refused(self):
+        # 2 pi x u overflows at the grid's edges
+        with pytest.raises(ValidationError, match="^row 0: a quadrature phase or sum"):
+            visibilities_quadrature_oracle(np.array(GOOD_ROW), FrequencySet(np.array([[1e10, 0]])),
+                                           GridSpec.centered(1e300, 16))
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_variance_under_a_finite_density_is_accepted(self):
+        # the same layout at a flux small enough for mass / (2 pi var) to stay finite
+        img = eval_image(np.array([0, 0, 1e-300, 2.35e-160, 1e7, 0.5, 0.0]), IMAGE_GRID)
+        assert np.all(np.isfinite(img))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(theta=extreme_loops(ANY_MAGNITUDE), n_components=st.sampled_from((1, 11)),
+           mode=st.sampled_from(EXPONENT_MODES))
+    def test_finite_or_refused(self, theta, n_components, mode):
+        cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
+        for entry in ONE_LOOP_IMAGES.values():
+            try:
+                values = entry(np.array(theta), cfg)
+            except ValidationError as exc:
+                assert str(exc).startswith("row 0: "), exc
+            else:
+                assert np.all(np.isfinite(values))
 
 
 class TestCosSin:
