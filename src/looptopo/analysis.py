@@ -68,19 +68,13 @@ def nearest_rank_quantile(values, q):
 
 def quantile_summary(values):
     """min / max / mean / count and the ``QUANTILE_LEVELS``, from one sort."""
+    values = float_array(values, "values")
     a = _sorted(values)
     out = {"min": float(np.min(a)), "max": float(np.max(a)),
            "mean": float(np.mean(values)), "count": int(a.size)}
     for q in QUANTILE_LEVELS:
         out[f"q{int(round(q * 100)):02d}"] = _rank(a, q)
     return out
-
-
-def boxplot_stats(values):
-    """min / q25 / median / q75 / max, nearest-rank convention, from one sort."""
-    a = _sorted(values)
-    return {"min": float(np.min(a)), "q25": _rank(a, 0.25), "median": _rank(a, 0.5),
-            "q75": _rank(a, 0.75), "max": float(np.max(a))}
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ def pca_fit(x, k=3) -> PcaModel:
 
 def pca_project(model: PcaModel, v):
     """Coordinates of v along the principal axes; accepts (d,) or (n, d)."""
-    return (float_array(v, "samples") - model.mean) @ model.axes.T
+    return (float_array(v, "samples", width=model.mean.shape[0]) - model.mean) @ model.axes.T
 
 
 @dataclass
@@ -157,10 +151,11 @@ _ERRORS = {"raw": lambda p, t, iv: np.abs(p - t),
            "moebius_scaled": lambda p, t, iv: moebius_error_scaled(p, t)}
 
 
-def _free_columns(spec, arr):
-    """The columns of the task's free parameters: the last ones of the rows arr."""
+def _free_columns(spec, arr, what):
+    """The columns of the task's free parameters: the last ones of the rows ``what``."""
+    arr = float_array(arr, what)
     if arr.ndim != 2 or arr.shape[1] < len(spec.free):
-        raise ValidationError(f"expected rows of at least the {len(spec.free)} free "
+        raise ValidationError(f"expected {what} rows of at least the {len(spec.free)} free "
                               f"parameters, got shape {arr.shape}")
     return arr[:, arr.shape[1] - len(spec.free):]
 
@@ -173,7 +168,7 @@ def seam_distance(task, params):
     spec = get_task(task)
     (angle,) = spec.angles
     lo, hi = np.radians(spec.intervals[angle])
-    col = _free_columns(spec, float_array(params, "params"))[:, spec.free.index(angle)]
+    col = _free_columns(spec, params, "params")[:, spec.free.index(angle)]
     d = (col - lo) % (hi - lo)
     return np.minimum(d, hi - lo - d)
 
@@ -188,7 +183,7 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     truth, pred = float_array(truth, "truth"), float_array(pred, "pred")
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
-    truth, pred = _free_columns(spec, truth), _free_columns(spec, pred)
+    truth, pred = _free_columns(spec, truth, "truth"), _free_columns(spec, pred, "pred")
     if not truth.size:
         raise ValidationError("no rows to evaluate")
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])
@@ -197,6 +192,9 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
         if m.param is not None:
             j = spec.free.index(m.param)
             p, t = pred[:, j], truth[:, j]
+        if m.error == "norm" and m.param not in intervals:
+            raise ValidationError(f"intervals lack {m.param}, which the {m.name} error "
+                                  "is normalized by")
         report.per_param[m.name] = _ERRORS[m.error](p, t, intervals.get(m.param))
     for name, arr in report.per_param.items():
         report.summaries[name] = quantile_summary(arr)
@@ -212,14 +210,15 @@ def evaluation_scatter(task, truth, pred, inputs, report):
     """
     spec = get_task(task)
 
-    def params(tag, arr):
+    def params(tag, arr, what):
         return [(f"{n}_{tag}_deg" if n in spec.angles else f"{n}_{tag}", col)
-                for n, col in zip(spec.free, _free_columns(spec, arr).T)]
+                for n, col in zip(spec.free, _free_columns(spec, arr, what).T)]
 
-    columns = params("true", float_array(truth, "truth"))
+    columns = params("true", truth, "truth")
     if not spec.visibilities:
-        columns += zip(spec.data_header, float_array(inputs, "inputs").T)
-    columns += params("pred", float_array(pred, "pred"))
+        columns += zip(spec.data_header,
+                       float_array(inputs, "inputs", width=len(spec.data_header)).T)
+    columns += params("pred", pred, "pred")
     columns += [(m.header, report.per_param[m.name]) for m in spec.metrics]
     header = [h for h, _ in columns]
     rows = np.column_stack([np.degrees(c) if h.endswith("_deg") else c for h, c in columns])
@@ -232,4 +231,5 @@ def export_scatter(rows, header, path, comment=None):
     An optional leading '#' comment line carries run provenance without
     disturbing numeric readers.
     """
+    rows = float_array(rows, "rows", width=len(header))
     write_bytes(path, format_csv(header, rows, digits=10, comment=comment))

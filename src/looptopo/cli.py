@@ -28,8 +28,8 @@ from .forward_model import (FrequencyConfig, GridSpec, LoopBuildConfig,
                       visibilities_closed_form_batch, visibilities_quadrature_oracle)
 from .mlp import (MlpConfig, TrainConfig, load_checkpoint, save_checkpoint,
                   save_history_csv)
-from .serialization import (check_output_files, config_hash, format_csv, is_integer,
-                            make_dir, parse_csv, read_bytes, read_json, write_bytes,
+from .serialization import (MAX_FLOATS, check_output_files, config_hash, format_csv,
+                            is_integer, make_dir, parse_csv, read_bytes, read_json, write_bytes,
                             write_json)
 from .tasks import KINDS, LOOP_PARAMS, TASKS
 
@@ -104,6 +104,9 @@ def _nn_config(cfg, input_dim, out_dim, seed, width=None, depth=None):
     if width is None and depth is None:
         return nn_cfg
     widths = nn_cfg.hidden_widths  # the config's, or MlpConfig's default
+    if depth is not None and depth > MAX_FLOATS:
+        raise ValidationError(f"--depth {depth} exceeds the {MAX_FLOATS} layers a network "
+                              "may have")
     if width is None and len(set(widths)) > 1:
         raise ValidationError(f"--depth repeats one width, but nn.hidden_widths is "
                               f"{list(widths)}: give --width too")
@@ -177,6 +180,10 @@ def _fit_and_save(kind, ds, nn_cfg, train_cfg, out, history_path, diag=None,
     return model, history
 
 
+#: boxplot.json's five numbers, and the quantile summary key of each.
+_BOXPLOT = {"min": "min", "q25": "q25", "median": "q50", "q75": "q75", "max": "max"}
+
+
 def cmd_evaluate(args):
     ds = load_dataset(args.dataset)
     model = load_checkpoint(args.model)
@@ -197,7 +204,7 @@ def cmd_evaluate(args):
                                            internal_intervals(ds.config))
     header, rows = analysis.evaluation_scatter(task, truth, pred, ds.clean[test], report)
     analysis.export_scatter(rows, header, os.path.join(args.out, "scatter.csv"))
-    boxplot = {m.name: analysis.boxplot_stats(report.per_param[m.name])
+    boxplot = {m.name: {key: report.summaries[m.name][q] for key, q in _BOXPLOT.items()}
                for m in spec.metrics if m.error == "norm"}
     if boxplot:
         write_json(boxplot, os.path.join(args.out, "boxplot.json"))
@@ -433,6 +440,9 @@ def main(argv=None):
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except LoopTopoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size inside numpy's limits that the machine lacks
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -37,9 +37,9 @@ from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       visibilities_closed_form_batch)
 from .pool import ordered_map
-from .serialization import (check_fields, config_from_dict, config_hash, config_to_dict,
-                            float_array, is_finite_number, make_dir, read_array_bin,
-                            read_json, write_array_bin, write_json)
+from .serialization import (MAX_FLOATS, check_fields, config_from_dict, config_hash,
+                            config_to_dict, float_array, is_finite_number, make_dir,
+                            read_array_bin, read_json, write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
 
 DATASET_FORMAT_VERSION = 1
@@ -50,9 +50,6 @@ TRAIN, VAL, TEST = 0, 1, 2
 #: Rows per pass of ``apply_standardization`` and ``mlp.forward``; up to this
 #: many rows, ``mlp.forward`` gives the same bytes as one unchunked pass.
 EVAL_CHUNK = 1024
-#: The most samples a dataset may hold: the most float64 values one numpy array
-#: can hold. A larger size is refused by the config, not by numpy's draw.
-MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -90,9 +87,9 @@ class SamplingConfig:
         task = get_task(self.scenario)
         if self.total < 1:
             raise ValidationError("dataset must contain at least one sample")
-        if self.total > MAX_SAMPLES:
+        if self.total > MAX_FLOATS:
             raise ValidationError(f"split sizes {self.n_train}/{self.n_val}/{self.n_test} "
-                                  f"exceed the {MAX_SAMPLES} samples a dataset may hold")
+                                  f"exceed the {MAX_FLOATS} samples a dataset may hold")
         if not (0.0 <= self.circular_fraction < 1.0):
             raise ValidationError(
                 f"circular_fraction must be in [0, 1), got {self.circular_fraction}")
@@ -158,8 +155,8 @@ def sample_params_external(cfg: SamplingConfig, rng, size=None) -> np.ndarray:
 
 
 def to_internal_params(scenario, ext: np.ndarray) -> np.ndarray:
-    """Degrees -> radians on the angle columns; other columns unchanged."""
-    arr = np.array(ext, dtype=float, copy=True)
+    """Degrees -> radians on the angle columns, in a float64 copy; other columns unchanged."""
+    arr = float_array(ext, "parameters", width=len(get_task(scenario).params)).copy()
     for col in get_task(scenario).angle_columns:
         arr[..., col] = np.radians(arr[..., col])
     return arr

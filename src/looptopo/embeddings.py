@@ -34,6 +34,7 @@ def validate_param_rows(thetas):
     thetas is (S, 7); the first row that breaks a rule raises
     ``ValidationError`` naming the row and the rule.
     """
+    thetas = float_array(thetas, "parameters", width=7)
     rules = (("parameters must be finite", ~np.isfinite(thetas).all(axis=1)),
              ("flux must be positive", thetas[:, 2] <= 0),
              ("sigma must be positive", thetas[:, 3] <= 0),
@@ -43,14 +44,6 @@ def validate_param_rows(thetas):
         i = int(np.argmax(bad))
         rule = next(name for name, mask in rules if mask[i])
         raise ValidationError(f"row {i}: {rule}, got {thetas[i].tolist()}")
-
-
-def _coords(x):
-    """Accept pairs or (..., 2) arrays."""
-    a = float_array(x, "(alpha, c) pairs")
-    if a.shape[-1:] != (2,):
-        raise ValidationError(f"expected (alpha, c) pairs, got shape {a.shape}")
-    return a
 
 
 def _direction(x, y, name, diag):
@@ -97,9 +90,7 @@ def gamma_inv(p, diag: Diagnostics | None = None):
     ``degenerate_direction`` event is recorded when a Diagnostics is given.
     Returns (alpha, c) as floats for a single point, arrays for batches.
     """
-    p = float_array(p, "3-space points")
-    if p.shape[-1:] != (3,):
-        raise ValidationError(f"expected 3-space points, got shape {p.shape}")
+    p = float_array(p, "3-space points", width=3)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     alpha = 0.5 * _direction(x, y, "alpha", diag)
     r = np.hypot(x, y)
@@ -114,17 +105,14 @@ def gamma_g(theta):
 
     Accepts (..., 7) arrays, returns (..., 8).
     """
-    a = float_array(theta, "7-parameter vectors")
-    strip = scaled_strip(a)
-    return np.concatenate([a[..., :5], strip], axis=-1)
+    a = float_array(theta, "7-parameter vectors", width=7)
+    return np.concatenate([a[..., :5], scaled_strip(a)], axis=-1)
 
 
 def scaled_strip(theta):
     """eps * gamma(alpha, c), the last three components of ``gamma_g``, of
     (..., 7) parameter vectors; returns (..., 3)."""
-    a = float_array(theta, "7-parameter vectors")
-    if a.shape[-1:] != (7,):
-        raise ValidationError(f"expected 7-parameter vectors, got shape {a.shape}")
+    a = float_array(theta, "7-parameter vectors", width=7)
     return a[..., 4:5] * gamma(a[..., 5], a[..., 6])
 
 
@@ -139,9 +127,7 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
 
     Accepts (..., 8) arrays, returns (..., 7).
     """
-    p = float_array(p, "8-vectors")
-    if p.shape[-1:] != (8,):
-        raise ValidationError(f"expected 8-vectors, got shape {p.shape}")
+    p = float_array(p, "8-vectors", width=8)
     if floors is None:
         floors = (1e-9, 1e-9, 0.0)
     flux_floor, sigma_floor, eps_floor = floors
@@ -181,9 +167,7 @@ def circle_inv(p, diag: Diagnostics | None = None):
 
     The zero vector has no direction: returns 0 with a warning event.
     """
-    p = float_array(p, "2-space points")
-    if p.shape[-1:] != (2,):
-        raise ValidationError(f"expected 2-space points, got shape {p.shape}")
+    p = float_array(p, "2-space points", width=2)
     angle = _direction(p[..., 0], p[..., 1], "theta", diag)
     if p.ndim == 1:
         return float(angle)
@@ -196,8 +180,7 @@ def moebius_distance(a, b):
     By construction zero exactly when the two pairs map to the same shape,
     including the seam identification (0, c) ~ (pi, -c).
     """
-    aa = _coords(a)
-    bb = _coords(b)
+    aa, bb = (float_array(x, "(alpha, c) pairs", width=2) for x in (a, b))
     d = np.linalg.norm(gamma(aa[..., 0], aa[..., 1]) - gamma(bb[..., 0], bb[..., 1]),
                        axis=-1)
     if aa.ndim == 1 and bb.ndim == 1:

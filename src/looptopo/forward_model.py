@@ -70,7 +70,7 @@ from .diagnostics import Diagnostics
 from .embeddings import validate_param_rows
 from .errors import ParseError, ValidationError
 from .pool import ordered_map
-from .serialization import (check_fields, config_from_dict, config_to_dict, float_array,
+from .serialization import (MAX_FLOATS, check_fields, config_from_dict, config_to_dict, float_array,
                             parse_csv, read_bytes)
 
 #: FWHM of a Gaussian = 2 sqrt(2 ln 2) times its standard deviation.
@@ -97,7 +97,7 @@ _ARC_TOL, _ARC_MAX_ITER = 1e-13, 60
 
 def fwhm_to_std(sigma):
     """Standard deviation of a Gaussian whose FWHM is sigma."""
-    return sigma / FWHM_FACTOR
+    return float_array(sigma, "sigma") / FWHM_FACTOR
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,9 @@ class GridSpec:
 
     def __post_init__(self):
         check_fields(self, nx=2, ny=2)
+        if self.nx * self.ny > MAX_FLOATS:
+            raise ValidationError(f"a grid of {self.nx} x {self.ny} pixels exceeds the "
+                                  f"{MAX_FLOATS} values one array may hold")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValidationError("grid bounds must be increasing")
 
@@ -336,8 +339,9 @@ def visibilities_closed_form(theta, freqs: FrequencySet,
     sum of one complex phase per component. The program computes
     visibilities with ``visibilities_closed_form_batch``.
     """
+    theta = float_array(theta, "parameters")
     centers, weights = build_loop_components(theta, cfg)
-    _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
+    _, _, flux, sigma, _, _, _ = theta
     u, v = freqs.u, freqs.v
     phase = np.exp(2j * math.pi * (centers[:, 0:1] * u[None, :]
                                    + centers[:, 1:2] * v[None, :]))
@@ -487,8 +491,9 @@ def eval_image(theta, grid: GridSpec, cfg: LoopBuildConfig = DEFAULT_BUILD) -> n
     ``ValidationError``; the batch kernel takes its envelope from the variance
     alone and needs neither.
     """
+    theta = float_array(theta, "parameters")
     centers, weights = build_loop_components(theta, cfg)
-    _, _, flux, sigma, _, _, _ = np.asarray(theta, dtype=float)
+    _, _, flux, sigma, _, _, _ = theta
     xs, ys = grid.xs(), grid.ys()
     img = np.zeros((grid.ny, grid.nx))
     # a squared distance that overflows is a pixel the component does not reach:
@@ -519,8 +524,9 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
     ``eval_image`` refuses, whose default grid has no finite positive extent,
     or whose phases or sums leave floating-point range raises ``ValidationError``.
     """
+    theta = float_array(theta, "parameters")
     centers, _ = build_loop_components(theta, cfg)
-    _, _, _, sigma, _, _, _ = np.asarray(theta, dtype=float)
+    _, _, _, sigma, _, _, _ = theta
     if grid is None:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             pad = 10.0 * sigma

@@ -39,8 +39,9 @@ import numpy as np
 from .data import EVAL_CHUNK, StandardizationStats
 from .errors import (ChecksumError, FormatVersionError, ParseError,
                      TrainingDivergedError, ValidationError)
-from .serialization import (check_fields, config_from_dict, config_to_dict, decode_array,
-                            format_csv, is_integer, read_aligned, write_bytes)
+from .serialization import (MAX_FLOATS, check_fields, config_from_dict, config_to_dict,
+                            decode_array, float_array, format_csv, is_integer, read_aligned,
+                            write_bytes)
 
 CHECKPOINT_MAGIC = b"LTMC"
 CHECKPOINT_VERSION = 1
@@ -68,6 +69,10 @@ class MlpConfig:
         if not widths or not all(is_integer(w) and w >= 1 for w in widths):
             raise ValidationError("hidden_widths must be one or more integers >= 1, "
                                   f"got {list(widths)}")
+        dims = [self.input_dim, *widths, self.output_dim]
+        if any(a * b > MAX_FLOATS for a, b in zip(dims, dims[1:])):
+            raise ValidationError(f"hidden_widths {list(widths)} give a layer of more than "
+                                  f"the {MAX_FLOATS} weights one array may hold")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValidationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.dtype not in DTYPES:
@@ -178,8 +183,8 @@ def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = 
 
 
 def _rows(arr, width, what, dt):
-    """``arr`` as a (rows, width) array of dtype ``dt``; else ValidationError."""
-    arr = np.asarray(arr, dtype=dt)
+    """``float_array(arr, what, dtype=dt)``, which must be (rows, width)."""
+    arr = float_array(arr, what, dtype=dt)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValidationError(f"{what} must be (rows, {width}), got shape {arr.shape}")
     return arr
@@ -241,7 +246,7 @@ def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
     batch = x.shape[0]
     if y.shape[0] != batch or batch == 0:
         raise ValidationError("batch inputs and targets must align and be non-empty")
-    if masks is not None and [m.shape for m in masks] != [
+    if masks is not None and [float_array(m, "dropout masks", dtype=dt).shape for m in masks] != [
             (batch, d) for d in [cfg.input_dim, *cfg.hidden_widths[:-1]]]:
         raise ValidationError("dropout masks must be one (rows, n_in) array per hidden layer")
     if ws is None:
@@ -350,8 +355,12 @@ class TrainConfig:
 
 def eval_loss(model: MlpModel, x, y):
     """MSE of the network without dropout over a whole array."""
+    x = _rows(x, model.config.input_dim, "inputs", None)
+    y = _rows(y, model.config.output_dim, "targets", DTYPES[model.config.dtype])
+    if len(x) != len(y) or len(y) == 0:
+        raise ValidationError("inputs and targets must align and be non-empty")
     d = forward(model, x) - y
-    return float(np.sum(d * d)) / x.shape[0]
+    return float(np.sum(d * d)) / len(y)
 
 
 def train(model: MlpModel, x_train, y_train, x_val, y_val,
@@ -366,11 +375,13 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     every batch, masks included; the short last batch of an epoch uses its
     leading rows.
     """
-    dt = DTYPES[model.config.dtype]
-    x_train, y_train, x_val, y_val = (np.asarray(a, dtype=dt)
-                                      for a in (x_train, y_train, x_val, y_val))
-    if len(x_train) == 0 or len(x_val) == 0:
-        raise ValidationError("training and validation splits must be non-empty")
+    nn, dt = model.config, DTYPES[model.config.dtype]
+    x_train, x_val = (_rows(x, nn.input_dim, f"{split} inputs", dt)
+                      for x, split in ((x_train, "training"), (x_val, "validation")))
+    y_train, y_val = (_rows(y, nn.output_dim, f"{split} targets", dt)
+                      for y, split in ((y_train, "training"), (y_val, "validation")))
+    if not (len(x_train) == len(y_train) > 0 and len(x_val) == len(y_val) > 0):
+        raise ValidationError("splits must be non-empty, with one target row per input row")
 
     state = AdamState.for_model(model)
     history = []

@@ -32,8 +32,8 @@ def output_dim(kind, task):
 
 def build_targets(kind, task, params):
     """Training targets in natural units for an (S, P) parameter array."""
-    params = float_array(params, "parameters")
     spec = get_task(task)
+    params = float_array(params, "parameters", width=len(spec.params))
     if kind == "naive":
         return params[:, spec.free_columns]
     return spec.embed(params)

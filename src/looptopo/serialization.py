@@ -18,6 +18,14 @@ buffers one after another, so their parts are never joined into one:
 ``write_array_bin`` hashes and writes the little-endian C-contiguous array's
 own buffer, with no copy into bytes.
 
+Every public function that takes an array turns it into one through
+``float_array``, by one rule: the argument must be numeric (strings and
+objects that are not numbers are refused), not ragged, and real (numpy would
+drop an imaginary part with only a warning); ``width``, where given, is the
+length its last axis must have; and it comes back as ``dtype``, float64 by
+default, a float array's own dtype with None, with no copy where it has that
+dtype already. A broken rule is a ``ValidationError`` naming the argument.
+
 Every CSV file the package writes or reads (frequency sets, parameter
 tables, scatter and image exports, training histories, ``predict --input``)
 follows one dialect:
@@ -71,17 +79,26 @@ def is_integer(v) -> bool:
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
-def float_array(x, what):
-    """``np.asarray(x, dtype=float)``; input that is not numeric, is ragged or
-    is complex raises ``ValidationError`` naming ``what``. numpy would drop
-    the imaginary part of complex input with only a warning."""
+#: The most float64 values one numpy array can hold. A config that would size
+#: an array past it (split sizes, a layer's weights, a grid's pixels) is refused,
+#: not left to end in numpy's error.
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def float_array(x, what, width=None, dtype=float):
+    """``x``, the array argument named ``what``, as ``dtype`` by the one array
+    rule (module docstring). ``dtype`` None keeps a float dtype; an array that
+    has its dtype already is returned, not copied."""
     try:
         a = np.asarray(x)
-        if a.dtype.kind != "c":
-            return a.astype(float, copy=False)
+        if a.dtype.kind == "c":
+            raise ValidationError(f"{what} must be real, got complex values {x!r:.60}")
+        a = a.astype(dtype or (a.dtype if a.dtype.kind == "f" else float), copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric, got {x!r:.60}") from None
-    raise ValidationError(f"{what} must be real, got complex values {x!r:.60}")
+    if width is not None and a.shape[-1:] != (width,):
+        raise ValidationError(f"expected {what}, got shape {a.shape}")
+    return a
 
 
 def is_finite_number(v) -> bool:

@@ -22,6 +22,7 @@ import numpy as np
 from .embeddings import (C_MAX_DEFAULT, C_MIN_DEFAULT, EPS_TOL, circle_embed,
                          circle_inv, gamma, gamma_g, gamma_g_inv, gamma_inv)
 from .errors import ValidationError
+from .serialization import float_array
 
 KINDS = ("naive", "embedded")
 
@@ -97,7 +98,7 @@ class Task:
     def clamp(self, out, intervals, diag=None):
         """Naive outputs clamped into the parameter intervals, angles into
         their half-open interval."""
-        clamped = out.copy()
+        clamped = float_array(out, "naive outputs", width=len(self.free)).copy()
         total = 0
         for j, name in enumerate(self.free):
             lo, hi = intervals.get(name, (-np.inf, np.inf))
@@ -136,7 +137,7 @@ def _collapsing_strip_inv(out, intervals, diag):
               max(intervals.get("eps", (0.0,))[0], 0.0))
     result = gamma_g_inv(out, floors=floors, diag=diag)
     # collapsed rows carry c = 0 by construction, whatever the interval
-    live = np.asarray(out, dtype=float)[:, 4] >= EPS_TOL
+    live = float_array(out, "8-vectors")[:, 4] >= EPS_TOL
     _report_out_of_domain(result[live, 6], intervals, diag)
     return result
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looptopo.analysis import (boxplot_stats, circular_error,
+from looptopo.analysis import (circular_error,
                                evaluate_predictions, evaluation_scatter, export_scatter,
                                moebius_error_scaled,
                                nearest_rank_quantile, normalized_abs_error,
@@ -145,12 +145,12 @@ class TestQuantiles:
         assert set(s) >= {"min", "max", "mean", "count", "q05", "q50", "q95"}
         assert s["q50"] <= s["q75"] <= s["q95"] <= s["max"]
 
-    def test_boxplot_stats_ordered(self):
-        b = boxplot_stats(np.random.default_rng(0).normal(size=200))
-        assert b["min"] <= b["q25"] <= b["median"] <= b["q75"] <= b["max"]
+    def test_summary_ordered(self):
+        s = quantile_summary(np.random.default_rng(0).normal(size=200))
+        assert s["min"] <= s["q25"] <= s["q50"] <= s["q75"] <= s["max"]
 
     @pytest.mark.parametrize("stats", [lambda v: nearest_rank_quantile(v, 0.5),
-                                       quantile_summary, boxplot_stats])
+                                       quantile_summary])
     def test_empty_rejected(self, stats):
         with pytest.raises(ValidationError, match="quantile of an empty array"):
             stats(np.array([]))
@@ -158,13 +158,12 @@ class TestQuantiles:
     def test_summaries_match_their_quantiles(self):
         # one sort gives each level the value of its own nearest-rank call
         values = np.random.default_rng(4).normal(size=999)
-        s, b = quantile_summary(values), boxplot_stats(values)
-        assert (s["min"], s["max"], b["min"], b["max"]) == (values.min(), values.max()) * 2
+        s = quantile_summary(values)
+        assert (s["min"], s["max"]) == (values.min(), values.max())
         assert s["mean"] == values.mean() and s["count"] == 999
         for key, q in [("q05", 0.05), ("q25", 0.25), ("q50", 0.5), ("q75", 0.75),
                        ("q95", 0.95)]:
             assert s[key] == nearest_rank_quantile(values, q)
-        assert [b["q25"], b["median"], b["q75"]] == [s["q25"], s["q50"], s["q75"]]
 
 
 class TestPca:
@@ -260,6 +259,13 @@ class TestEvaluatePredictions:
         assert report.n_samples == 30
         for s in report.summaries.values():
             assert s["q25"] <= s["q50"] <= s["q75"]
+        # an interval a norm error divides by is missing: named, not a TypeError
+        for name in ("x_c", "eps"):
+            partial = {k: v for k, v in intervals.items() if k != name}
+            with pytest.raises(ValidationError, match=f"intervals lack {name},"):
+                evaluate_predictions("complete", "embedded", truth, pred, partial)
+        with pytest.raises(ValidationError, match="intervals lack x_c,"):
+            evaluate_predictions("complete", "embedded", truth, truth, {})
 
     @pytest.mark.parametrize("task, truth, pred", [
         ("circle", np.zeros((3, 1)), np.zeros((4, 1))),

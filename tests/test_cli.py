@@ -84,6 +84,30 @@ class TestGenDataset:
         assert "99999999999999999999" in err and not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("command, sizes", [
+    ("train", ["--width", "99999999999999999999", "--depth", "1"]),
+    ("train", ["--width", "576460752303423488", "--depth", "1"]),
+    ("train", ["--width", "16", "--depth", "99999999999999999999"]),
+    ("predict", ["--render-n", "99999999999999999999"]),
+    ("predict", ["--render-n", "576460752303423488"]),
+    ("gen-dataset", ["--n-test", "576460752303423488"])])
+def test_size_no_machine_holds_is_an_error(workspace, tmp_path, capsys, command, sizes):
+    # every size here is refused without allocating: past the values one array
+    # may hold, or (the split) an allocation of 4 EiB, which fails at once
+    vis_path = _written(tmp_path / "v.csv", (",".join(["1.0"] * 60) + "\n").encode())
+    given = {"train": ["--dataset", workspace["ds"], "--kind", "embedded", "--seed", 7,
+                       "--epochs", 1, "--out", tmp_path / "b.ckpt"],
+             "predict": ["--model", workspace["emb"], "--input", vis_path,
+                         "--render", tmp_path / "img.csv"],
+             "gen-dataset": ["--seed", 0, "--scenario", "circle", "--out", tmp_path / "d"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *given[command], *sizes]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["v.csv"]
+
+
 class TestTrain:
     def test_checkpoint_and_history_written(self, workspace):
         assert workspace["emb"].exists()
