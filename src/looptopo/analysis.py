@@ -180,6 +180,8 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     are those of the task's entry in ``tasks.TASKS``.
     """
     spec = get_task(task)
+    if not isinstance(intervals, dict):
+        raise ValidationError(f"intervals must be a dict of (lo, hi) pairs, got {intervals!r:.60}")
     truth, pred = float_array(truth, "truth"), float_array(pred, "pred")
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")

@@ -225,7 +225,7 @@ def generate_dataset(cfg: SamplingConfig, freqs: FrequencySet = None,
     from stream 0, all noise from stream 1). ``jobs`` has no effect; it is
     accepted so that existing callers (perfbench among them) keep working.
     The work it once spread is spread already: the closed-form kernel runs its
-    row chunks on every CPU the process may use, with the same bytes on any
+    row blocks on every CPU the process may use, with the same bytes on any
     number of them, and the noise is drawn on a pool thread while the calling
     thread draws the parameters and lays out the loops.
     """

@@ -31,10 +31,12 @@ TWO_PI = 2.0 * np.pi
 def validate_param_rows(thetas):
     """The parameter rules: every value finite, flux > 0, sigma > 0, eps >= 0.
 
-    thetas is (S, 7); the first row that breaks a rule raises
-    ``ValidationError`` naming the row and the rule.
+    thetas must be (S, 7), or ``ValidationError`` names its shape; the first row
+    that breaks a rule raises ``ValidationError`` naming the row and the rule.
     """
-    thetas = float_array(thetas, "parameters", width=7)
+    thetas = float_array(thetas, "parameters")
+    if thetas.ndim != 2 or thetas.shape[1] != 7:
+        raise ValidationError(f"expected (S, 7) parameters, got shape {thetas.shape}")
     rules = (("parameters must be finite", ~np.isfinite(thetas).all(axis=1)),
              ("flux must be positive", thetas[:, 2] <= 0),
              ("sigma must be positive", thetas[:, 3] <= 0),

@@ -35,7 +35,8 @@ takes every cosine and sine from one tangent of the half angle
     cos(theta) = (1 - t^2) / (1 + t^2),    sin(theta) = 2 t / (1 + t^2)
 
 so the pair of exp(i phi) and of each exp(2 pi i y_k q) costs one tangent,
-and so does each cos(2 pi x_k p). numpy 2.4 runs float64 cos and sin as
+and so does each cos(2 pi x_k p), which ``_cos`` takes by the same formula
+without its sine. numpy 2.4 runs float64 cos and sin as
 scalar loops but vectorizes tan on AVX-512 (about 8x faster per entry on a
 Xeon), so a tangent and seven arithmetic passes cost less than one cos.
 
@@ -56,9 +57,14 @@ The batch kernel lays out the loops on the calling thread: ``_loop_half``
 checks the range of every row's layout in one pass, so a row it refuses is
 named ahead of any that the arc-length solve refuses, then solves the layout
 in pieces of ``_LAYOUT_PIECE`` rows. The kernel then sums the visibilities in
-chunks of ``CLOSED_FORM_CHUNK`` rows on every CPU the process may use, through
+blocks of ``CLOSED_FORM_CHUNK`` rows on every CPU the process may use, through
 ``pool.ordered_map``, which keeps their order: the refused row is the first,
-and the bytes of the result are the same on any number of CPUs.
+and the bytes of the result are the same on any number of CPUs. A block does
+its work on (rows, n) arrays once: the frequencies along and across the axis,
+the centre phase, the envelope, the final combination and the range rule. Its
+pair sums, over (h, n, rows) arrays, run in sub-blocks of ``_PAIR_ROWS`` rows.
+Every array of a block is held rows last, so numpy runs its inner loops over
+the rows rather than the n frequencies.
 """
 
 import math
@@ -78,14 +84,19 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 EXPONENT_MODES = ("fwhm", "verbatim")
 
-#: Rows per pass of ``visibilities_closed_form_batch``; a row's result is the same at any size.
-#: At 256 rows each (chunk, 5, 30) float64 temporary is 300 kB, and the few alive at
-#: once stay in a 2 MB L2 cache; 2048 rows spill them and make the kernel ~1.3x slower.
-CLOSED_FORM_CHUNK = 256
+#: Rows per pooled block of ``visibilities_closed_form_batch``, the unit ``ordered_map``
+#: hands out; a row's result is the same at any size. A block does its (rows, n) work
+#: once: at 256 rows its ~30 numpy calls on such small arrays were dominated by call
+#: overhead and by the GIL passing between the pool's threads.
+CLOSED_FORM_CHUNK = 1024
+#: Rows per sub-block of a block's (h, n, rows) pair sums; a row's result is the same at
+#: any size. At 256 rows each (5, 30, rows) float64 temporary is 300 kB, and the few alive
+#: at once stay in a 2 MB L2 cache; 2048 rows spill them and make the kernel ~1.3x slower.
+_PAIR_ROWS = 256
 #: Rows per piece of ``_loop_half``'s layout; a row's layout is the same at any size.
 #: Solved for the whole batch at once, the arc-length Newton held ~750 B of
 #: temporaries a row; a 1,024-row piece holds under 1 MB. Smaller pieces cost more
-#: calls: a 256-row layout inside each kernel chunk made the kernel slower, as its
+#: calls: a layout inside each 256-row kernel block made the kernel slower, as its
 #: many small numpy calls contend for the GIL. For the same reason the pieces run
 #: on the calling thread: mapped over the pool they were no faster, as during
 #: ``generate_dataset`` the pool's helper is drawing the noise, and which pieces
@@ -355,22 +366,32 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     """Vectorized closed form over an (S, 7) parameter array -> (S, 2n) real-coded rows.
 
     Row i holds the real parts of its n visibilities and then their imaginary
-    parts (re_1..re_n, im_1..im_n), the layout a dataset stores; each chunk
+    parts (re_1..re_n, im_1..im_n), the layout a dataset stores; each block
     writes its rows in place, with no complex array between.
 
     The layout of ``_loop_half``, summed in mirrored pairs (see the module
-    docstring) on (chunk, half, n) arrays, ``CLOSED_FORM_CHUNK`` rows at a time.
-    Each (row, frequency) costs 2 h + 1 tangents through ``_cos_sin`` and no cos or
-    sin: h along the axis, h across it and one for the centre phase; 11 at 11
-    components, where cos and sin take 17. Rows are checked by
-    ``validate_param_rows`` and ``_loop_half``, each chunk's result by the range
-    rule (finite entries stay as computed); the first refused row raises
-    ``ValidationError``. The layout comes first, on the calling thread: its range
-    check over all rows, then its pieces, writing the (S, h) positions and
-    weights. The chunks then run on the CPUs through ``ordered_map``, each taking
-    its y = c x^2 from its rows of the positions; a chunk's refusal is raised only
-    when no earlier chunk refuses, so the row named and the bytes of the result
-    are those of one piece, then one chunk, after another. The result
+    docstring), on two levels of blocks. A pooled block of ``CLOSED_FORM_CHUNK``
+    rows computes its (rows, n) arrays once: the frequencies p and q along and
+    across the axis, then, after its pair sums, the centre phase, the envelope,
+    the final combination and the range rule. The pair sums run on
+    (half, n, rows) arrays ``_PAIR_ROWS`` rows at a time, and each sub-block
+    overwrites its rows of p and q with its real and imaginary sums once it has
+    used them. A block holds every array rows last, (n, rows) and (half, n, rows),
+    so an outer product runs numpy's inner loop over the rows, not the n
+    frequencies, and writes its visibilities into its rows of the result only at
+    the end. ``_pair_sum`` adds the pairs in the order ``np.einsum`` takes over the
+    same arrays rows first. Each (row, frequency)
+    costs 2 h + 1 tangents and no cos or sin: h along the axis, through the
+    cos-only ``_cos``, h across it and one for the centre phase, through
+    ``_cos_sin``; 11 at 11 components, where cos and sin take 17. Rows are
+    checked by ``validate_param_rows`` and ``_loop_half``, each block's result by
+    the range rule (finite entries stay as computed); the first refused row
+    raises ``ValidationError``. The layout comes first, on the calling thread: its
+    range check over all rows, then its pieces, writing the (S, h) positions and
+    weights. The blocks then run on the CPUs through ``ordered_map``, each taking
+    its y = c x^2 from its rows of the positions; a block's refusal is raised only
+    when no earlier block refuses, so the row named and the bytes of the result
+    are those of one piece, then one block, after another. The result
     agrees with ``visibilities_closed_form`` to rounding (a few 1e-15 of the
     flux), not bit for bit: the sums run in another order and the phases go
     through ``_cos_sin``. A row's result does not depend on its batch:
@@ -378,8 +399,6 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
     or a sum within the row.
     """
     thetas = float_array(thetas, "parameters")
-    if thetas.ndim != 2 or thetas.shape[1] != 7:
-        raise ValidationError(f"expected (S, 7) parameters, got {thetas.shape}")
     validate_param_rows(thetas)
     half = (cfg.n_components - 1) // 2
     u, v = freqs.u, freqs.v
@@ -392,40 +411,74 @@ def visibilities_closed_form_batch(thetas, freqs: FrequencySet,
         w0 = 1.0 / (1.0 + 2.0 * w.sum(axis=1))
         w *= 2.0 * w0[:, None]  # each pair carries twice its weight
 
-    def fill_chunk(lo):  # rows lo.. of out, or refuses the first bad one
-        chunk = slice(lo, lo + CLOSED_FORM_CHUNK)
-        x_c, y_c, flux, sigma, _, alpha, _ = thetas[chunk].T
-        block = out[chunk]
+    def fill_block(lo):  # rows lo.. of out, or refuses the first bad one
+        rows = slice(lo, lo + CLOSED_FORM_CHUNK)
+        x_c, y_c, flux, sigma, _, alpha, c = thetas[rows].T
+        block = out[rows]
         with np.errstate(over="ignore", invalid="ignore"):  # settled or refused below
             if half:
-                cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
-                p = cos_a * u + sin_a * v  # frequency along the loop axis
-                q = cos_a * v - sin_a * u  # frequency across it
-                x = x_pos[chunk]
-                y = thetas[chunk, 6:7] * x * x  # c x^2 first: 2 pi c may overflow
-                along = _cos_sin((two_pi * x)[:, :, None] * p[:, None, :])[0]
-                across = (two_pi * y)[:, :, None] * q[:, None, :]
-                cos_across, sin_across = _cos_sin(across)
-                cos_across *= along
-                sin_across *= along
-                pair_re = w0[chunk, None] + np.einsum("sk,skj->sj", w[chunk], cos_across)
-                pair_im = np.einsum("sk,skj->sj", w[chunk], sin_across)
+                # the frequency along the loop axis and across it, which each sub-block
+                # overwrites with its pair sums once it has used them
+                cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+                pair_re = u[:, None] * cos_a
+                pair_re += v[:, None] * sin_a
+                pair_im = v[:, None] * cos_a
+                pair_im -= u[:, None] * sin_a
+                x_rows, w_rows, w0_rows = x_pos[rows], w[rows], w0[rows]
+                for at in range(0, len(c), _PAIR_ROWS):  # the pair sums
+                    sub = slice(at, at + _PAIR_ROWS)
+                    x, w_sub = (np.ascontiguousarray(a[sub].T) for a in (x_rows, w_rows))
+                    y = c[sub] * x * x  # c x^2 first: 2 pi c may overflow
+                    along = _cos((two_pi * x)[:, None, :] * pair_re[:, sub])
+                    cos_across, sin_across = _cos_sin((two_pi * y)[:, None, :] * pair_im[:, sub])
+                    cos_across *= along
+                    sin_across *= along
+                    re_sub = _pair_sum(w_sub, cos_across, out=pair_re[:, sub])
+                    np.add(w0_rows[sub], re_sub, out=re_sub)
+                    _pair_sum(w_sub, sin_across, out=pair_im[:, sub])
+                    del along, cos_across, sin_across  # before the next sub-block's
             else:
                 pair_re, pair_im = 1.0, 0.0
-            cos_phi, sin_phi = _cos_sin(two_pi * (x_c[:, None] * u + y_c[:, None] * v))
-            mass, var = _component_mass_var(flux[:, None], sigma[:, None], cfg.exponent_mode)
-            scale = mass * np.exp(-2.0 * math.pi ** 2 * var * uv2)
-            block[:, :n] = scale * (pair_re * cos_phi - pair_im * sin_phi)
-            block[:, n:] = scale * (pair_re * sin_phi + pair_im * cos_phi)
+            phi = u[:, None] * x_c
+            phi += v[:, None] * y_c
+            cos_phi, sin_phi = _cos_sin(np.multiply(phi, two_pi, out=phi))
+            # (pair_re + i pair_im) exp(i phi) times the envelope, each product over an
+            # array it is the last use of, written into the block's rows of the result
+            im = pair_re * sin_phi
+            im += pair_im * cos_phi
+            re = np.multiply(cos_phi, pair_re, out=cos_phi)
+            re -= np.multiply(sin_phi, pair_im, out=sin_phi)
+            mass, var = _component_mass_var(flux, sigma, cfg.exponent_mode)
+            scale = np.exp(np.multiply(-2.0 * math.pi ** 2 * var, uv2[:, None], out=sin_phi),
+                           out=sin_phi)
+            scale *= mass
+            np.multiply(scale, re, out=block[:, :n].T)
+            np.multiply(scale, im, out=block[:, n:].T)
         bad = ~np.isfinite(block)
         if bad.any():  # the range rule: 0 under a zero envelope, else the row is refused
             block[bad] = 0.0
-            bad = (bad[:, :n] | bad[:, n:]) & (scale != 0.0)
+            bad = (bad[:, :n] | bad[:, n:]) & (scale.T != 0.0)
             if bad.any():
                 raise ValidationError(f"row {lo + np.argmax(bad.any(axis=1))}: a phase or "
                                       "the envelope is out of floating-point range")
 
-    ordered_map(fill_chunk, range(0, thetas.shape[0], CLOSED_FORM_CHUNK))
+    ordered_map(fill_block, range(0, thetas.shape[0], CLOSED_FORM_CHUNK))
+    return out
+
+
+def _pair_sum(w, terms, out):
+    """w[k] terms[k] summed over k: (h, rows) weights, (h, n, rows) terms, (n, rows) ``out``.
+
+    The bits are those of ``np.einsum("sk,skj->sj")`` over the same arrays held rows
+    first. At two or more frequencies einsum adds k by k from 0 in either layout. At one
+    frequency it sums in the order of a dot product: rows first at any number of rows,
+    rows last only at a single row. So one frequency is summed rows first, and a row's
+    bits do not depend on its batch.
+    """
+    if terms.shape[1] > 1:
+        return np.einsum("ks,kjs->js", w, terms, out=out)
+    out[0] = np.einsum("sk,skj->sj", np.ascontiguousarray(w.T),
+                       np.ascontiguousarray(terms.transpose(2, 0, 1)))[:, 0]
     return out
 
 
@@ -437,13 +490,27 @@ def _cos_sin(theta):
     finite theta, so t^2 cannot overflow. ``theta`` is overwritten: it is
     returned as the sine.
     """
-    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    cos = np.square(t)
-    denom = cos + 1.0
-    np.subtract(1.0, cos, out=cos)
-    np.divide(cos, denom, out=cos)
+    t, cos, denom = _half_angle(theta, np.empty_like(theta))
     np.multiply(t, 2.0, out=t)
     return cos, np.divide(t, denom, out=t)
+
+
+def _cos(theta):
+    """The cosine of ``_cos_sin``, bit for bit, without its sine: ``theta`` is
+    overwritten and returned as the cosine."""
+    return _half_angle(theta, theta)[1]
+
+
+def _half_angle(theta, cos):
+    """t = tan(theta / 2) over ``theta``, then (1 - t^2) / (1 + t^2) into ``cos``.
+
+    Returns t, cos and 1 + t^2; where ``cos`` is ``theta``, t is gone.
+    """
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+    np.square(t, out=cos)
+    denom = cos + 1.0
+    np.subtract(1.0, cos, out=cos)
+    return t, np.divide(cos, denom, out=cos), denom
 
 
 def _batch_x_at_arc(s, c, first_row=0):

@@ -1,7 +1,7 @@
 """One ordered map over the CPUs this process may run on.
 
 ``ordered_map`` is the package's one source of threads: the closed-form
-kernel maps its row chunks through it, dataset generation its noise draw
+kernel maps its row blocks through it, dataset generation its noise draw
 beside the kernel, and dataset I/O its array files. Its result does not
 depend on the number of CPUs.
 """

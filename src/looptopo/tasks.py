@@ -69,7 +69,7 @@ class Task:
                              # otherwise they are the embedded point itself
     embedding: str           # id of the embedded kind's map, stored in checkpoints
     embedded_dim: int
-    embed: Callable          # (S, P) params -> (S, embedded_dim)
+    embed_rows: Callable     # (S, P) float params -> (S, embedded_dim); call ``embed``
     invert: Callable         # (outputs, intervals, diag) -> (S, len(free)), total
     transforms: dict         # kind -> "minmax" or "zscore" target transform
     metrics: tuple           # of Metric
@@ -94,6 +94,14 @@ class Task:
     def header(self):
         """Predicted-parameter CSV columns."""
         return [f"{n}_deg" if u == "deg" else n for n, u in zip(self.params, self.units)]
+
+    def embed(self, params):
+        """The embedded operator's targets: (S, P) parameters -> (S, embedded_dim)."""
+        params = float_array(params, "parameters", width=len(self.params))
+        if params.ndim != 2:
+            raise ValidationError(f"expected (S, {len(self.params)}) parameters, "
+                                  f"got shape {params.shape}")
+        return self.embed_rows(params)
 
     def clamp(self, out, intervals, diag=None):
         """Naive outputs clamped into the parameter intervals, angles into
@@ -149,7 +157,7 @@ TASKS = {t.name: t for t in (
          intervals={"theta": (0.0, 360.0)}, split_sizes=(5000, 1000, 1000),
          noise=False, circular_fraction=0.0, collapses=False, data_header=("x", "y"),
          embedding="circle", embedded_dim=2,
-         embed=lambda params: circle_embed(params[:, 0]),
+         embed_rows=lambda params: circle_embed(params[:, 0]),
          invert=lambda out, intervals, diag: circle_inv(out, diag=diag)[:, None],
          transforms={},
          metrics=(Metric("circular", "theta", "circular_error_rad"),
@@ -160,7 +168,7 @@ TASKS = {t.name: t for t in (
          split_sizes=(30000, 10000, 10000),
          noise=False, circular_fraction=0.0, collapses=False, data_header=None,
          embedding="moebius3", embedded_dim=3,
-         embed=lambda params: gamma(params[:, 5], params[:, 6]),
+         embed_rows=lambda params: gamma(params[:, 5], params[:, 6]),
          invert=_strip_inv, transforms={},
          metrics=(Metric("moebius", None, "moebius_error"),
                   Metric("raw", "alpha", "alpha_err_deg"),
@@ -172,7 +180,7 @@ TASKS = {t.name: t for t in (
          split_sizes=(60000, 20000, 20000),
          noise=True, circular_fraction=0.05, collapses=True, data_header=None,
          embedding="moebius8", embedded_dim=8,
-         embed=lambda params: gamma_g(params),
+         embed_rows=lambda params: gamma_g(params),
          invert=_collapsing_strip_inv,
          # the embedded targets mix scales from ~0.05 (curvature strip
          # coordinates) to ~5000 (flux); standardizing them keeps Adam's

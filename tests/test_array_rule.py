@@ -158,6 +158,8 @@ ENTRIES = {
     **{f"Task.clamp {name}": (lambda a, t=task: t.clamp(a, {}),
                               np.ones((2, len(task.free))), "naive outputs", True)
        for name, task in TASKS.items()},
+    **{f"Task.embed {name}": (task.embed, np.ones((2, len(task.params))), "parameters", True)
+       for name, task in TASKS.items()},
     **{f"Task.invert {name}": (lambda a, t=TASKS[name]: t.invert(a, t.intervals, None),
                                np.ones((2, TASKS[name].embedded_dim)), what, True)
        for name, what in (("circle", "2-space points"), ("simple", "3-space points"),
@@ -185,3 +187,23 @@ def test_every_array_argument_follows_the_rule(entry):
         for bad in _bad_values(good, fixed_width):
             with pytest.raises(ValidationError, match=re.escape(what)):
                 call(bad)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: embeddings.validate_param_rows(ROW), r"\(S, 7\) parameters"),  # a row, not rows
+    (lambda: TASKS["complete"].embed(ROW), r"\(S, 7\) parameters"),
+    (lambda: analysis.evaluate_predictions("simple", "naive", np.zeros((2, 2)),
+                                           np.zeros((2, 2)), intervals=[]), "intervals"),
+])
+def test_an_argument_of_the_wrong_shape_or_kind_is_named(call, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=what):
+            call()
+
+
+def test_task_embed_takes_a_nested_list():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(TASKS["circle"].embed([[0.5]]),
+                                      embeddings.circle_embed(np.array([0.5])))

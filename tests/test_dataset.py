@@ -143,11 +143,14 @@ class TestGeneration:
         assert datasets_equal(generate_dataset(cfg), generate_dataset(cfg, jobs=2))
 
     def test_chunks_and_workers_do_not_change_content(self, monkeypatch):
-        cfg = small_cfg("complete", n_train=600, n_val=100, n_test=100)  # 4 chunks
+        cfg = small_cfg("complete", n_train=1700, n_val=200, n_test=200)  # 3 kernel blocks
         ds = generate_dataset(cfg)
-        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", cfg.total + 1)
-        assert datasets_equal(ds, generate_dataset(cfg))
-        monkeypatch.undo()
+        for block in (1, 7, forward_model.CLOSED_FORM_CHUNK, cfg.total + 1):
+            for pair_rows in (1, 3, forward_model._PAIR_ROWS):
+                with monkeypatch.context() as mp:
+                    mp.setattr(forward_model, "CLOSED_FORM_CHUNK", block)
+                    mp.setattr(forward_model, "_PAIR_ROWS", pair_rows)
+                    assert datasets_equal(ds, generate_dataset(cfg)), (block, pair_rows)
         monkeypatch.setattr(pool, "WORKERS", 1)
         assert datasets_equal(ds, generate_dataset(cfg))
 
@@ -155,7 +158,7 @@ class TestGeneration:
     def test_noise_is_one_draw_from_stream_1(self, monkeypatch, workers):
         # drawn beside the kernel, the noise keeps the bytes of one standard_normal call
         monkeypatch.setattr(pool, "WORKERS", workers)
-        cfg = small_cfg("complete", n_train=600, n_val=100, n_test=100)  # 4 chunks
+        cfg = small_cfg("complete", n_train=1700, n_val=200, n_test=200)  # 3 kernel blocks
         ds = generate_dataset(cfg)
         noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
         normals = noise_rng.standard_normal(ds.clean.shape)

@@ -332,10 +332,19 @@ def extreme_frequencies(draw):
     return radius * math.cos(angle), radius * math.sin(angle)
 
 
-def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD, piece=forward_model._LAYOUT_PIECE):
+#: Pooled block sizes: one row, a size that cuts most batches with a remainder, the
+#: default, and (None) one row more than the batch, so the batch is one block.
+BLOCKS = (1, 7, forward_model.CLOSED_FORM_CHUNK, None)
+#: Pair sub-block sizes: one row, a size that cuts most blocks with a remainder, the default.
+PAIR_ROWS = (1, 3, forward_model._PAIR_ROWS)
+
+
+def batch_at_chunk(chunk, thetas, cfg=DEFAULT_BUILD, piece=forward_model._LAYOUT_PIECE,
+                   pair_rows=forward_model._PAIR_ROWS):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
+        mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk or len(thetas) + 1)
         mp.setattr(forward_model, "_LAYOUT_PIECE", piece)
+        mp.setattr(forward_model, "_PAIR_ROWS", pair_rows)
         return visibilities_closed_form_batch(thetas, FREQS, cfg)
 
 
@@ -345,7 +354,7 @@ class TestClosedFormBatch:
            n_components=st.sampled_from((1, 3, 11, 21)),
            mode=st.sampled_from(EXPONENT_MODES))
     def test_matches_scalar(self, rows, n_components, mode):
-        # chunk 7 puts chunk boundaries inside most batches, with a remainder
+        # block 7 puts block boundaries inside most batches, with a remainder
         cfg = LoopBuildConfig(n_components=n_components, exponent_mode=mode)
         thetas = np.array(rows)
         batch = reals_to_vis(batch_at_chunk(7, thetas, cfg))
@@ -365,17 +374,19 @@ class TestClosedFormBatch:
                      - reals_to_vis(batch_at_chunk(7, thetas)))
         assert np.all(gap <= 1e-10 * thetas[:, 2:3])
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("pair_rows", PAIR_ROWS)
+    @pytest.mark.parametrize("chunk", BLOCKS)
+    @settings(max_examples=15, deadline=None)
     @given(rows=st.lists(any_curvature_loops(), min_size=1, max_size=12),
            picks=st.lists(st.integers(0, 999), min_size=1, max_size=40),
-           chunk=st.integers(1, 16), piece=st.integers(1, 16),
-           n_components=st.sampled_from((3, 11)))
-    def test_row_is_its_own_answer(self, rows, picks, chunk, piece, n_components):
-        # shuffled and repeated rows, cut at any chunk size and laid out in
-        # pieces of any size, give each row the bytes of its one-row call
+           piece=st.integers(1, 16), n_components=st.sampled_from((3, 11)))
+    def test_row_is_its_own_answer(self, chunk, pair_rows, rows, picks, piece, n_components):
+        # shuffled and repeated rows, cut into blocks and pair sub-blocks of each
+        # size and laid out in pieces of any size, give each row the bytes of its
+        # one-row call
         cfg = LoopBuildConfig(n_components=n_components)
         thetas = np.array(rows)[[i % len(rows) for i in picks]]
-        batch = batch_at_chunk(chunk, thetas, cfg, piece)
+        batch = batch_at_chunk(chunk, thetas, cfg, piece, pair_rows)
         for theta, vis in zip(thetas, batch):
             np.testing.assert_array_equal(
                 vis, visibilities_closed_form_batch(theta[None], FREQS, cfg)[0])
@@ -412,7 +423,7 @@ class TestClosedFormBatch:
                                                 (1e-170, 0.0, 0.0)])
     def test_layout_out_of_range_names_its_row(self, monkeypatch, sigma, eps, c, max_iter):
         # finite rows whose span or weight width overflows or underflows; row 3
-        # sits in the second chunk and the second layout piece. At one Newton
+        # sits in the second pooled block and the second layout piece. At one Newton
         # step every other row fails the arc length, row 0 first: the range
         # check over all rows still names row 3
         monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
@@ -427,8 +438,9 @@ class TestClosedFormBatch:
                 visibilities_closed_form_batch(np.delete(thetas, 3, axis=0), FREQS)
 
     def test_temporaries_do_not_grow_with_every_row(self, monkeypatch):
-        # traced peak beyond the result: 183 B a row at 32,768 rows on two workers,
-        # against 755 when the layout was solved for every row at once
+        # traced peak beyond the result: 196 B a row at 32,768 rows on two workers,
+        # against 755 when the layout was solved for every row at once, and 290-297
+        # when each 1,024-row block kept its pair sums apart from p and q
         monkeypatch.setattr(pool, "WORKERS", 2)
         rng = np.random.default_rng(3)
         thetas = np.array([random_loop(rng) for _ in range(32768)])
@@ -451,7 +463,7 @@ class TestClosedFormBatch:
     def test_overflow_under_a_nonzero_envelope_names_its_row(self, monkeypatch, columns,
                                                               values, uv):
         # the envelope at the second frequency is about 5e-199 of the flux for sigma = 8
-        # and 3e-3 for sigma = 1e-154; row 3 sits in the second chunk
+        # and 3e-3 for sigma = 1e-154; row 3 sits in the second pooled block
         monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
         freqs = FrequencySet(np.array([(0.01, 0.02), uv]))
         thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (5, 1))
@@ -495,8 +507,8 @@ class TestClosedFormBatch:
            n_components=st.sampled_from((1, 3, 11)), mode=st.sampled_from(EXPONENT_MODES))
     def test_total_over_finite_rows(self, chunk, rows, uv, n_components, mode):
         # every finite row meeting the parameter rules, at every frequency FrequencySet
-        # takes: all-finite visibilities, or a refusal that names a row; at chunk 1 the
-        # rows go through the pooled chunk map
+        # takes: all-finite visibilities, or a refusal that names a row; at block size 1
+        # each row is a pooled block of its own
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forward_model, "CLOSED_FORM_CHUNK", chunk)
             self.check_total(rows, uv, n_components, mode)
@@ -705,6 +717,40 @@ class TestCosSin:
         assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
         np.testing.assert_allclose(cos, np.cos(theta), rtol=0, atol=4e-16)
         np.testing.assert_allclose(sin, np.sin(theta), rtol=0, atol=4e-16)
+
+
+class TestCos:
+    """``_cos``: the cosine of ``_cos_sin`` without its sine."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(angles=st.lists(st.one_of(
+        st.floats(-1e4, 1e4), st.floats(-1e308, 1e308),
+        st.sampled_from((0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan))),
+        min_size=1))
+    def test_is_the_cosine_of_cos_sin_bit_for_bit(self, angles):
+        theta = np.array(angles)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
+            cos = forward_model._cos(theta.copy())
+            expected = forward_model._cos_sin(theta.copy())[0]
+        assert cos.tobytes() == expected.tobytes()
+
+
+class TestPairSum:
+    """``_pair_sum``: the bits of the pair sums' einsum over rows-first arrays."""
+
+    @pytest.mark.parametrize("h", [1, 5, 10])
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 256])
+    def test_is_the_rows_first_einsum_bit_for_bit(self, h, n, rows):
+        rng = np.random.default_rng(h * 1000 + n * 10 + rows)
+        w = rng.random((h, rows)) * 10.0 ** rng.uniform(-3, 3, (h, rows))
+        terms = rng.standard_normal((h, n, rows)) * 10.0 ** rng.uniform(-8, 8, (h, n, rows))
+        terms[rng.random(terms.shape) < 0.1] = -0.0
+        expected = np.einsum("sk,skj->sj", np.ascontiguousarray(w.T),
+                             np.ascontiguousarray(terms.transpose(2, 0, 1)))
+        out = np.empty((n, rows))
+        assert forward_model._pair_sum(w, terms, out=out) is out
+        assert out.T.tobytes() == expected.tobytes()
 
 
 class TestNoise:

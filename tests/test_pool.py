@@ -132,7 +132,7 @@ class TestPooledKernel:
         monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", 2)
 
     def test_earliest_refused_chunk_names_its_row(self):
-        # rows 3 and 6 sit in chunks 1 and 3; their centre phases overflow at (1, 1),
+        # rows 3 and 6 sit in blocks 1 and 3; their centre phases overflow at (1, 1),
         # where the envelope is about 5e-199 of the flux
         freqs = FrequencySet(np.array([(0.01, 0.02), (1.0, 1.0)]))
         thetas = np.tile([0, 0, 1000, 8, 5, 0.5, 0.05], (8, 1))
@@ -151,16 +151,25 @@ class TestPooledKernel:
                 visibilities_closed_form_batch(rows, FREQS)
         visibilities_closed_form_batch(thetas, FREQS)  # no raise under the default
 
-    @pytest.mark.parametrize("piece", [1, 7, forward_model._LAYOUT_PIECE, 1101])
-    def test_bytes_do_not_depend_on_the_workers(self, monkeypatch, piece):
-        # nor on the layout's piece size: 1,100 rows are two default pieces, and
-        # one piece at 1,101, on one worker: the whole layout at once
+    @pytest.mark.parametrize("piece, block, pair_rows", [
+        *((piece, forward_model.CLOSED_FORM_CHUNK, forward_model._PAIR_ROWS)
+          for piece in (1, 7, 1101)),
+        *((forward_model._LAYOUT_PIECE, block, pair_rows)
+          for block in (1, 7, forward_model.CLOSED_FORM_CHUNK, 1101)
+          for pair_rows in (1, 3, forward_model._PAIR_ROWS))])
+    def test_bytes_do_not_depend_on_the_workers(self, monkeypatch, piece, block, pair_rows):
+        # nor on the sizes of the layout's pieces, the pooled blocks or their pair
+        # sub-blocks: 1,100 rows are two default pieces and two default blocks, and
+        # one of each at 1,101, on one worker: the whole batch at once
         thetas = loops(1100)
-        monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", 1101)
+        for name in ("_LAYOUT_PIECE", "CLOSED_FORM_CHUNK", "_PAIR_ROWS"):
+            monkeypatch.setattr(forward_model, name, 1101)
         monkeypatch.setattr(pool, "WORKERS", 1)
         whole = (visibilities_closed_form_batch(thetas, FREQS),
                  *forward_model._loop_half(thetas, DEFAULT_BUILD))
         monkeypatch.setattr(forward_model, "_LAYOUT_PIECE", piece)
+        monkeypatch.setattr(forward_model, "CLOSED_FORM_CHUNK", block)
+        monkeypatch.setattr(forward_model, "_PAIR_ROWS", pair_rows)
         for workers in (1, 2):
             monkeypatch.setattr(pool, "WORKERS", workers)
             pieces = (visibilities_closed_form_batch(thetas, FREQS),
