@@ -13,15 +13,16 @@ import numpy as np
 
 from .embeddings import moebius_distance, scaled_strip
 from .errors import ValidationError
-from .serialization import float_array, format_csv, is_integer, write_bytes
+from .serialization import (check_interval, check_intervals, float_array, format_csv,
+                            is_finite_number, is_integer, write_bytes)
 from .tasks import get_task
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def normalized_abs_error(pred, truth, interval):
-    """|pred - truth| divided by the interval length."""
-    lo, hi = interval
+    """|pred - truth| divided by the length of ``interval``, a (lo, hi) pair."""
+    lo, hi = check_interval(interval, "interval")
     if not hi > lo:
         raise ValidationError(f"interval must have positive length, got ({lo}, {hi})")
     return np.abs(float_array(pred, "pred") - float_array(truth, "truth")) / (hi - lo)
@@ -53,8 +54,8 @@ def _sorted(values):
 
 def _rank(a, q):
     """Nearest-rank quantile of the sorted, nonempty ``a``."""
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"quantile level must be in [0, 1], got {q}")
+    if not (is_finite_number(q) and 0.0 <= q <= 1.0):
+        raise ValidationError(f"quantile level q must be a number in [0, 1], got {q!r:.60}")
     if q == 0.0:
         return float(a[0])
     rank = int(np.ceil(q * a.size))
@@ -94,9 +95,7 @@ def pca_fit(x, k=3) -> PcaModel:
     cheap and exact. Axis signs follow a fixed convention: the entry of
     largest magnitude in each axis is made positive.
     """
-    x = float_array(x, "samples")
-    if x.ndim != 2:
-        raise ValidationError(f"expected a 2-D sample matrix, got shape {x.shape}")
+    x = float_array(x, "(n, d) samples", ndim=2)
     n, d = x.shape
     if not is_integer(k) or not 1 <= k <= d:
         raise ValidationError(f"k must be an integer in [1, {d}], got {k!r}")
@@ -153,10 +152,10 @@ _ERRORS = {"raw": lambda p, t, iv: np.abs(p - t),
 
 def _free_columns(spec, arr, what):
     """The columns of the task's free parameters: the last ones of the rows ``what``."""
-    arr = float_array(arr, what)
-    if arr.ndim != 2 or arr.shape[1] < len(spec.free):
-        raise ValidationError(f"expected {what} rows of at least the {len(spec.free)} free "
-                              f"parameters, got shape {arr.shape}")
+    what = f"{what} rows of at least the {len(spec.free)} free parameters"
+    arr = float_array(arr, what, ndim=2)
+    if arr.shape[1] < len(spec.free):
+        raise ValidationError(f"expected {what}, got shape {arr.shape}")
     return arr[:, arr.shape[1] - len(spec.free):]
 
 
@@ -180,23 +179,20 @@ def evaluate_predictions(task, kind, truth, pred, intervals) -> MetricReport:
     are those of the task's entry in ``tasks.TASKS``.
     """
     spec = get_task(task)
-    if not isinstance(intervals, dict):
-        raise ValidationError(f"intervals must be a dict of (lo, hi) pairs, got {intervals!r:.60}")
     truth, pred = float_array(truth, "truth"), float_array(pred, "pred")
     if truth.shape != pred.shape:
         raise ValidationError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
     truth, pred = _free_columns(spec, truth, "truth"), _free_columns(spec, pred, "pred")
     if not truth.size:
         raise ValidationError("no rows to evaluate")
+    intervals = check_intervals(intervals, [m.param for m in spec.metrics if m.error == "norm"],
+                                required=True)
     report = MetricReport(task=task, kind=kind, n_samples=truth.shape[0])
     for m in spec.metrics:
         p, t = pred, truth
         if m.param is not None:
             j = spec.free.index(m.param)
             p, t = pred[:, j], truth[:, j]
-        if m.error == "norm" and m.param not in intervals:
-            raise ValidationError(f"intervals lack {m.param}, which the {m.name} error "
-                                  "is normalized by")
         report.per_param[m.name] = _ERRORS[m.error](p, t, intervals.get(m.param))
     for name, arr in report.per_param.items():
         report.summaries[name] = quantile_summary(arr)
@@ -218,10 +214,12 @@ def evaluation_scatter(task, truth, pred, inputs, report):
 
     columns = params("true", truth, "truth")
     if not spec.visibilities:
-        columns += zip(spec.data_header,
-                       float_array(inputs, "inputs", width=len(spec.data_header)).T)
+        inputs = float_array(inputs, "inputs", width=len(spec.data_header), ndim=2)
+        columns += zip(spec.data_header, inputs.T)
     columns += params("pred", pred, "pred")
     columns += [(m.header, report.per_param[m.name]) for m in spec.metrics]
+    if len({len(c) for _, c in columns}) > 1:
+        raise ValidationError("truth, pred, inputs and the report must have one row per sample")
     header = [h for h, _ in columns]
     rows = np.column_stack([np.degrees(c) if h.endswith("_deg") else c for h, c in columns])
     return header, rows
@@ -233,5 +231,5 @@ def export_scatter(rows, header, path, comment=None):
     An optional leading '#' comment line carries run provenance without
     disturbing numeric readers.
     """
-    rows = float_array(rows, "rows", width=len(header))
+    rows = float_array(rows, "rows", width=len(header), ndim=2)
     write_bytes(path, format_csv(header, rows, digits=10, comment=comment))

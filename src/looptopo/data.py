@@ -37,8 +37,8 @@ from .forward_model import (DEFAULT_BUILD, FrequencyConfig, FrequencySet,
                       LoopBuildConfig, add_noise, default_frequencies,
                       visibilities_closed_form_batch)
 from .pool import ordered_map
-from .serialization import (MAX_FLOATS, check_fields, config_from_dict, config_hash,
-                            config_to_dict, float_array, is_finite_number, make_dir,
+from .serialization import (MAX_FLOATS, check_fields, check_intervals, config_from_dict,
+                            config_hash, config_to_dict, float_array, make_dir,
                             read_array_bin, read_json, write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
 
@@ -100,15 +100,12 @@ class SamplingConfig:
                                   f"scenario, which has no eps = 0 draws, "
                                   f"got {self.circular_fraction}")
         overrides = self.intervals or {}
-        for name, v in overrides.items():
+        for name in overrides:
             if name not in task.intervals:
                 raise ValidationError(f"unknown interval name {name!r}")
-            if not (isinstance(v, (list, tuple)) and len(v) == 2
-                    and all(map(is_finite_number, v)) and v[0] <= v[1]):
-                raise ValidationError(f"interval for {name} must be a pair lo <= hi of "
-                                      f"finite numbers, got {v!r}")
         object.__setattr__(self, "intervals", {
-            **task.intervals, **{k: tuple(v) for k, v in overrides.items()}})
+            **task.intervals,
+            **check_intervals(overrides, task.intervals, "SamplingConfig.intervals")})
 
     @property
     def total(self):
@@ -295,11 +292,8 @@ def apply_standardization(stats: StandardizationStats, x, dtype=np.float64):
     size between. Input that is not numeric, is ragged or complex, or is not
     M wide raises ``ValidationError``.
     """
-    x = float_array(x, "inputs")
     width = stats.mean.shape[0]
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
-        raise ValidationError(f"inputs must be ({width},) or (rows, {width}), "
-                              f"got shape {x.shape}")
+    x = float_array(x, f"({width},) or (rows, {width}) inputs", width=width, ndim=(1, 2))
     out = np.empty(x.shape, dtype)
     rows, out_rows = x.reshape(-1, width), out.reshape(-1, width)
     buf = np.empty((min(len(rows), EVAL_CHUNK), width))

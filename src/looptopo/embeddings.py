@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .errors import ValidationError
-from .serialization import float_array
+from .serialization import are_finite_numbers, float_array
 
 C_MIN_DEFAULT = -0.05
 C_MAX_DEFAULT = 0.05
@@ -34,9 +34,7 @@ def validate_param_rows(thetas):
     thetas must be (S, 7), or ``ValidationError`` names its shape; the first row
     that breaks a rule raises ``ValidationError`` naming the row and the rule.
     """
-    thetas = float_array(thetas, "parameters")
-    if thetas.ndim != 2 or thetas.shape[1] != 7:
-        raise ValidationError(f"expected (S, 7) parameters, got shape {thetas.shape}")
+    thetas = float_array(thetas, "(S, 7) parameters", width=7, ndim=2)
     rules = (("parameters must be finite", ~np.isfinite(thetas).all(axis=1)),
              ("flux must be positive", thetas[:, 2] <= 0),
              ("sigma must be positive", thetas[:, 3] <= 0),
@@ -132,6 +130,9 @@ def gamma_g_inv(p, floors=None, diag: Diagnostics | None = None):
     p = float_array(p, "8-vectors", width=8)
     if floors is None:
         floors = (1e-9, 1e-9, 0.0)
+    if not are_finite_numbers(floors, 3):
+        raise ValidationError(f"floors must be 3 finite numbers (flux, sigma, eps), "
+                              f"got {floors!r:.60}")
     flux_floor, sigma_floor, eps_floor = floors
 
     flat = p.reshape(-1, 8)

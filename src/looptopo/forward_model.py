@@ -176,9 +176,7 @@ class FrequencySet:
     uv: np.ndarray
 
     def __post_init__(self):
-        uv = float_array(self.uv, "uv")
-        if uv.ndim != 2 or uv.shape[1] != 2:
-            raise ValidationError(f"uv must be (n, 2), got shape {uv.shape}")
+        uv = float_array(self.uv, "(n, 2) uv", width=2, ndim=2)
         if uv.shape[0] < 1:
             raise ValidationError("frequency set is empty")
         with np.errstate(over="ignore"):  # rows that overflow are refused below
@@ -241,6 +239,8 @@ class GridSpec:
                                   f"{MAX_FLOATS} values one array may hold")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValidationError("grid bounds must be increasing")
+        if not (self.x_max - self.x_min < math.inf and self.y_max - self.y_min < math.inf):
+            raise ValidationError("grid bounds must span a finite width and height")
 
     @classmethod
     def centered(cls, half_width, n=256):
@@ -270,9 +270,7 @@ def build_loop_components(theta, cfg: LoopBuildConfig = DEFAULT_BUILD):
     returns the single circular component. Returns (centers, weights): the
     (n, 2) sky-frame centers and the (n,) weights.
     """
-    theta = float_array(theta, "parameters")
-    if theta.shape != (7,):
-        raise ValidationError(f"expected 7 parameters, got shape {theta.shape}")
+    theta = float_array(theta, "7 parameters", width=7, ndim=1)
     validate_param_rows(theta[None])
 
     x_c, y_c, _, _, eps, alpha, c = theta
@@ -628,8 +626,9 @@ def visibilities_quadrature_oracle(theta, freqs: FrequencySet, grid: GridSpec = 
 
 
 def reals_to_vis(x) -> np.ndarray:
-    """Real-coded visibilities (re_1..re_n, im_1..im_n) -> the n complex ones."""
-    x = float_array(x, "real-coded visibilities")
+    """Real-coded visibilities (re_1..re_n, im_1..im_n), one (2n,) vector or
+    (S, 2n) rows of them -> the n complex ones of each."""
+    x = float_array(x, "real-coded visibilities", ndim=(1, 2))
     n = x.shape[-1]
     if n % 2:
         raise ValidationError(f"real-coded visibilities must have even length, got {n}")
@@ -654,7 +653,7 @@ def add_noise(x, flux, normals) -> np.ndarray:
             and normals.shape == x.shape):
         raise ValidationError(f"normals must be a float64 array of shape {x.shape}")
     flux = float_array(flux, "flux")
-    if flux.ndim and flux.shape != x.shape[:-1] + (1,):
+    if flux.shape not in ((), x.shape[:-1] + (1,)):
         raise ValidationError(
             f"flux must be a scalar or a column of shape {x.shape[:-1] + (1,)}, "
             f"got shape {flux.shape}")

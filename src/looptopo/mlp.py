@@ -161,6 +161,8 @@ def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = 
     2**32 - 1, and dropped (value 0) elsewhere. The masks are written into
     the leading rows of ``ws.masks`` when a workspace is given.
     """
+    if not (is_integer(batch_size) and batch_size >= 0):
+        raise ValidationError(f"batch_size must be a nonnegative integer, got {batch_size!r}")
     p = model.config.dropout_rate
     if p == 0.0:
         return None
@@ -180,14 +182,6 @@ def sample_dropout_masks(model: MlpModel, batch_size: int, rng, ws: Workspace = 
         m *= dt(1) / dt(keep)
         start += m.size
     return masks
-
-
-def _rows(arr, width, what, dt):
-    """``float_array(arr, what, dtype=dt)``, which must be (rows, width)."""
-    arr = float_array(arr, what, dtype=dt)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValidationError(f"{what} must be (rows, {width}), got shape {arr.shape}")
-    return arr
 
 
 def _forward_into(model, x, ws, masks):
@@ -217,7 +211,8 @@ def forward(model: MlpModel, x):
     ``EVAL_CHUNK`` rows, so memory stays bounded and nothing is kept for a
     backward pass; up to ``EVAL_CHUNK`` rows run as a single pass.
     """
-    x = _rows(x, model.config.input_dim, "inputs", None)
+    n_in = model.config.input_dim
+    x = float_array(x, f"(rows, {n_in}) inputs", width=n_in, ndim=2, dtype=None)
     rows = x.shape[0]
     ws = Workspace(model, min(rows, EVAL_CHUNK))
     out = np.empty((rows, model.config.output_dim), DTYPES[model.config.dtype])
@@ -241,8 +236,9 @@ def loss_and_grad(model: MlpModel, x, y, masks=None, ws: Workspace = None):
     """
     cfg = model.config
     dt = DTYPES[cfg.dtype]
-    x = _rows(x, cfg.input_dim, "inputs", dt)
-    y = _rows(y, cfg.output_dim, "targets", dt)
+    x = float_array(x, f"(rows, {cfg.input_dim}) inputs", width=cfg.input_dim, ndim=2, dtype=dt)
+    y = float_array(y, f"(rows, {cfg.output_dim}) targets", width=cfg.output_dim, ndim=2,
+                    dtype=dt)
     batch = x.shape[0]
     if y.shape[0] != batch or batch == 0:
         raise ValidationError("batch inputs and targets must align and be non-empty")
@@ -355,8 +351,10 @@ class TrainConfig:
 
 def eval_loss(model: MlpModel, x, y):
     """MSE of the network without dropout over a whole array."""
-    x = _rows(x, model.config.input_dim, "inputs", None)
-    y = _rows(y, model.config.output_dim, "targets", DTYPES[model.config.dtype])
+    nn = model.config
+    x = float_array(x, f"(rows, {nn.input_dim}) inputs", width=nn.input_dim, ndim=2, dtype=None)
+    y = float_array(y, f"(rows, {nn.output_dim}) targets", width=nn.output_dim, ndim=2,
+                    dtype=DTYPES[nn.dtype])
     if len(x) != len(y) or len(y) == 0:
         raise ValidationError("inputs and targets must align and be non-empty")
     d = forward(model, x) - y
@@ -376,9 +374,11 @@ def train(model: MlpModel, x_train, y_train, x_val, y_val,
     leading rows.
     """
     nn, dt = model.config, DTYPES[model.config.dtype]
-    x_train, x_val = (_rows(x, nn.input_dim, f"{split} inputs", dt)
+    x_train, x_val = (float_array(x, f"(rows, {nn.input_dim}) {split} inputs",
+                                  width=nn.input_dim, ndim=2, dtype=dt)
                       for x, split in ((x_train, "training"), (x_val, "validation")))
-    y_train, y_val = (_rows(y, nn.output_dim, f"{split} targets", dt)
+    y_train, y_val = (float_array(y, f"(rows, {nn.output_dim}) {split} targets",
+                                  width=nn.output_dim, ndim=2, dtype=dt)
                       for y, split in ((y_train, "training"), (y_val, "validation")))
     if not (len(x_train) == len(y_train) > 0 and len(x_val) == len(y_val) > 0):
         raise ValidationError("splits must be non-empty, with one target row per input row")

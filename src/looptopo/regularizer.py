@@ -19,7 +19,7 @@ from .data import (TRAIN, VAL, Dataset,
 from .diagnostics import Diagnostics
 from .errors import ValidationError
 from .mlp import DTYPES, MlpConfig, MlpModel, TrainConfig, forward, init_mlp, train
-from .serialization import config_hash, float_array, is_finite_number
+from .serialization import are_finite_numbers, check_intervals, config_hash, float_array
 from .tasks import KINDS, TASKS, get_task
 
 
@@ -33,7 +33,7 @@ def output_dim(kind, task):
 def build_targets(kind, task, params):
     """Training targets in natural units for an (S, P) parameter array."""
     spec = get_task(task)
-    params = float_array(params, "parameters", width=len(spec.params))
+    params = float_array(params, "parameters", width=len(spec.params), ndim=2)
     if kind == "naive":
         return params[:, spec.free_columns]
     return spec.embed(params)
@@ -123,11 +123,6 @@ def train_embedded(dataset: Dataset, nn_cfg: MlpConfig = None,
     return _train_kind("embedded", dataset, nn_cfg, train_cfg, diag=diag, init=init)
 
 
-def _finite_numbers(values, n):
-    return (isinstance(values, (list, tuple)) and len(values) == n
-            and all(map(is_finite_number, values)))
-
-
 def check_model_consistency(model: MlpModel):
     """Reject checkpoints whose declared kind/task disagrees with the head,
     checkpoints without the standardization stats that predict applies, and
@@ -145,16 +140,12 @@ def check_model_consistency(model: MlpModel):
             f"found {model.config.output_dim}")
     if model.stats is None:
         raise ValidationError("checkpoint has no standardization stats")
-    intervals = model.metadata.get("intervals")
-    for name in TASKS[task].params:
-        pair = intervals.get(name) if isinstance(intervals, dict) else None
-        if not (_finite_numbers(pair, 2) and pair[0] <= pair[1]):
-            raise ValidationError(f"checkpoint metadata.intervals[{name!r}] must be a "
-                                  f"finite pair [lo, hi] with lo <= hi, got {pair!r}")
+    check_intervals(model.metadata.get("intervals"), TASKS[task].params,
+                    "checkpoint metadata.intervals", required=True)
     tf = model.metadata.get("target_transform", {})  # a missing key is refused
     if tf is not None and not (isinstance(tf, dict)
-                               and _finite_numbers(tf.get("offset"), expected)
-                               and _finite_numbers(tf.get("scale"), expected)
+                               and are_finite_numbers(tf.get("offset"), expected)
+                               and are_finite_numbers(tf.get("scale"), expected)
                                and 0 not in tf["scale"]):
         raise ValidationError("checkpoint metadata.target_transform must be null, or "
                               f"offset and scale lists of {expected} finite numbers, "

@@ -22,9 +22,22 @@ Every public function that takes an array turns it into one through
 ``float_array``, by one rule: the argument must be numeric (strings and
 objects that are not numbers are refused), not ragged, and real (numpy would
 drop an imaginary part with only a warning); ``width``, where given, is the
-length its last axis must have; and it comes back as ``dtype``, float64 by
+length its last axis must have, and ``ndim``, an int or a tuple of ints, the
+number of axes it may have; and it comes back as ``dtype``, float64 by
 default, a float array's own dtype with None, with no copy where it has that
-dtype already. A broken rule is a ``ValidationError`` naming the argument.
+dtype already. A broken rule is a ``ValidationError`` naming the argument; a
+wrong width or rank reads ``expected {what}, got shape {shape}``, so ``what``
+says the shape where the argument's name alone would not (``"(S, 7)
+parameters"``). No function checks an argument's rank by hand after it.
+
+Every public function that takes a table of parameter intervals (a sampling
+config, checkpoint metadata, ``Task.clamp``, ``Task.invert``,
+``evaluate_predictions``) checks it through ``check_intervals``, by one rule:
+the table is a dict; each entry it is asked about that the table holds is a
+list or tuple of two finite numbers lo <= hi; and, where the entries are
+required, the table holds each one. ``check_interval`` holds a single interval
+(``normalized_abs_error``'s) to the same pair rule. A broken rule is a
+``ValidationError`` naming the table and the entry.
 
 Every CSV file the package writes or reads (frequency sets, parameter
 tables, scatter and image exports, training histories, ``predict --input``)
@@ -85,10 +98,11 @@ def is_integer(v) -> bool:
 MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
-def float_array(x, what, width=None, dtype=float):
+def float_array(x, what, width=None, ndim=None, dtype=float):
     """``x``, the array argument named ``what``, as ``dtype`` by the one array
-    rule (module docstring). ``dtype`` None keeps a float dtype; an array that
-    has its dtype already is returned, not copied."""
+    rule (module docstring): ``width`` the length of its last axis, ``ndim``
+    its number of axes, or a tuple of the numbers allowed. ``dtype`` None keeps
+    a float dtype; an array that has its dtype already is returned, not copied."""
     try:
         a = np.asarray(x)
         if a.dtype.kind == "c":
@@ -96,7 +110,8 @@ def float_array(x, what, width=None, dtype=float):
         a = a.astype(dtype or (a.dtype if a.dtype.kind == "f" else float), copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric, got {x!r:.60}") from None
-    if width is not None and a.shape[-1:] != (width,):
+    if ((width is not None and a.shape[-1:] != (width,))
+            or (ndim is not None and a.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)))):
         raise ValidationError(f"expected {what}, got shape {a.shape}")
     return a
 
@@ -107,6 +122,36 @@ def is_finite_number(v) -> bool:
         return math.isfinite(v)
     return is_integer(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
                              and math.isfinite(v))
+
+
+def are_finite_numbers(values, n) -> bool:
+    """A list or tuple of ``n`` finite numbers (``is_finite_number``)."""
+    return (isinstance(values, (list, tuple)) and len(values) == n
+            and all(map(is_finite_number, values)))
+
+
+def check_interval(pair, what):
+    """``pair`` as a (lo, hi) tuple by the intervals rule (module docstring);
+    ``what`` names it in the error."""
+    if not (are_finite_numbers(pair, 2) and pair[0] <= pair[1]):
+        raise ValidationError(f"{what} must be a pair lo <= hi of finite numbers, "
+                              f"got {pair!r:.60}")
+    return tuple(pair)
+
+
+def check_intervals(intervals, names, what="intervals", required=False):
+    """The entries of the interval table ``intervals`` named in ``names``, as a
+    dict of (lo, hi) tuples in the order of ``names``, by the intervals rule
+    (module docstring); with ``required``, a name the table lacks is refused."""
+    if not isinstance(intervals, dict):
+        raise ValidationError(f"{what} must be a dict of (lo, hi) pairs, got {intervals!r:.60}")
+    pairs = {}
+    for name in names:
+        if name in intervals:
+            pairs[name] = check_interval(intervals[name], f"{what}: interval for {name}")
+        elif required:
+            raise ValidationError(f"{what} lack {name}, one of the required {', '.join(names)}")
+    return pairs
 
 
 #: Accepted values and their description, per config field type.

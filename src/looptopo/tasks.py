@@ -22,7 +22,7 @@ import numpy as np
 from .embeddings import (C_MAX_DEFAULT, C_MIN_DEFAULT, EPS_TOL, circle_embed,
                          circle_inv, gamma, gamma_g, gamma_g_inv, gamma_inv)
 from .errors import ValidationError
-from .serialization import float_array
+from .serialization import check_intervals, float_array
 
 KINDS = ("naive", "embedded")
 
@@ -70,7 +70,8 @@ class Task:
     embedding: str           # id of the embedded kind's map, stored in checkpoints
     embedded_dim: int
     embed_rows: Callable     # (S, P) float params -> (S, embedded_dim); call ``embed``
-    invert: Callable         # (outputs, intervals, diag) -> (S, len(free)), total
+    invert_rows: Callable    # (S, embedded_dim) floats, intervals, diag -> (S, len(free)),
+                             # total; call ``invert``
     transforms: dict         # kind -> "minmax" or "zscore" target transform
     metrics: tuple           # of Metric
 
@@ -97,16 +98,20 @@ class Task:
 
     def embed(self, params):
         """The embedded operator's targets: (S, P) parameters -> (S, embedded_dim)."""
-        params = float_array(params, "parameters", width=len(self.params))
-        if params.ndim != 2:
-            raise ValidationError(f"expected (S, {len(self.params)}) parameters, "
-                                  f"got shape {params.shape}")
-        return self.embed_rows(params)
+        n = len(self.params)
+        return self.embed_rows(float_array(params, f"(S, {n}) parameters", width=n, ndim=2))
+
+    def invert(self, out, intervals, diag=None):
+        """The embedded operator's outputs, (S, embedded_dim) -> (S, len(free)) parameters."""
+        out = float_array(out, "embedded outputs", width=self.embedded_dim, ndim=2)
+        return self.invert_rows(out, check_intervals(intervals, self.params), diag)
 
     def clamp(self, out, intervals, diag=None):
-        """Naive outputs clamped into the parameter intervals, angles into
-        their half-open interval."""
-        clamped = float_array(out, "naive outputs", width=len(self.free)).copy()
+        """Naive outputs, (S, len(free)), clamped into the parameter intervals,
+        angles into their half-open interval; a parameter without an interval
+        is left as it is."""
+        clamped = float_array(out, "naive outputs", width=len(self.free), ndim=2).copy()
+        intervals = check_intervals(intervals, self.free)
         total = 0
         for j, name in enumerate(self.free):
             lo, hi = intervals.get(name, (-np.inf, np.inf))
@@ -145,7 +150,7 @@ def _collapsing_strip_inv(out, intervals, diag):
               max(intervals.get("eps", (0.0,))[0], 0.0))
     result = gamma_g_inv(out, floors=floors, diag=diag)
     # collapsed rows carry c = 0 by construction, whatever the interval
-    live = float_array(out, "8-vectors")[:, 4] >= EPS_TOL
+    live = out[:, 4] >= EPS_TOL
     _report_out_of_domain(result[live, 6], intervals, diag)
     return result
 
@@ -158,7 +163,7 @@ TASKS = {t.name: t for t in (
          noise=False, circular_fraction=0.0, collapses=False, data_header=("x", "y"),
          embedding="circle", embedded_dim=2,
          embed_rows=lambda params: circle_embed(params[:, 0]),
-         invert=lambda out, intervals, diag: circle_inv(out, diag=diag)[:, None],
+         invert_rows=lambda out, intervals, diag: circle_inv(out, diag=diag)[:, None],
          transforms={},
          metrics=(Metric("circular", "theta", "circular_error_rad"),
                   Metric("raw", "theta", "raw_error_rad"))),
@@ -169,7 +174,7 @@ TASKS = {t.name: t for t in (
          noise=False, circular_fraction=0.0, collapses=False, data_header=None,
          embedding="moebius3", embedded_dim=3,
          embed_rows=lambda params: gamma(params[:, 5], params[:, 6]),
-         invert=_strip_inv, transforms={},
+         invert_rows=_strip_inv, transforms={},
          metrics=(Metric("moebius", None, "moebius_error"),
                   Metric("raw", "alpha", "alpha_err_deg"),
                   Metric("raw", "c", "c_err"))),
@@ -181,7 +186,7 @@ TASKS = {t.name: t for t in (
          noise=True, circular_fraction=0.05, collapses=True, data_header=None,
          embedding="moebius8", embedded_dim=8,
          embed_rows=lambda params: gamma_g(params),
-         invert=_collapsing_strip_inv,
+         invert_rows=_collapsing_strip_inv,
          # the embedded targets mix scales from ~0.05 (curvature strip
          # coordinates) to ~5000 (flux); standardizing them keeps Adam's
          # bounded per-step movement from starving the small components

@@ -1,9 +1,12 @@
 """The one array rule, over every public function that takes an array.
 
-Each array argument in turn is given complex values, strings, a ragged list
-and, where its last axis has a fixed width, one column fewer; each must raise
-a ``ValidationError`` that names the argument, with numpy's warnings made
-errors, so that no argument is answered as its real part.
+Each array argument in turn is given complex values, strings, a ragged list,
+where its last axis has a fixed width, one column fewer and, where its number
+of axes is pinned, one axis fewer and one more than it may have; each must
+raise a ``ValidationError`` that names the argument, with numpy's warnings
+made errors, so that no argument is answered as its real part or ends in
+numpy's own error. The other arguments that such a function refuses (interval
+tables, quantile levels, floors, batch sizes) are named the same way.
 """
 
 import os
@@ -60,115 +63,126 @@ def _noise(x=np.zeros((2, 4)), flux=np.full((2, 1), 1000.0), normals=None):
 
 
 #: name -> (call with the argument, a valid value of it, the name its errors
-#: give it, whether its last axis has a fixed width)
+#: give it, whether its last axis has a fixed width, the numbers of axes it may
+#: have or None where any number will do)
 ENTRIES = {
     # the package namespace
     "looptopo.evaluate_predictions truth": (
         lambda a: looptopo.evaluate_predictions("circle", "naive", a, np.zeros((2, 1)),
-                                                INTERVALS), np.zeros((2, 1)), "truth", True),
+                                                INTERVALS), np.zeros((2, 1)), "truth", True, (2,)),
     "looptopo.evaluate_predictions pred": (
         lambda a: looptopo.evaluate_predictions("circle", "naive", np.zeros((2, 1)), a,
-                                                INTERVALS), np.zeros((2, 1)), "pred", True),
+                                                INTERVALS), np.zeros((2, 1)), "pred", True, (2,)),
     "looptopo.apply_standardization": (
-        lambda a: looptopo.apply_standardization(STATS, a), np.ones((2, 3)), "inputs", True),
-    "looptopo.gamma_g_inv": (looptopo.gamma_g_inv, np.ones((2, 8)), "8-vectors", True),
+        lambda a: looptopo.apply_standardization(STATS, a), np.ones((2, 3)),
+        "(3,) or (rows, 3) inputs", True, (1, 2)),
+    "looptopo.gamma_g_inv": (looptopo.gamma_g_inv, np.ones((2, 8)), "8-vectors", True, None),
     "looptopo.reals_to_vis": (looptopo.reals_to_vis, np.ones((2, 4)),
-                              "real-coded visibilities", True),
+                              "real-coded visibilities", True, (1, 2)),
     "looptopo.visibilities_closed_form": (
-        lambda a: looptopo.visibilities_closed_form(a, FREQS), ROW, "parameters", True),
-    "looptopo.forward": (lambda a: looptopo.forward(NET, a), X, "inputs", True),
+        lambda a: looptopo.visibilities_closed_form(a, FREQS), ROW, "parameters", True, (1,)),
+    "looptopo.forward": (lambda a: looptopo.forward(NET, a), X, "(rows, 8) inputs", True, (2,)),
     "looptopo.predict": (lambda a: looptopo.predict(PREDICTOR, a), np.ones((2, 60)),
-                         "input", True),
+                         "input", True, (1, 2)),
     # embeddings
-    "validate_param_rows": (embeddings.validate_param_rows, ROWS, "parameters", True),
-    "gamma alpha": (lambda a: embeddings.gamma(a, 0.01), np.ones(3), "alpha", False),
-    "gamma c": (lambda a: embeddings.gamma(0.5, a), np.ones(3), "c", False),
-    "gamma_inv": (embeddings.gamma_inv, np.ones((2, 3)), "3-space points", True),
-    "gamma_g": (embeddings.gamma_g, ROWS, "7-parameter vectors", True),
-    "scaled_strip": (embeddings.scaled_strip, ROWS, "7-parameter vectors", True),
-    "circle_embed": (embeddings.circle_embed, np.ones(3), "theta", False),
-    "circle_inv": (embeddings.circle_inv, np.ones((2, 2)), "2-space points", True),
+    "validate_param_rows": (embeddings.validate_param_rows, ROWS, "(S, 7) parameters", True,
+                            (2,)),
+    "gamma alpha": (lambda a: embeddings.gamma(a, 0.01), np.ones(3), "alpha", False, None),
+    "gamma c": (lambda a: embeddings.gamma(0.5, a), np.ones(3), "c", False, None),
+    "gamma_inv": (embeddings.gamma_inv, np.ones((2, 3)), "3-space points", True, None),
+    "gamma_g": (embeddings.gamma_g, ROWS, "7-parameter vectors", True, None),
+    "scaled_strip": (embeddings.scaled_strip, ROWS, "7-parameter vectors", True, None),
+    "circle_embed": (embeddings.circle_embed, np.ones(3), "theta", False, None),
+    "circle_inv": (embeddings.circle_inv, np.ones((2, 2)), "2-space points", True, None),
     "moebius_distance a": (lambda a: embeddings.moebius_distance(a, [0.5, 0.01]),
-                           np.ones((2, 2)), "(alpha, c) pairs", True),
+                           np.ones((2, 2)), "(alpha, c) pairs", True, None),
     "moebius_distance b": (lambda a: embeddings.moebius_distance([0.5, 0.01], a),
-                           np.ones((2, 2)), "(alpha, c) pairs", True),
+                           np.ones((2, 2)), "(alpha, c) pairs", True, None),
     # mlp
-    "loss_and_grad x": (lambda a: mlp.loss_and_grad(NET, a, Y), X, "inputs", True),
-    "loss_and_grad y": (lambda a: mlp.loss_and_grad(NET, X, a), Y, "targets", True),
+    "loss_and_grad x": (lambda a: mlp.loss_and_grad(NET, a, Y), X, "(rows, 8) inputs", True,
+                        (2,)),
+    "loss_and_grad y": (lambda a: mlp.loss_and_grad(NET, X, a), Y, "(rows, 4) targets", True,
+                        (2,)),
     "loss_and_grad masks": (lambda a: mlp.loss_and_grad(DROPPED, X, Y, [a, *MASKS[1:]]),
-                            MASKS[0], "dropout masks", True),
+                            MASKS[0], "dropout masks", True, (2,)),
     "train x_train": (lambda a: mlp.train(_net(), a, Y, X, Y, FIT), X,
-                      "training inputs", True),
+                      "(rows, 8) training inputs", True, (2,)),
     "train y_train": (lambda a: mlp.train(_net(), X, a, X, Y, FIT), Y,
-                      "training targets", True),
+                      "(rows, 4) training targets", True, (2,)),
     "train x_val": (lambda a: mlp.train(_net(), X, Y, a, Y, FIT), X,
-                    "validation inputs", True),
+                    "(rows, 8) validation inputs", True, (2,)),
     "train y_val": (lambda a: mlp.train(_net(), X, Y, X, a, FIT), Y,
-                    "validation targets", True),
-    "eval_loss x": (lambda a: mlp.eval_loss(NET, a, Y), X, "inputs", True),
-    "eval_loss y": (lambda a: mlp.eval_loss(NET, X, a), Y, "targets", True),
+                    "(rows, 4) validation targets", True, (2,)),
+    "eval_loss x": (lambda a: mlp.eval_loss(NET, a, Y), X, "(rows, 8) inputs", True, (2,)),
+    "eval_loss y": (lambda a: mlp.eval_loss(NET, X, a), Y, "(rows, 4) targets", True, (2,)),
     # data
     "to_internal_params": (lambda a: data.to_internal_params("complete", a), ROWS,
-                           "parameters", True),
+                           "parameters", True, None),
     # forward_model
-    "fwhm_to_std": (fm.fwhm_to_std, np.ones(3), "sigma", False),
-    "FrequencySet": (fm.FrequencySet, np.ones((2, 2)), "uv", True),
-    "build_loop_components": (fm.build_loop_components, ROW, "parameters", True),
+    "fwhm_to_std": (fm.fwhm_to_std, np.ones(3), "sigma", False, None),
+    "FrequencySet": (fm.FrequencySet, np.ones((2, 2)), "(n, 2) uv", True, (2,)),
+    "build_loop_components": (fm.build_loop_components, ROW, "7 parameters", True, (1,)),
     "visibilities_closed_form_batch": (lambda a: fm.visibilities_closed_form_batch(a, FREQS),
-                                       ROWS, "parameters", True),
-    "eval_image": (lambda a: fm.eval_image(a, GRID), ROW, "parameters", True),
+                                       ROWS, "parameters", True, (2,)),
+    "eval_image": (lambda a: fm.eval_image(a, GRID), ROW, "parameters", True, (1,)),
     "visibilities_quadrature_oracle": (
-        lambda a: fm.visibilities_quadrature_oracle(a, FREQS, GRID), ROW, "parameters", True),
+        lambda a: fm.visibilities_quadrature_oracle(a, FREQS, GRID), ROW, "parameters", True,
+        (1,)),
     "add_noise x": (lambda a: _noise(x=a), np.zeros((2, 4)), "real-coded visibilities",
-                    False),
-    "add_noise flux": (lambda a: _noise(flux=a), np.full((2, 1), 1000.0), "flux", True),
-    "add_noise normals": (lambda a: _noise(normals=a), np.zeros((2, 4)), "normals", True),
+                    False, None),
+    "add_noise flux": (lambda a: _noise(flux=a), np.full((2, 1), 1000.0), "flux", True,
+                       (0, 2)),
+    "add_noise normals": (lambda a: _noise(normals=a), np.zeros((2, 4)), "normals", True,
+                          (2,)),
     # analysis
     "normalized_abs_error pred": (lambda a: analysis.normalized_abs_error(a, 0.0, (0, 1)),
-                                  np.ones(3), "pred", False),
+                                  np.ones(3), "pred", False, None),
     "normalized_abs_error truth": (lambda a: analysis.normalized_abs_error(0.0, a, (0, 1)),
-                                   np.ones(3), "truth", False),
+                                   np.ones(3), "truth", False, None),
     "circular_error pred": (lambda a: analysis.circular_error(a, 0.0), np.ones(3), "pred",
-                            False),
+                            False, None),
     "circular_error truth": (lambda a: analysis.circular_error(0.0, a), np.ones(3), "truth",
-                             False),
+                             False, None),
     "moebius_error_scaled pred": (lambda a: analysis.moebius_error_scaled(a, ROWS), ROWS,
-                                  "7-parameter vectors", True),
+                                  "7-parameter vectors", True, None),
     "moebius_error_scaled truth": (lambda a: analysis.moebius_error_scaled(ROWS, a), ROWS,
-                                   "7-parameter vectors", True),
+                                   "7-parameter vectors", True, None),
     "nearest_rank_quantile": (lambda a: analysis.nearest_rank_quantile(a, 0.5), np.ones(3),
-                              "values", False),
-    "quantile_summary": (analysis.quantile_summary, np.ones(3), "values", False),
-    "pca_fit": (lambda a: analysis.pca_fit(a, k=1), np.eye(3), "samples", False),
+                              "values", False, None),
+    "quantile_summary": (analysis.quantile_summary, np.ones(3), "values", False, None),
+    "pca_fit": (lambda a: analysis.pca_fit(a, k=1), np.eye(3), "(n, d) samples", False, (2,)),
     "pca_project": (lambda a: analysis.pca_project(analysis.pca_fit(np.eye(3), k=1), a),
-                    np.ones((2, 3)), "samples", True),
+                    np.ones((2, 3)), "samples", True, None),
     "seam_distance": (lambda a: analysis.seam_distance("simple", a), np.ones((2, 2)),
-                      "params", True),
+                      "params", True, (2,)),
     "evaluation_scatter truth": (lambda a: _scatter(truth=a), np.zeros((2, 1)), "truth",
-                                 True),
-    "evaluation_scatter pred": (lambda a: _scatter(pred=a), np.zeros((2, 1)), "pred", True),
+                                 True, (2,)),
+    "evaluation_scatter pred": (lambda a: _scatter(pred=a), np.zeros((2, 1)), "pred", True,
+                                (2,)),
     "evaluation_scatter inputs": (lambda a: _scatter(inputs=a), np.ones((2, 2)), "inputs",
-                                  True),
+                                  True, (2,)),
     "export_scatter": (lambda a: analysis.export_scatter(a, ["a", "b"], os.devnull),
-                       np.ones((2, 2)), "rows", True),
+                       np.ones((2, 2)), "rows", True, (2,)),
     # regularizer
     "build_targets": (lambda a: regularizer.build_targets("naive", "complete", a), ROWS,
-                      "parameters", True),
+                      "parameters", True, (2,)),
     # the task table
     **{f"Task.clamp {name}": (lambda a, t=task: t.clamp(a, {}),
-                              np.ones((2, len(task.free))), "naive outputs", True)
+                              np.ones((2, len(task.free))), "naive outputs", True, (2,))
        for name, task in TASKS.items()},
-    **{f"Task.embed {name}": (task.embed, np.ones((2, len(task.params))), "parameters", True)
+    **{f"Task.embed {name}": (task.embed, np.ones((2, len(task.params))),
+                              f"(S, {len(task.params)}) parameters", True, (2,))
        for name, task in TASKS.items()},
-    **{f"Task.invert {name}": (lambda a, t=TASKS[name]: t.invert(a, t.intervals, None),
-                               np.ones((2, TASKS[name].embedded_dim)), what, True)
-       for name, what in (("circle", "2-space points"), ("simple", "3-space points"),
-                          ("complete", "8-vectors"))},
+    **{f"Task.invert {name}": (lambda a, t=task: t.invert(a, t.intervals, None),
+                               np.ones((2, task.embedded_dim)), "embedded outputs", True, (2,))
+       for name, task in TASKS.items()},
 }
 
 
-def _bad_values(good, fixed_width):
-    """Complex, strings, ragged and, with a fixed width, one column fewer."""
+def _bad_values(good, fixed_width, ranks):
+    """Complex, strings, ragged, with a fixed width one column fewer, and with
+    pinned ranks the rank below the fewest axes allowed and the rank above the
+    most, where they are refused (and not below 0)."""
     good = np.asarray(good)
     yield good + 1j
     yield [[1.0, 2j]]
@@ -176,26 +190,71 @@ def _bad_values(good, fixed_width):
     yield [[1.0, 2.0], [1.0]]
     if fixed_width:
         yield good[..., :-1]
+    if ranks:
+        for rank in range(max(min(ranks) - 1, 0), max(ranks) + 2):
+            if rank not in ranks:
+                yield (good[(0,) * (good.ndim - rank)] if rank < good.ndim
+                       else good[(None,) * (rank - good.ndim)])
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_every_array_argument_follows_the_rule(entry):
-    call, good, what, fixed_width = ENTRIES[entry]
+    call, good, what, fixed_width, ranks = ENTRIES[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(good)  # the valid call the cases below break
-        for bad in _bad_values(good, fixed_width):
+        for bad in _bad_values(good, fixed_width, ranks):
             with pytest.raises(ValidationError, match=re.escape(what)):
                 call(bad)
 
 
-@pytest.mark.parametrize("call, what", [
-    (lambda: embeddings.validate_param_rows(ROW), r"\(S, 7\) parameters"),  # a row, not rows
-    (lambda: TASKS["complete"].embed(ROW), r"\(S, 7\) parameters"),
-    (lambda: analysis.evaluate_predictions("simple", "naive", np.zeros((2, 2)),
-                                           np.zeros((2, 2)), intervals=[]), "intervals"),
-])
-def test_an_argument_of_the_wrong_shape_or_kind_is_named(call, what):
+#: name -> (a call with an argument that is not an array, or not one of the
+#: rule's, refused; a pattern that names the argument)
+REFUSALS = {
+    "evaluate_predictions intervals a list": (
+        lambda: analysis.evaluate_predictions("simple", "naive", np.zeros((2, 2)),
+                                              np.zeros((2, 2)), intervals=[]),
+        "intervals must be a dict"),
+    "evaluate_predictions intervals entry a number": (
+        lambda: analysis.evaluate_predictions("complete", "embedded", ROWS, ROWS,
+                                              {**TASKS["complete"].intervals, "x_c": 1}),
+        "interval for x_c must be a pair lo <= hi"),
+    "normalized_abs_error interval None": (
+        lambda: analysis.normalized_abs_error(1.0, 1.0, None), "interval must be a pair"),
+    "normalized_abs_error interval of one": (
+        lambda: analysis.normalized_abs_error(1.0, 1.0, (0,)), "interval must be a pair"),
+    "normalized_abs_error interval of strings": (
+        lambda: analysis.normalized_abs_error(1.0, 1.0, ("a", "b")), "interval must be a pair"),
+    "Task.clamp intervals None": (
+        lambda: TASKS["simple"].clamp(np.ones((2, 2)), None), "intervals must be a dict"),
+    "Task.clamp interval a number": (
+        lambda: TASKS["simple"].clamp(np.ones((2, 2)), {"alpha": 5}),
+        "interval for alpha must be a pair lo <= hi"),
+    "Task.invert intervals None": (
+        lambda: TASKS["simple"].invert(np.ones((2, 3)), None, None), "intervals must be a dict"),
+    "Task.invert interval reversed": (
+        lambda: TASKS["complete"].invert(np.ones((2, 8)), {"flux": (2.0, 1.0)}),
+        "interval for flux must be a pair lo <= hi"),
+    "evaluation_scatter inputs of another row count": (
+        lambda: _scatter(inputs=np.ones((3, 2))), "inputs and the report must have one row"),
+    "evaluation_scatter truth of another row count": (
+        lambda: _scatter(truth=np.zeros((3, 1)), pred=np.zeros((3, 1))),
+        "truth, pred, inputs and the report must have one row"),
+    "nearest_rank_quantile q None": (
+        lambda: analysis.nearest_rank_quantile(np.ones(3), None), "quantile level q"),
+    "nearest_rank_quantile q a string": (
+        lambda: analysis.nearest_rank_quantile(np.ones(3), "a"), "quantile level q"),
+    "gamma_g_inv floors of one": (
+        lambda: embeddings.gamma_g_inv(np.ones((2, 8)), floors=(1,)), "floors must be"),
+    "sample_dropout_masks batch_size negative": (
+        lambda: mlp.sample_dropout_masks(DROPPED, -1, np.random.default_rng(0)),
+        "batch_size must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_an_argument_of_the_wrong_shape_or_kind_is_named(case):
+    call, what = REFUSALS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=what):

@@ -265,8 +265,10 @@ class TestStandardization:
             for bad, rule in (([[1.0, 2.0, 3.0], [1.0]], "must be numeric"),
                               ([["a"] * 3], "must be numeric"),
                               (np.ones((2, 3)) + 1j, "must be real"),
-                              (np.ones((2, 4)), r"must be \(3,\) or \(rows, 3\)"),
-                              (np.ones((1, 2, 3)), r"must be \(3,\) or \(rows, 3\)")):
+                              (np.ones((2, 4)),
+                               r"expected \(3,\) or \(rows, 3\) inputs, got shape \(2, 4\)"),
+                              (np.ones((1, 2, 3)),
+                               r"expected \(3,\) or \(rows, 3\) inputs, got shape \(1, 2, 3\)")):
                 with pytest.raises(ValidationError, match=rule):
                     apply_standardization(stats, bad, np.float32)
 

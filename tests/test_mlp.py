@@ -138,7 +138,7 @@ class TestForward:
     def test_targets_not_rows_of_output_dim_rejected(self, rows, shape):
         # (5, 1) targets used to broadcast against the 4 outputs into a loss
         x = np.random.default_rng(0).normal(size=(rows, 8))
-        with pytest.raises(ValidationError, match="targets must be"):
+        with pytest.raises(ValidationError, match=r"expected \(rows, 4\) targets, got shape"):
             loss_and_grad(tiny_model(), x, np.zeros(shape))
 
     def test_masks_of_other_shapes_rejected(self):

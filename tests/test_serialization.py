@@ -259,6 +259,12 @@ BROKEN_RULES = {
     "GridSpec nx one": (GridSpec, {"nx": 1}, "GridSpec.nx must be >= 2, got 1"),
     "GridSpec ny float": (GridSpec, {"ny": 256.0}, "GridSpec.ny must be an integer"),
     "GridSpec bounds reversed": (GridSpec, {"y_max": -2.0}, "grid bounds must be increasing"),
+    # such a grid reached eval_image, whose linspace warned of the overflow
+    # before the row was refused as a component density out of range
+    "GridSpec width overflows": (GridSpec, {"x_min": -1e308, "x_max": 1e308},
+                                 "grid bounds must span a finite width and height"),
+    "GridSpec height overflows": (GridSpec, {"y_min": -1e308, "y_max": 1e308},
+                                  "grid bounds must span a finite width and height"),
     "MlpConfig input_dim zero":
         (MlpConfig, {"input_dim": 0}, "MlpConfig.input_dim must be >= 1"),
     "MlpConfig output_dim zero":
