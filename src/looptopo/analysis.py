@@ -13,8 +13,8 @@ import numpy as np
 
 from .embeddings import moebius_distance, scaled_strip
 from .errors import ValidationError
-from .serialization import (check_interval, check_intervals, float_array, format_csv,
-                            is_finite_number, is_integer, write_bytes)
+from .serialization import (broadcast_pair, check_interval, check_intervals, float_array,
+                            format_csv, is_finite_number, is_integer, write_bytes)
 from .tasks import get_task
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -25,12 +25,16 @@ def normalized_abs_error(pred, truth, interval):
     lo, hi = check_interval(interval, "interval")
     if not hi > lo:
         raise ValidationError(f"interval must have positive length, got ({lo}, {hi})")
-    return np.abs(float_array(pred, "pred") - float_array(truth, "truth")) / (hi - lo)
+    pred, truth = broadcast_pair(float_array(pred, "pred"), float_array(truth, "truth"),
+                                 "pred and truth")
+    return np.abs(pred - truth) / (hi - lo)
 
 
 def circular_error(pred, truth):
     """Shortest angular distance on the circle, range [0, pi]."""
-    d = np.abs(float_array(pred, "pred") - float_array(truth, "truth")) % (2 * np.pi)
+    pred, truth = broadcast_pair(float_array(pred, "pred"), float_array(truth, "truth"),
+                                 "pred and truth")
+    d = np.abs(pred - truth) % (2 * np.pi)
     return np.minimum(d, 2 * np.pi - d)
 
 
@@ -41,7 +45,10 @@ def moebius_error_scaled(pred_params, truth_params):
     Collapsed shapes (both eps near 0) score near zero regardless of angles,
     matching the rotation invariance of circular sources.
     """
-    return np.linalg.norm(scaled_strip(pred_params) - scaled_strip(truth_params), axis=-1)
+    pred, truth = broadcast_pair(*(float_array(p, "7-parameter vectors", width=7)
+                                   for p in (pred_params, truth_params)),
+                                 "pred_params and truth_params")
+    return np.linalg.norm(scaled_strip(pred) - scaled_strip(truth), axis=-1)
 
 
 def _sorted(values):

@@ -11,12 +11,12 @@ directory is a manifest.json plus flat little-endian binary arrays, checksummed;
 the array files are written and read side by side, through ``pool.ordered_map``.
 
 A dataset stores its parameters (in external units, and in memory also in
-internal ones) and two data channels, clean and noisy; generated with noise
-off, the noisy channel is the clean array itself, while a loaded dataset holds
-two arrays read from two files. Its splits are derived from the config: the
-sizes lay out contiguous train, validation and test rows in that order, so a
-split is a slice of rows and selecting it gives a view. ``split.bin`` holds
-each row's split, built from the config on save and checked against it on load.
+internal ones) and two data channels, clean and noisy; with noise off, the
+noisy channel is the clean array itself, generated or loaded. Its splits are
+derived from the config: the sizes lay out contiguous train, validation and
+test rows in that order, so a split is a slice of rows and selecting it gives
+a view. A dataset directory stores only what the config cannot derive:
+``params.bin``, ``clean.bin`` and, with noise on, ``noisy.bin``.
 
 A seed gives two random streams, one per purpose: stream 0 draws all the
 parameters of a dataset in one call, stream 1 all of its noise in one call.
@@ -42,7 +42,7 @@ from .serialization import (MAX_FLOATS, check_fields, check_intervals, config_fr
                             read_array_bin, read_json, write_array_bin, write_json)
 from .tasks import LOOP_PARAMS, get_task
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 PARAM_ORDER = LOOP_PARAMS
 TRAIN, VAL, TEST = 0, 1, 2
@@ -164,9 +164,8 @@ class Dataset:
     """In-memory dataset; params_disk is the serialization truth (degrees).
 
     Stored: the config, the parameters in both units and the two data
-    channels (``noisy is clean`` when generated with noise off; two arrays
-    when loaded). Derived from the config: the split of each row (``split``)
-    and each split's rows (``mask``)."""
+    channels (``noisy is clean`` with noise off). Derived from the config: the
+    split of each row (``split``) and each split's rows (``mask``)."""
 
     config: SamplingConfig
     params_disk: np.ndarray        # (S, P), external units
@@ -303,60 +302,64 @@ def apply_standardization(stats: StandardizationStats, x, dtype=np.float64):
     return out
 
 
+def _array_names(cfg: SamplingConfig):
+    """The arrays a dataset directory of ``cfg`` holds, one file each."""
+    return ("params", "clean", "noisy") if cfg.noise else ("params", "clean")
+
+
 def save_dataset(ds: Dataset, path):
-    """Write a dataset directory: the manifest and the four binary arrays."""
+    """Write a dataset directory: the manifest and the arrays of ``_array_names``."""
     make_dir(path)
     manifest = ds.manifest_dict()
-    manifest["mode"] = "binary"
     manifest["config_hash"] = config_hash(manifest["config"])
-    arrays = {"params": ds.params_disk, "clean": ds.clean, "noisy": ds.noisy,
-              "split": ds.split}
-    manifest["arrays"] = dict(zip(arrays, ordered_map(
+    arrays = {"params": ds.params_disk, "clean": ds.clean, "noisy": ds.noisy}
+    names = _array_names(ds.config)
+    manifest["arrays"] = dict(zip(names, ordered_map(
         lambda name: write_array_bin(arrays[name], os.path.join(path, f"{name}.bin")),
-        arrays)))
+        names)))
     write_json(manifest, os.path.join(path, "manifest.json"))
 
 
-def _array_file(path, manifest, name):
-    return os.path.join(path, manifest["arrays"][name]["file"])
-
-
-def _read_array(path, manifest, name, manifest_path):
+def _read_array(path, entry, name, manifest_path):
     """One array of the dataset directory ``path``. Its manifest entry is checked
     here to name its file and checksum; read_array_bin checks its dtype and shape."""
-    entries = manifest["arrays"]
-    entry = entries.get(name) if isinstance(entries, dict) else None
     if not (isinstance(entry, dict)
             and all(isinstance(entry.get(k), str) for k in ("file", "sha256"))):
         raise ParseError(f"manifest entry arrays.{name} must be an object with string "
                          "file and sha256", path=manifest_path)
-    return read_array_bin(_array_file(path, manifest, name), entry)
+    return read_array_bin(os.path.join(path, entry["file"]), entry)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset directory. An array file whose dtype, shape or (for
-    ``split``) content is not what the config implies is a ``ParseError``
-    naming it."""
+    """Read a dataset directory. The manifest must list exactly the arrays of
+    ``_array_names``; files it does not list are not read. An array file whose
+    dtype or shape is not what the config implies is a ``ParseError`` naming
+    it. With noise off, ``noisy`` is the clean array itself."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = read_json(manifest_path)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != DATASET_FORMAT_VERSION:
+    if version != DATASET_FORMAT_VERSION:  # a dataset is a function of its config
         raise FormatVersionError(
-            f"dataset format version {version} is not supported "
-            f"(this build reads version {DATASET_FORMAT_VERSION})")
-    mode = manifest.get("mode", "binary")
-    if mode != "binary":
-        raise FormatVersionError(f"dataset mode {mode!r} is not supported "
-                                 "(this build reads binary datasets only)")
+            f"dataset format version {version} is not supported (this build reads version "
+            f"{DATASET_FORMAT_VERSION}): regenerate the dataset with `looptopo gen-dataset` "
+            "from the config, frequencies and build in its manifest")
     try:
         if config_hash(manifest["config"]) != manifest["config_hash"]:
             raise ChecksumError(f"{manifest_path}: config does not match its config_hash")
         cfg = SamplingConfig.from_dict(manifest["config"])
-        names = ("params", "clean", "noisy", "split")
-        arrays = dict(zip(names, ordered_map(
-            lambda name: _read_array(path, manifest, name, manifest_path), names)))
+        entries = manifest["arrays"]
     except KeyError as exc:
         raise ParseError(f"manifest lacks {exc}", path=manifest_path) from None
+    if not isinstance(entries, dict):
+        raise ParseError("manifest arrays must be an object", path=manifest_path)
+    names = _array_names(cfg)
+    odd = ([f"extra arrays.{name}" for name in entries if name not in names]
+           + [f"missing arrays.{name}" for name in names if name not in entries])
+    if odd:
+        raise ParseError(f"manifest arrays must be exactly {', '.join(names)}, as the "
+                         f"config implies: {', '.join(odd)}", path=manifest_path)
+    arrays = dict(zip(names, ordered_map(
+        lambda name: _read_array(path, entries[name], name, manifest_path), names)))
     freqs, build = manifest.get("frequencies"), manifest.get("build")
     task = get_task(cfg.scenario)
     if (freqs is not None, build is not None) != (task.visibilities, task.visibilities):
@@ -364,21 +367,16 @@ def load_dataset(path) -> Dataset:
                          "visibility dataset and both be null otherwise", path=manifest_path)
     freqs = FrequencySet(freqs) if task.visibilities else None
     width = 2 * len(freqs) if task.visibilities else task.embedded_dim
-    f8 = np.dtype(np.float64)
-    needs = {"params": (f8, (cfg.total, len(task.params))), "clean": (f8, (cfg.total, width)),
-             "noisy": (f8, (cfg.total, width)), "split": (np.dtype(np.int8), (cfg.total,))}
-    for name, (dtype, shape) in needs.items():
+    for name in names:
         found = arrays[name].dtype, arrays[name].shape
-        if found != (dtype, shape):
+        needs = np.dtype(np.float64), (cfg.total, len(task.params) if name == "params" else width)
+        if found != needs:
             raise ParseError(f"holds {found[0]} {list(found[1])}, the config needs "
-                             f"{dtype} {list(shape)}", path=_array_file(path, manifest, name))
-    ds = Dataset(config=cfg,
-                 params_disk=arrays["params"],
-                 params=to_internal_params(cfg.scenario, arrays["params"]),
-                 clean=arrays["clean"], noisy=arrays["noisy"], frequencies=freqs,
-                 build=LoopBuildConfig.from_dict(build) if task.visibilities else None)
-    if not np.array_equal(arrays["split"], ds.split):
-        raise ParseError(f"does not hold the config's split: blocks of {cfg.n_train} "
-                         f"train, {cfg.n_val} validation and {cfg.n_test} test rows",
-                         path=_array_file(path, manifest, "split"))
-    return ds
+                             f"{needs[0]} {list(needs[1])}",
+                             path=os.path.join(path, entries[name]["file"]))
+    return Dataset(config=cfg,
+                   params_disk=arrays["params"],
+                   params=to_internal_params(cfg.scenario, arrays["params"]),
+                   clean=arrays["clean"], noisy=arrays.get("noisy", arrays["clean"]),
+                   frequencies=freqs,
+                   build=LoopBuildConfig.from_dict(build) if task.visibilities else None)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .errors import ValidationError
-from .serialization import are_finite_numbers, float_array
+from .serialization import are_finite_numbers, broadcast_pair, float_array
 
 C_MIN_DEFAULT = -0.05
 C_MAX_DEFAULT = 0.05
@@ -67,7 +67,7 @@ def gamma(alpha, c):
     the identification (0, c) ~ (pi, -c). Broadcasts over array inputs;
     returns shape broadcast(alpha, c) + (3,).
     """
-    alpha, c = float_array(alpha, "alpha"), float_array(c, "c")
+    alpha, c = broadcast_pair(float_array(alpha, "alpha"), float_array(c, "c"), "alpha and c")
     radial = 1.0 + c * np.sin(alpha)
     return np.stack([radial * np.cos(2.0 * alpha),
                      radial * np.sin(2.0 * alpha),
@@ -183,7 +183,8 @@ def moebius_distance(a, b):
     By construction zero exactly when the two pairs map to the same shape,
     including the seam identification (0, c) ~ (pi, -c).
     """
-    aa, bb = (float_array(x, "(alpha, c) pairs", width=2) for x in (a, b))
+    aa, bb = broadcast_pair(*(float_array(x, "(alpha, c) pairs", width=2) for x in (a, b)),
+                            "a and b")
     d = np.linalg.norm(gamma(aa[..., 0], aa[..., 1]) - gamma(bb[..., 0], bb[..., 1]),
                        axis=-1)
     if aa.ndim == 1 and bb.ndim == 1:

@@ -19,16 +19,23 @@ buffers one after another, so their parts are never joined into one:
 own buffer, with no copy into bytes.
 
 Every public function that takes an array turns it into one through
-``float_array``, by one rule: the argument must be numeric (strings and
-objects that are not numbers are refused), not ragged, and real (numpy would
-drop an imaginary part with only a warning); ``width``, where given, is the
-length its last axis must have, and ``ndim``, an int or a tuple of ints, the
-number of axes it may have; and it comes back as ``dtype``, float64 by
-default, a float array's own dtype with None, with no copy where it has that
-dtype already. A broken rule is a ``ValidationError`` naming the argument; a
-wrong width or rank reads ``expected {what}, got shape {shape}``, so ``what``
-says the shape where the argument's name alone would not (``"(S, 7)
-parameters"``). No function checks an argument's rank by hand after it.
+``float_array``, by one rule: the argument must be numeric (strings, objects
+that are not numbers and ints past the float range are refused), not ragged,
+and real (numpy would drop an imaginary part with only a warning);
+``width``, where given, is the length its last axis must have, and ``ndim``,
+an int or a tuple of ints, the number of axes it may have; and it comes back
+as ``dtype``, float64 by default, a float array's own dtype with None, with no
+copy where it has that dtype already. A broken rule is a ``ValidationError``
+naming the argument; a wrong width or rank reads ``expected {what}, got shape
+{shape}``, so ``what`` says the shape where the argument's name alone would
+not (``"(S, 7) parameters"``). No function checks an argument's rank by hand
+after it.
+
+The element-wise functions of two arrays (``gamma``, ``moebius_distance``,
+``circular_error``, ``normalized_abs_error``, ``moebius_error_scaled``) hold
+them to one pair rule, through ``broadcast_pair``: each meets the array rule,
+and their shapes must broadcast together. A broken pair rule is a
+``ValidationError`` naming both arguments and their shapes.
 
 Every public function that takes a table of parameter intervals (a sampling
 config, checkpoint metadata, ``Task.clamp``, ``Task.invert``,
@@ -110,18 +117,33 @@ def float_array(x, what, width=None, ndim=None, dtype=float):
         a = a.astype(dtype or (a.dtype if a.dtype.kind == "f" else float), copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric, got {x!r:.60}") from None
+    except OverflowError:
+        raise ValidationError(f"{what} must lie within the float range, got {x!r:.60}") from None
     if ((width is not None and a.shape[-1:] != (width,))
             or (ndim is not None and a.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)))):
         raise ValidationError(f"expected {what}, got shape {a.shape}")
     return a
 
 
+def broadcast_pair(a, b, what):
+    """The arrays ``a`` and ``b``, by the pair rule (module docstring): their
+    shapes must broadcast together. ``what`` names both in the error."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ValidationError(f"{what} must broadcast together, got shapes {a.shape} "
+                              f"and {b.shape}") from None
+    return a, b
+
+
 def is_finite_number(v) -> bool:
-    """An int or a finite float (numpy scalars included), not a bool."""
-    if type(v) is float:  # a plain float first, as in is_integer
-        return math.isfinite(v)
-    return is_integer(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                             and math.isfinite(v))
+    """An int or a float (numpy scalars included), not a bool, that is finite
+    as a float: an int past the float range is not."""
+    try:  # a plain float or int first: the abstract-class check costs 10x more
+        return ((type(v) in (float, int) or isinstance(v, numbers.Real)
+                 and not isinstance(v, bool)) and math.isfinite(v))
+    except OverflowError:
+        return False
 
 
 def are_finite_numbers(values, n) -> bool:

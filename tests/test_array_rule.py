@@ -1,12 +1,14 @@
 """The one array rule, over every public function that takes an array.
 
 Each array argument in turn is given complex values, strings, a ragged list,
-where its last axis has a fixed width, one column fewer and, where its number
-of axes is pinned, one axis fewer and one more than it may have; each must
+ints past the float range, where its last axis has a fixed width, one column
+fewer and, where its number of axes is pinned, one axis fewer and one more
+than it may have; each must
 raise a ``ValidationError`` that names the argument, with numpy's warnings
 made errors, so that no argument is answered as its real part or ends in
 numpy's own error. The other arguments that such a function refuses (interval
-tables, quantile levels, floors, batch sizes) are named the same way.
+tables, quantile levels, floors, batch sizes, and pairs of arrays that do not
+broadcast together) are named the same way.
 """
 
 import os
@@ -180,14 +182,16 @@ ENTRIES = {
 
 
 def _bad_values(good, fixed_width, ranks):
-    """Complex, strings, ragged, with a fixed width one column fewer, and with
-    pinned ranks the rank below the fewest axes allowed and the rank above the
-    most, where they are refused (and not below 0)."""
+    """Complex, strings, ragged, ints past the float range (a list, as JSON
+    gives them), with a fixed width one column fewer, and with pinned ranks the
+    rank below the fewest axes allowed and the rank above the most, where they
+    are refused (and not below 0)."""
     good = np.asarray(good)
     yield good + 1j
     yield [[1.0, 2j]]
     yield np.full(good.shape, "a")
     yield [[1.0, 2.0], [1.0]]
+    yield np.full(good.shape, 10 ** 400, object).tolist()
     if fixed_width:
         yield good[..., :-1]
     if ranks:
@@ -249,6 +253,29 @@ REFUSALS = {
     "sample_dropout_masks batch_size negative": (
         lambda: mlp.sample_dropout_masks(DROPPED, -1, np.random.default_rng(0)),
         "batch_size must be"),
+    # an int past the float range is not a finite number
+    "GridSpec bound past the float range": (
+        lambda: fm.GridSpec(-1, 10 ** 400, -1, 1, 4, 4), "GridSpec.x_max must be a finite"),
+    "normalized_abs_error interval past the float range": (
+        lambda: analysis.normalized_abs_error(1.0, 1.0, (0, 10 ** 400)),
+        "interval must be a pair"),
+    # the pair rule: two arrays of an element-wise function must broadcast together
+    "circular_error of unequal lengths": (
+        lambda: analysis.circular_error(np.ones(3), np.ones(2)),
+        r"pred and truth must broadcast together, got shapes \(3,\) and \(2,\)"),
+    "normalized_abs_error of unequal lengths": (
+        lambda: analysis.normalized_abs_error(np.ones(3), np.ones(2), (0, 1)),
+        r"pred and truth must broadcast together, got shapes \(3,\) and \(2,\)"),
+    "gamma of unequal lengths": (
+        lambda: embeddings.gamma(np.ones(3), np.ones(2)),
+        r"alpha and c must broadcast together, got shapes \(3,\) and \(2,\)"),
+    "moebius_distance of unequal row counts": (
+        lambda: embeddings.moebius_distance(np.ones((3, 2)), np.ones((2, 2))),
+        r"a and b must broadcast together, got shapes \(3, 2\) and \(2, 2\)"),
+    "moebius_error_scaled of unequal row counts": (
+        lambda: analysis.moebius_error_scaled(np.ones((3, 7)), np.ones((2, 7))),
+        r"pred_params and truth_params must broadcast together, "
+        r"got shapes \(3, 7\) and \(2, 7\)"),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from looptopo import cli
 from looptopo.cli import build_parser, main
-from looptopo.data import TEST, VAL, load_dataset
+from looptopo.data import load_dataset
 from looptopo.errors import LoopTopoError, ParseError
 from looptopo.mlp import load_checkpoint, save_checkpoint
 from looptopo.serialization import write_array_bin
@@ -106,6 +106,26 @@ def test_size_no_machine_holds_is_an_error(workspace, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert os.listdir(tmp_path) == ["v.csv"]
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("gen-dataset", "frequencies", "r_max"), ("gen-dataset", "loop_build", "span_factor"),
+    ("train", "train", "learning_rate")])
+def test_config_number_past_the_float_range_is_an_error(workspace, tmp_path, capsys,
+                                                        command, section, key):
+    # a 401-digit JSON integer in a float field is refused by its config, by name
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, section: {key: 10 ** 400}}))
+    given = {"gen-dataset": ["--scenario", "simple", "--n-train", 20, "--n-val", 5,
+                             "--n-test", 5, "--out", tmp_path / "d"],
+             "train": ["--dataset", workspace["ds"], "--kind", "naive", "--epochs", 1,
+                       "--out", tmp_path / "m.ckpt"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", path, *given[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f".{key} must be a finite number" in err
+    assert err.count("\n") == 1 and os.listdir(tmp_path) == ["c.json"]
 
 
 class TestTrain:
@@ -460,12 +480,15 @@ UNREADABLE_INPUTS = {
     "truncated_manifest": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: text[:len(text) // 2]),
     "missing_array_file": lambda ws, tmp: _manifest_edited(
-        ws, tmp, lambda text: text.replace("noisy.bin", "gone.bin")),
+        ws, tmp, lambda text: text.replace("clean.bin", "gone.bin")),
     "manifest_without_arrays": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                           if k != "arrays"})),
-    "text_mode_manifest": lambda ws, tmp: _manifest_edited(
-        ws, tmp, lambda text: json.dumps({**json.loads(text), "mode": "text"})),
+    "array_entry_the_config_does_not_imply": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_array_entry(text, "noisy", None,
+                                                json.loads(text)["arrays"]["clean"])),
+    "format_1_manifest": lambda ws, tmp: _manifest_edited(
+        ws, tmp, lambda text: _with_manifest_key(text, "format_version", 1)),
     "edited_manifest_config": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: text.replace('"n_test": 40', '"n_test": 41')),
     "manifest_arrays_not_an_object": lambda ws, tmp: _manifest_edited(
@@ -475,11 +498,11 @@ UNREADABLE_INPUTS = {
     "array_file_not_a_string": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: _with_array_entry(text, "clean", "file", 5)),
     "array_dtype_not_a_string": lambda ws, tmp: _manifest_edited(
-        ws, tmp, lambda text: _with_array_entry(text, "noisy", "dtype", 8)),
+        ws, tmp, lambda text: _with_array_entry(text, "clean", "dtype", 8)),
     "array_dtype_unknown": lambda ws, tmp: _manifest_edited(
-        ws, tmp, lambda text: _with_array_entry(text, "noisy", "dtype", "bogus")),
+        ws, tmp, lambda text: _with_array_entry(text, "clean", "dtype", "bogus")),
     "array_sha256_not_a_string": lambda ws, tmp: _manifest_edited(
-        ws, tmp, lambda text: _with_array_entry(text, "split", "sha256", ["ab"])),
+        ws, tmp, lambda text: _with_array_entry(text, "params", "sha256", ["ab"])),
     "array_shape_not_a_list": lambda ws, tmp: _manifest_edited(
         ws, tmp, lambda text: _with_array_entry(text, "params", "shape", 5)),
     "frequencies_a_string": lambda ws, tmp: _manifest_edited(
@@ -563,9 +586,7 @@ def test_unreadable_input_is_an_error(workspace, tmp_path, capsys, case):
 #: Arrays of a 600-row dataset (400 train, 100 val, 100 test) replaced by ones
 #: that disagree with its config, and the file the refusal names.
 DISAGREEING_ARRAYS = {
-    "split_changed": ("split.bin", lambda ds: {"split": np.where(ds.split == TEST, VAL,
-                                                                 ds.split)}),
-    "rows_cut": ("clean.bin", lambda ds: {"clean": ds.clean[:500], "noisy": ds.noisy[:500]}),
+    "rows_cut": ("clean.bin", lambda ds: {"clean": ds.clean[:500]}),
     "params_six_wide": ("params.bin", lambda ds: {"params": ds.params_disk[:, :6]}),
 }
 

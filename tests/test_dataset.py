@@ -273,22 +273,66 @@ class TestStandardization:
                     apply_standardization(stats, bad, np.float32)
 
 
-class TestDiskFormat:
-    def test_round_trip_identity(self, tmp_path):
-        for scenario in ("circle", "simple", "complete"):
-            ds = generate_dataset(small_cfg(scenario))
-            path = tmp_path / scenario
-            save_dataset(ds, path)
-            assert datasets_equal(ds, load_dataset(path))
+def saved_files(noise):
+    """The files of a dataset directory: the noisy channel only with noise on."""
+    return {"manifest.json", "params.bin", "clean.bin", *(["noisy.bin"] if noise else [])}
 
-    def test_text_mode_rejected(self, tmp_path):
-        save_dataset(generate_dataset(small_cfg("circle")), tmp_path / "ds")
+
+class TestDiskFormat:
+    @pytest.mark.parametrize("scenario, extra", [
+        ("circle", {}), ("simple", {}), ("complete", {}), ("complete", {"noise": False})],
+        ids=["circle", "simple", "complete", "complete-noise-off"])
+    @pytest.mark.parametrize("rows", [1, EVAL_CHUNK, EVAL_CHUNK + 1])
+    def test_round_trip_identity(self, tmp_path, scenario, extra, rows):
+        tenth = rows // 10
+        ds = generate_dataset(small_cfg(scenario, n_train=rows - 2 * tenth, n_val=tenth,
+                                        n_test=tenth, **extra))
+        save_dataset(ds, tmp_path / "ds")
+        loaded = load_dataset(tmp_path / "ds")
+        assert datasets_equal(ds, loaded)
+        assert set(os.listdir(tmp_path / "ds")) == saved_files(ds.config.noise)
+        assert (loaded.noisy is loaded.clean) == (not ds.config.noise)
+        assert "mode" not in json.loads((tmp_path / "ds" / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("earlier", ["noisy", "format 1"])
+    def test_stale_files_of_an_earlier_save_are_not_read(self, tmp_path, earlier):
+        # a noise-free save over a noisy one, or over a format 1 directory with its
+        # split.bin, leaves their files behind; the manifest does not list them
+        path = tmp_path / "ds"
+        noisy = generate_dataset(small_cfg("complete"))
+        save_dataset(noisy, path)
+        stale = {"noisy.bin"}
+        if earlier == "format 1":
+            manifest = json.loads((path / "manifest.json").read_text())
+            manifest.update(format_version=1, mode="binary")
+            manifest["arrays"]["split"] = write_array_bin(noisy.split, path / "split.bin")
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            stale.add("split.bin")
+        ds = generate_dataset(small_cfg("complete", noise=False))
+        save_dataset(ds, path)
+        assert set(os.listdir(path)) == saved_files(False) | stale
+        for name in stale:
+            (path / name).write_bytes(b"not read")
+        loaded = load_dataset(path)
+        assert datasets_equal(ds, loaded) and loaded.noisy is loaded.clean
+
+    @pytest.mark.parametrize("scenario, edit, message", [
+        ("simple", lambda m: m["arrays"].update(noisy=m["arrays"]["clean"]),
+         "extra arrays.noisy"),
+        ("simple", lambda m: m["arrays"].update(split=m["arrays"]["clean"]),
+         "extra arrays.split"),
+        ("complete", lambda m: m["arrays"].pop("noisy"), "missing arrays.noisy"),
+        ("circle", lambda m: m["arrays"].pop("clean"), "missing arrays.clean")])
+    def test_manifest_lists_exactly_the_arrays_the_config_implies(self, tmp_path, scenario,
+                                                                  edit, message):
+        save_dataset(generate_dataset(small_cfg(scenario)), tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["mode"] = "text"
+        edit(manifest)
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatVersionError, match="'text'"):
+        with pytest.raises(ParseError, match=message) as raised:
             load_dataset(tmp_path / "ds")
+        assert raised.value.path == str(manifest_path)
 
     def test_edited_config_detected(self, tmp_path):
         # the stored alphas reach 179.6 deg; narrowing their interval would
@@ -350,14 +394,15 @@ class TestDiskFormat:
         with pytest.raises(ParseError, match="frequencies and build"):
             load_dataset(tmp_path / "ds")
 
-    def test_future_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_other_version_refused_with_how_to_regenerate(self, tmp_path, version):
         ds = generate_dataset(small_cfg("simple"))
         save_dataset(ds, tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 999
+        manifest["format_version"] = version
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatVersionError):
+        with pytest.raises(FormatVersionError, match=f"version {version} .*gen-dataset"):
             load_dataset(tmp_path / "ds")
 
     def test_angles_stored_in_degrees(self, tmp_path):
@@ -375,7 +420,7 @@ class TestDiskFormat:
         save_dataset(ds, tmp_path / "ds")
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         for name, arr in (("params", ds.params_disk), ("clean", ds.clean),
-                          ("noisy", ds.noisy), ("split", ds.split)):
+                          ("noisy", ds.noisy)):
             assert (tmp_path / "ds" / f"{name}.bin").read_bytes() == arr.tobytes()
             assert manifest["arrays"][name]["sha256"] == hashlib.sha256(arr.tobytes()).hexdigest()
 
@@ -403,9 +448,6 @@ class TestDiskFormat:
         assert str(raised.value) == f"checksum mismatch for {target}"
 
     @pytest.mark.parametrize("file, edit", [
-        ("split.bin", lambda ds: {"split": np.where(ds.split == TEST, VAL, ds.split)}),
-        ("split.bin", lambda ds: {"split": ds.split.astype(np.int16)}),
-        ("split.bin", lambda ds: {"split": ds.split[:, None]}),
         ("params.bin", lambda ds: {"params": ds.params_disk[:, :6]}),
         ("params.bin", lambda ds: {"params": ds.params_disk[:-1]}),
         ("clean.bin", lambda ds: {"clean": ds.clean.astype(np.float32)}),
@@ -415,8 +457,8 @@ class TestDiskFormat:
         ("clean.bin", lambda ds: {"frequencies": ds.frequencies.uv[:29].tolist()})])
     def test_arrays_must_agree_with_the_config(self, tmp_path, file, edit):
         # re-signed, so each file matches its checksum; its shape or content does not
-        # match what the config and the frequencies imply
-        ds = generate_dataset(small_cfg("simple"))
+        # match what the config and the frequencies imply; noise on, so noisy.bin is read
+        ds = generate_dataset(small_cfg("complete"))
         save_dataset(ds, tmp_path / "ds")
         manifest_path = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -482,7 +524,7 @@ def _load_damaged(saved, name, damage):
         load_dataset(copy)
 
 
-BIN_FILES = ("params.bin", "clean.bin", "noisy.bin", "split.bin")
+BIN_FILES = ("params.bin", "clean.bin", "noisy.bin")
 
 
 class TestDamagedArrays:
